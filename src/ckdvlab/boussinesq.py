@@ -8,20 +8,40 @@ closed with the bounded multiplier B^2 = dt^2 (1 - dt^2)^{-1}:
                                                        + (-2 + N''(v)) w^2]
 
 where u = v - v^2 + N(v) inverts the change of variables and the analytic
-remainder N(v) = O(v^3) is available in closed form.  The resolvent is a
-contraction for small v, evaluated by fixed-point iteration with an
-a-posteriori residual check.
+remainder N(v) = O(v^3) is available in closed form.  With s = sqrt(1+4v)
+the coefficients collapse to
+
+    v - v^2 + N(v) = u = (s - 1)/2,   -2v + N'(v) = 1/s - 1,
+    -2 + N''(v) = -2/s^3,
+
+which is how the solver evaluates them.  The resolvent is solved by
+fixed-point iteration.  B^2 has multiplier norm below one, so for
+sup|g| < 1 (g = -2v + N'(v)) the iteration contracts and the increment
+bounds the residual: ||h - B^2(g h) - rhs|| <= sup|g| * ||increment||.  The
+iteration stops once the increment is at most tol/2; only when sup|g| >= 1,
+where that bound does not hold, is the residual checked a posteriori.
+
+The RK4 loop runs on bare arrays through the grid's spectral core;
+``spatial_rhs`` and ``resolvent_solve`` are RealField wrappers over the same
+array functions.  ``boussinesq_evolve`` takes an optional ``b2`` operator
+(array to array) in place of the grid's B^2, which is how the selftest
+injects a faulty operator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ckdv import CkdvState, GROWTH_LIMIT
 from .errors import BranchError, NoConvergence, StepUnstable
-from .grid import RealField, SpectralGrid, apply_b2, make_grid
+from .grid import RealField, SpectralGrid, make_grid
+
+#: B^2 operator on bare arrays of one grid, e.g. ``grid.core.b2``; the
+#: resolvent's contraction stop assumes its multiplier norm is at most one
+B2Operator = Callable[[np.ndarray], np.ndarray]
 
 V_MAX_DEFAULT = 0.25
 RHS_TOL_DEFAULT = 1e-12
@@ -93,67 +113,93 @@ class BoussinesqState:
                 "contraction/invertibility region")
 
 
-def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
-                    max_iter: int = RESOLVENT_MAX_ITER) -> RealField:
-    """Solve h - B^2(g h) = rhs by fixed-point iteration.
+def _l2(values: np.ndarray, dx: float) -> float:
+    return float(np.sqrt(dx * np.dot(values, values)))
 
-    Converges geometrically with ratio sup|g| since the multiplier norm of
-    B^2 is below one; the returned iterate satisfies the equation with L2
-    residual at most tol (verified a posteriori).
 
-    Raises:
-        NoConvergence: tolerance not reached in max_iter sweeps, the
-            footprint of data outside the small-amplitude regime.
-    """
-    h = rhs.values.copy()
-    gv = g.values
-    dx = rhs.grid.dx
-    initial = max(np.sqrt(dx * np.sum(rhs.values ** 2)), 1e-300)
+def _resolve(b2: B2Operator, g: np.ndarray, rhs: np.ndarray, dx: float,
+             tol: float, max_iter: int) -> np.ndarray:
+    """Fixed-point solve of h - B^2(g h) = rhs on bare arrays."""
+    sup_g = float(np.abs(g).max())
+    initial = max(_l2(rhs, dx), 1e-300)
+    h = rhs
     for _ in range(max_iter):
-        bh = apply_b2(RealField(grid=rhs.grid, values=gv * h)).values
-        h_new = rhs.values + bh
-        incr = np.sqrt(dx * np.sum((h_new - h) ** 2))
+        h_new = rhs + b2(g * h)
+        incr = _l2(h_new - h, dx)
         h = h_new
+        if not np.isfinite(incr):
+            break
         if incr <= 0.5 * tol:
-            bh2 = apply_b2(RealField(grid=rhs.grid, values=gv * h)).values
-            resid = np.sqrt(dx * np.sum((h - bh2 - rhs.values) ** 2))
-            if resid <= tol:
-                return RealField(grid=rhs.grid, values=h)
+            # contraction: residual <= sup|g| * incr < tol; otherwise check it
+            if sup_g < 1.0 or _l2(h - b2(g * h) - rhs, dx) <= tol:
+                return h
         if incr > 1e6 * initial:
             break
     raise NoConvergence(
         f"resolvent iteration did not reach tol={tol:.1e} in {max_iter} sweeps "
-        f"(sup|g|={g.sup():.3f})")
+        f"(sup|g|={sup_g:.3f})")
+
+
+def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
+                    max_iter: int = RESOLVENT_MAX_ITER) -> RealField:
+    """Solve h - B^2(g h) = rhs by fixed-point iteration.
+
+    The returned iterate satisfies the equation with L2 residual at most
+    tol.  For sup|g| < 1 the iteration contracts with ratio sup|g| and stops
+    once an increment is at most tol/2, which bounds the residual by
+    sup|g| * tol/2.  For sup|g| >= 1 that bound fails, so the residual of
+    each such candidate is computed and checked a posteriori.
+
+    Raises:
+        NoConvergence: tolerance not reached in max_iter sweeps, the
+            iterates diverged or turned non-finite: the footprint of data
+            outside the small-amplitude regime.
+    """
+    grid = rhs.grid
+    h = _resolve(grid.core.b2, g.values, rhs.values, grid.dx, tol, max_iter)
+    return RealField(grid=grid, values=h)
+
+
+def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
+         tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(dv/dr, dw/dr) on bare arrays."""
+    _check_branch(v)
+    s = np.sqrt(1.0 + 4.0 * v)
+    q = 1.0 / s
+    source = b2(0.5 * (s - 1.0) - 2.0 * q * q * q * w * w)
+    if not np.all(np.isfinite(source)):
+        raise StepUnstable(f"non-finite stage at r={r:.6g}")
+    h = _resolve(b2, q - 1.0, source, dx, tol, RESOLVENT_MAX_ITER)
+    return w, -w / r + h
 
 
 def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
     """(dv/dr, dw/dr) of the first-order system at the state's radius."""
     if not state.r > 0:
         raise ValueError(f"radius must be positive, got {state.r}")
-    v = state.v.values
-    w = state.w.values
-    g = RealField(grid=state.v.grid, values=-2.0 * v + n1_of_v(v))
-    inner = v - v * v + n_of_v(v) + (-2.0 + n2_of_v(v)) * w * w
-    b_inner = apply_b2(RealField(grid=state.v.grid, values=inner))
-    h = resolvent_solve(g, b_inner, tol=rhs_tol)
-    f = -w / state.r + h.values
-    return state.w, RealField(grid=state.v.grid, values=f)
+    grid = state.v.grid
+    _, f = _rhs(grid.core.b2, grid.dx, state.r, state.v.values, state.w.values, rhs_tol)
+    return state.w, RealField(grid=grid, values=f)
 
 
 def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
                       rhs_tol: float = RHS_TOL_DEFAULT,
-                      output_radii=None) -> list[BoussinesqState]:
+                      output_radii=None,
+                      b2: B2Operator | None = None) -> list[BoussinesqState]:
     """Classical RK4 in r from init.r to r1 with states at requested radii.
 
     B^2 is a bounded multiplier, so the system is non-stiff and plain RK4
     converges at fourth order.  Steps land exactly on the output radii.
 
     Raises:
-        StepUnstable: sup|v| grows by more than 10x in one step.
+        StepUnstable: sup|v| grows by more than 10x in one step, or a stage
+            or step turns non-finite.
         NoConvergence: propagated from the resolvent.
     """
     if not dr > 0:
         raise ValueError(f"step must be positive, got {dr}")
+    if not init.r > 0:
+        raise ValueError(f"radius must be positive, got {init.r}")
     if output_radii is None:
         output_radii = [r1]
     targets = sorted(set(float(r) for r in output_radii) | {float(r1)})
@@ -162,15 +208,14 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
             raise ValueError(f"output radius {r} outside [{init.r}, {r1}]")
 
     grid = init.v.grid
+    b2 = b2 or grid.core.b2
+    dx = grid.dx
     v = init.v.values.copy()
     w = init.w.values.copy()
     r = init.r
 
     def rhs(rr, vv, ww):
-        st = BoussinesqState(r=rr, v=RealField(grid=grid, values=vv),
-                             w=RealField(grid=grid, values=ww), v_max=np.inf)
-        fv, fw = spatial_rhs(st, rhs_tol)
-        return fv.values, fw.values
+        return _rhs(b2, dx, rr, vv, ww, rhs_tol)
 
     out = []
     if abs(init.r - targets[0]) < 1e-12:
@@ -191,6 +236,8 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
             w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             r += h
             sup_new = float(np.abs(v).max())
+            if not (np.isfinite(sup_new) and np.all(np.isfinite(w))):
+                raise StepUnstable(f"non-finite state after the step to r={r:.6g}")
             # growth is measured against the run scale, not the instantaneous
             # sup: oscillatory fields legitimately pass through small norms
             ref = max(sup_old, 0.1 * hist_sup)
@@ -266,15 +313,9 @@ def make_ansatz_state(cfg: AnsatzConfig, at_r: float) -> BoussinesqState:
     eps = cfg.eps
     src = cfg.source_at(eps ** 3 * at_r)
     tau_grid = cfg.tau_grid
-    k = tau_grid.wavenumbers
-    ik = (1j * k).copy()
-    ik[tau_grid.n // 2] = 0.0
-
-    a_hat = np.fft.fft(src.A.values)
-    a_tau = np.fft.ifft(ik * a_hat).real
-    a_tau3 = np.fft.ifft(ik ** 3 * a_hat).real
-    sq_tau = np.fft.ifft(ik * np.fft.fft(src.A.values ** 2)).real
-    drho_a = -0.5 * (src.A.values / src.rho + a_tau3 - sq_tau)
+    core = tau_grid.core
+    a_tau = core.derivative(src.A.values, 1)
+    drho_a = core.ckdv_drho(src.A.values, src.rho)
 
     shift = eps * at_r
     v_vals = eps ** 2 * _twist(src.A.values, tau_grid, shift)

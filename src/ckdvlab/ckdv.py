@@ -79,17 +79,13 @@ class _Stepper:
         self.cfg = cfg
         g = cfg.grid
         self.k = g.wavenumbers
-        self.ik = 1j * self.k
-        self.ik[g.n // 2] = 0.0  # odd symbol: Nyquist zeroed
+        self.ik = g.core.ik
+        self.inv_ik = g.core.inv_ik
         kmax = np.pi * g.n / g.length
         if cfg.dealias:
             self.mask = (np.abs(self.k) <= (2.0 / 3.0) * kmax).astype(float)
         else:
             self.mask = np.ones(g.n)
-        self.inv_ik = np.zeros(g.n, dtype=complex)
-        nz = self.k != 0
-        self.inv_ik[nz] = 1.0 / (1j * self.k[nz])
-        self.inv_ik[g.n // 2] = 0.0
 
     def rhs_pair(self, a_hat: np.ndarray, rho: float, forcing_hat) -> tuple:
         """Stage terms beyond the exact linear flow, for (A, B).
@@ -152,13 +148,7 @@ def ckdv_rhs_with_forcing(state: CkdvState, forcing: RealField | None) -> RealFi
     through this hook.
     """
     g = state.A.grid
-    k = g.wavenumbers
-    ik = (1j * k).copy()
-    ik[g.n // 2] = 0.0
-    a_hat = np.fft.fft(state.A.values)
-    d3 = np.fft.ifft(ik ** 3 * a_hat).real
-    sq_tau = np.fft.ifft(ik * np.fft.fft(state.A.values ** 2)).real
-    vals = -0.5 * (state.A.values / state.rho + d3 - sq_tau)
+    vals = g.core.ckdv_drho(state.A.values, state.rho)
     if forcing is not None:
         if forcing.grid != g:
             raise ValueError("forcing grid does not match state grid")
@@ -237,6 +227,8 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
         h = (target - rho) / nsteps
         for _ in range(nsteps):
             a_hat, b_hat, sup_stage = stepper.step(a_hat, b_hat, rho, h, fh)
+            if not (np.isfinite(a_hat).all() and np.isfinite(b_hat).all()):
+                raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
             # growth measured against the run scale; oscillatory or forced
             # fields may legitimately pass through small norms
             ref = max(last_sup, 0.1 * hist_sup)

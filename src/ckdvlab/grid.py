@@ -3,11 +3,16 @@
 All evolution modules discretize the time-like coordinate on a uniform
 periodic grid.  Derivatives, the zero-mean antiderivative and the bounded
 multiplier k^2/(1+k^2) are exact on the resolved modes.
+
+Every grid layout (n, length) shares one cached :class:`SpectralCore` that
+holds the operator symbols and applies them to bare arrays; the
+``RealField`` functions below are thin wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,6 +43,11 @@ class SpectralGrid:
     @property
     def dx(self) -> float:
         return self.length / self.n
+
+    @property
+    def core(self) -> SpectralCore:
+        """The shared operator core of this grid layout."""
+        return _spectral_core(self.n, self.length)
 
     def __eq__(self, other):
         if not isinstance(other, SpectralGrid):
@@ -86,11 +96,16 @@ def make_grid(n: int, length: float, center: float = 0.0) -> SpectralGrid:
     if not length > 0:
         raise ValueError(f"domain length must be positive, got {length}")
     nodes = center - length / 2 + (length / n) * np.arange(n)
-    wavenumbers = 2 * np.pi * np.fft.fftfreq(n, d=length / n)
+    wavenumbers = _wavenumbers(n, length)
     nodes.setflags(write=False)
     wavenumbers.setflags(write=False)
     return SpectralGrid(n=n, length=float(length), center=float(center),
                         nodes=nodes, wavenumbers=wavenumbers)
+
+
+def _wavenumbers(n: int, length: float) -> np.ndarray:
+    """2*pi*m/L in FFT order; the Nyquist entry n//2 is -pi*n/L."""
+    return 2 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
 def field_on(grid: SpectralGrid, values) -> RealField:
@@ -100,8 +115,61 @@ def field_on(grid: SpectralGrid, values) -> RealField:
     return RealField(grid=grid, values=np.broadcast_to(values, (grid.n,)))
 
 
-def _nyquist_index(n: int) -> int:
-    return n // 2
+def b2_multiplier(k: np.ndarray) -> np.ndarray:
+    """Fourier symbol of dt^2 (1 - dt^2)^{-1}, i.e. -k^2/(1+k^2)."""
+    return -k ** 2 / (1.0 + k ** 2)
+
+
+class SpectralCore:
+    """Operator symbols of one periodic grid layout, applied to bare arrays.
+
+    The derivative and antiderivative symbols use the complex-FFT layout;
+    odd symbols zero the Nyquist mode so they stay odd and outputs stay
+    real.  B^2 has an even real symbol and runs on real FFTs.  Build cores
+    through :attr:`SpectralGrid.core`, which caches one per (n, length).
+    """
+
+    def __init__(self, n: int, length: float):
+        self.n = n
+        k = _wavenumbers(n, length)
+        self._deriv = {}
+        for order in (1, 2, 3, 4):
+            sym = (1j * k) ** order
+            if order % 2 == 1:
+                sym[n // 2] = 0.0
+            self._deriv[order] = sym
+        self.ik = self._deriv[1]
+        self.inv_ik = np.zeros(n, dtype=complex)
+        nz = k != 0
+        self.inv_ik[nz] = 1.0 / (1j * k[nz])
+        self.inv_ik[n // 2] = 0.0
+        # the symbol is even, so the first n//2 + 1 FFT-order modes are the
+        # real-FFT layout (the Nyquist sign does not matter)
+        self.b2_symbol = b2_multiplier(k[: n // 2 + 1])
+        for arr in (self.inv_ik, self.b2_symbol, *self._deriv.values()):
+            arr.setflags(write=False)
+
+    def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
+        return np.fft.ifft(self._deriv[order] * np.fft.fft(values)).real
+
+    def antiderivative(self, values: np.ndarray) -> np.ndarray:
+        """Zero-mean antiderivative; the mean of values is dropped, not checked."""
+        fhat = np.fft.fft(values)
+        fhat[0] = 0.0  # drop round-off mean
+        return np.fft.ifft(self.inv_ik * fhat).real
+
+    def b2(self, values: np.ndarray) -> np.ndarray:
+        """B^2 values: the multiplier -k^2/(1+k^2) applied mode-wise."""
+        return np.fft.irfft(self.b2_symbol * np.fft.rfft(values), self.n)
+
+    def ckdv_drho(self, a: np.ndarray, rho: float) -> np.ndarray:
+        """dA/drho = -(A/rho + dtau^3 A - dtau (A^2)) / 2 from the cKdV equation."""
+        return -0.5 * (a / rho + self.derivative(a, 3) - self.derivative(a * a, 1))
+
+
+@lru_cache(maxsize=64)
+def _spectral_core(n: int, length: float) -> SpectralCore:
+    return SpectralCore(n, length)
 
 
 def spectral_derivative(f: RealField, order: int = 1) -> RealField:
@@ -112,13 +180,7 @@ def spectral_derivative(f: RealField, order: int = 1) -> RealField:
     """
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {order}")
-    k = f.grid.wavenumbers
-    sym = (1j * k) ** order
-    if order % 2 == 1:
-        sym = sym.copy()
-        sym[_nyquist_index(f.grid.n)] = 0.0
-    out = np.fft.ifft(sym * np.fft.fft(f.values)).real
-    return RealField(grid=f.grid, values=out)
+    return RealField(grid=f.grid, values=f.grid.core.derivative(f.values, order))
 
 
 def mean_tolerance(f: RealField, mean_tol: float | None = None) -> float:
@@ -138,28 +200,12 @@ def spectral_antiderivative(f: RealField, mean_tol: float | None = None) -> Real
     if abs(f.mean()) > tol:
         raise MeanValueError(
             f"antiderivative needs zero mean: |mean|={abs(f.mean()):.3e} > tol={tol:.3e}")
-    k = f.grid.wavenumbers
-    sym = np.zeros(f.grid.n, dtype=complex)
-    nz = k != 0
-    sym[nz] = 1.0 / (1j * k[nz])
-    sym[0] = 0.0
-    sym[_nyquist_index(f.grid.n)] = 0.0
-    fhat = np.fft.fft(f.values)
-    fhat[0] = 0.0  # drop round-off mean
-    out = np.fft.ifft(sym * fhat).real
-    return RealField(grid=f.grid, values=out)
-
-
-def b2_multiplier(k: np.ndarray) -> np.ndarray:
-    """Fourier symbol of dt^2 (1 - dt^2)^{-1}, i.e. -k^2/(1+k^2)."""
-    return -k ** 2 / (1.0 + k ** 2)
+    return RealField(grid=f.grid, values=f.grid.core.antiderivative(f.values))
 
 
 def apply_b2(f: RealField) -> RealField:
     """Apply the bounded multiplier -k^2/(1+k^2) mode-wise; output has zero mean."""
-    sym = b2_multiplier(f.grid.wavenumbers)
-    out = np.fft.ifft(sym * np.fft.fft(f.values)).real
-    return RealField(grid=f.grid, values=out)
+    return RealField(grid=f.grid, values=f.grid.core.b2(f.values))
 
 
 def dispersion_omega_squared(k: float, sigma: int) -> float:

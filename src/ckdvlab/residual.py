@@ -61,19 +61,13 @@ class _Elimination:
                 f"residual expansion needs zero-mean A: |mean|={abs(state.A.mean()):.3e}")
         self.a = state.A.values
         self.mean_tol = tol
-
-    def d(self, values: np.ndarray, order: int) -> np.ndarray:
-        f = RealField(grid=self.grid, values=values)
-        return spectral_derivative(f, order).values
+        self.d = self.grid.core.derivative
 
     def build(self):
         a, rho = self.a, self.rho
-        a_t2 = self.d(a, 2)
-        a_t3 = self.d(a, 3)
         sq = a * a
-        sq_t = self.d(sq, 1)
         # drho A eliminated through the cKdV equation
-        D = -0.5 * (a / rho + a_t3 - sq_t)
+        D = self.grid.core.ckdv_drho(a, rho)
         # drho^2 A: differentiate the elimination once more
         D_t3 = self.d(D, 3)
         aD_t = self.d(2.0 * a * D, 1)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy import special
 
+from ckdvlab import boussinesq
 from ckdvlab.boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
                                 boussinesq_evolve, make_ansatz_state, n1_of_v,
                                 n2_of_v, n_of_v, resolvent_solve, spatial_rhs,
                                 u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
-from ckdvlab.errors import BranchError, NoConvergence
-from ckdvlab.grid import RealField, apply_b2, make_grid
+from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
+from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
 
 from conftest import random_zero_mean_field
 
@@ -90,6 +91,78 @@ class TestResolvent:
             resolvent_solve(g, rhs, tol=1e-12)
 
 
+def complex_fft_residual_l2(g, h, rhs):
+    """||h - B^2(g h) - rhs||_L2 with B^2 applied through the complex FFT."""
+    grid = rhs.grid
+    b2gh = np.fft.ifft(b2_multiplier(grid.wavenumbers) * np.fft.fft(g.values * h.values)).real
+    return np.sqrt(grid.dx * np.sum((h.values - b2gh - rhs.values) ** 2))
+
+
+class RecordingB2:
+    """The grid's B^2 operator, remembering its calls."""
+
+    def __init__(self, grid):
+        self.b2 = grid.core.b2
+        self.args = []
+
+    def __call__(self, values):
+        self.args.append(values)
+        return self.b2(values)
+
+
+def resolve_with(op, g, rhs, tol):
+    """The resolvent's array core run with the B^2 operator op."""
+    values = boussinesq._resolve(op, g.values, rhs.values, rhs.grid.dx, tol,
+                                 boussinesq.RESOLVENT_MAX_ITER)
+    return RealField(grid=rhs.grid, values=values)
+
+
+class TestResolventStopRule:
+    def test_contracting_residual_below_tol(self, rng):
+        for n, length in ((64, 10.0), (256, 40.0), (512, 400.0)):
+            g_grid = make_grid(n, length)
+            for _ in range(4):
+                sup_g = rng.uniform(0.05, 0.95)
+                g = random_zero_mean_field(g_grid, rng, kmax=8, scale=sup_g)
+                rhs = RealField(grid=g_grid, values=rng.standard_normal(n))
+                for tol in (1e-8, 1e-12):
+                    h = resolvent_solve(g, rhs, tol=tol)
+                    assert complex_fft_residual_l2(g, h, rhs) <= tol
+
+    def test_contracting_stop_skips_the_residual_check(self, grid256, rng):
+        g = RealField(grid=grid256, values=0.5 * np.cos(grid256.nodes))
+        rhs = RealField(grid=grid256, values=rng.standard_normal(grid256.n))
+        op = RecordingB2(grid256)
+        h = resolve_with(op, g, rhs, tol=1e-12)
+        # the last B^2 call is the sweep that produced h, not a check of h
+        assert not np.array_equal(op.args[-1], g.values * h.values)
+
+    def test_sup_g_above_one_checked_a_posteriori(self, rng):
+        # on a long coarse grid |B^2 symbol| <= 0.06, so sup|g| = 3 converges
+        grid = make_grid(32, 400.0)
+        g = RealField(grid=grid, values=3.0 * np.cos(2 * np.pi * grid.nodes / grid.length))
+        rhs = RealField(grid=grid, values=rng.standard_normal(grid.n))
+        op = RecordingB2(grid)
+        checked = resolve_with(op, g, rhs, tol=1e-12)
+        assert np.array_equal(op.args[-1], g.values * checked.values)
+        h = resolvent_solve(g, rhs, tol=1e-12)
+        assert np.array_equal(h.values, checked.values)
+        assert complex_fft_residual_l2(g, h, rhs) <= 1e-12
+
+    def test_non_finite_increment_stops_at_once(self, grid256, rng):
+        g = RealField(grid=grid256, values=0.1 * np.cos(grid256.nodes))
+        rhs = RealField(grid=grid256, values=rng.standard_normal(grid256.n))
+        calls = []
+
+        def broken(values):
+            calls.append(1)
+            return np.full_like(values, np.nan)
+
+        with pytest.raises(NoConvergence):
+            resolve_with(broken, g, rhs, tol=1e-12)
+        assert len(calls) == 1
+
+
 class TestSpatialRhs:
     def test_rest_state(self, grid256):
         zero = RealField(grid=grid256, values=np.zeros(grid256.n))
@@ -149,6 +222,22 @@ class TestEvolve:
         v_exact = amp * (c1 * special.j0(kappa * r1) + c2 * special.y0(kappa * r1)) * profile
         rel = np.abs(final.v.values - v_exact).max() / np.abs(v_exact).max()
         assert rel <= 1e-6
+
+    def test_non_finite_stage_is_step_unstable(self, grid256):
+        # w^2 overflows in the first stage; the resolvent is never entered
+        zero = RealField(grid=grid256, values=np.zeros(grid256.n))
+        w = RealField(grid=grid256, values=1e200 * np.cos(grid256.nodes))
+        init = BoussinesqState(r=10.0, v=zero, w=w)
+        with np.errstate(all="ignore"), pytest.raises(StepUnstable, match="r=10"):
+            boussinesq_evolve(init, 20.0, 0.25)
+
+    def test_non_finite_step_is_step_unstable(self, grid256):
+        # with B^2 = 0 every stage stays finite but the RK4 sum overflows
+        zero = RealField(grid=grid256, values=np.zeros(grid256.n))
+        w = RealField(grid=grid256, values=np.full(grid256.n, 1e308))
+        init = BoussinesqState(r=10.0, v=zero, w=w)
+        with np.errstate(all="ignore"), pytest.raises(StepUnstable, match="non-finite state"):
+            boussinesq_evolve(init, 20.0, 0.25, b2=np.zeros_like)
 
     def test_fourth_order_self_convergence(self):
         g = make_grid(64, 40.0)

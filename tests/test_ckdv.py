@@ -91,6 +91,16 @@ class TestStepAndEvolve:
             for _ in range(40):
                 st = ckdv_step(st, 0.5, cfg)
 
+    def test_overflow_to_non_finite_is_step_unstable(self):
+        # NaN compares false, so a plain growth test lets the overflow through
+        g = make_grid(128, 40.0)
+        a0 = RealField(grid=g, values=-2e50 * g.nodes * np.exp(-g.nodes ** 2))
+        for rho1 in (1.05, 2.0):
+            cfg = CkdvRunConfig(rho0=1.0, rho1=rho1, d_rho=0.05, grid=g, dealias=False)
+            with np.errstate(all="ignore"), pytest.raises(StepUnstable,
+                                                          match="non-finite by rho=1.05"):
+                ckdv_evolve(a0, cfg)
+
     def test_linear_l2_decay(self, grid256):
         amp = 1e-10
         a0 = gaussian_pulse(grid256, amp=amp)

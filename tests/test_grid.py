@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdvlab.errors import MeanValueError, SingularDispersion
-from ckdvlab.grid import (RealField, apply_b2, dispersion_omega_squared, field_on,
-                          make_grid, spectral_antiderivative, spectral_derivative)
+from ckdvlab.grid import (RealField, apply_b2, b2_multiplier, dispersion_omega_squared,
+                          field_on, make_grid, spectral_antiderivative,
+                          spectral_derivative)
 
 from conftest import random_zero_mean_field
 
@@ -115,6 +118,25 @@ class TestB2:
         ab = spectral_derivative(apply_b2(f), 2)
         ba = apply_b2(spectral_derivative(f, 2))
         assert np.abs(ab.values - ba.values).max() < 1e-11 * max(ab.sup(), 1)
+
+
+class TestSpectralCore:
+    def test_one_core_per_layout(self):
+        a = make_grid(64, 10.0)
+        assert a.core is make_grid(64, 10.0, center=3.0).core
+        assert a.core is not make_grid(64, 20.0).core
+        assert a.core is not make_grid(128, 10.0).core
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([8, 10, 64, 126, 256, 512, 1000]),
+           length=st.floats(0.5, 2000.0),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(1e-6, 1e3))
+    def test_real_fft_b2_matches_complex_formula(self, n, length, seed, scale):
+        g = make_grid(n, length)
+        f = scale * np.random.default_rng(seed).standard_normal(n)
+        want = np.fft.ifft(b2_multiplier(g.wavenumbers) * np.fft.fft(f)).real
+        assert np.abs(g.core.b2(f) - want).max() <= 1e-14 * np.abs(f).max()
 
 
 class TestDispersion:
