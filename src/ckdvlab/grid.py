@@ -125,8 +125,11 @@ class SpectralCore:
 
     The derivative and antiderivative symbols use the complex-FFT layout;
     odd symbols zero the Nyquist mode so they stay odd and outputs stay
-    real.  B^2 has an even real symbol and runs on real FFTs.  Build cores
-    through :attr:`SpectralGrid.core`, which caches one per (n, length).
+    real.  B^2 has an even real symbol and runs on real FFTs.  The
+    ``rfft_*`` symbols and the 2/3 dealias mask are the real-FFT layout
+    (n//2 + 1 modes) used by the cKdV stepper; there the wavenumbers, too,
+    zero the Nyquist mode.  Build cores through :attr:`SpectralGrid.core`,
+    which caches one per (n, length).
     """
 
     def __init__(self, n: int, length: float):
@@ -146,11 +149,23 @@ class SpectralCore:
         # the symbol is even, so the first n//2 + 1 FFT-order modes are the
         # real-FFT layout (the Nyquist sign does not matter)
         self.b2_symbol = b2_multiplier(k[: n // 2 + 1])
-        for arr in (self.inv_ik, self.b2_symbol, *self._deriv.values()):
+        kr = np.abs(k[: n // 2 + 1])
+        self.dealias_mask = (kr <= (2.0 / 3.0) * (np.pi * n / length)).astype(float)
+        self.rfft_k = kr.copy()
+        self.rfft_k[n // 2] = 0.0
+        self.rfft_ik = 1j * self.rfft_k
+        self.rfft_inv_ik = np.zeros(n // 2 + 1, dtype=complex)
+        self.rfft_inv_ik[1: n // 2] = 1.0 / (1j * kr[1: n // 2])
+        for arr in (self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
+                    self.rfft_ik, self.rfft_inv_ik, *self._deriv.values()):
             arr.setflags(write=False)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        return np.fft.ifft(self._deriv[order] * np.fft.fft(values)).real
+        return self.derivative_of_spectrum(np.fft.fft(values), order)
+
+    def derivative_of_spectrum(self, fhat: np.ndarray, order: int) -> np.ndarray:
+        """Derivative values from the complex FFT of a real field."""
+        return np.fft.ifft(self._deriv[order] * fhat).real
 
     def antiderivative(self, values: np.ndarray) -> np.ndarray:
         """Zero-mean antiderivative; the mean of values is dropped, not checked."""

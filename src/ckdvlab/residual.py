@@ -50,29 +50,47 @@ class EnergyReport:
 
 
 class _Elimination:
-    """Snapshot workspace with all tau-spectral pieces of the expansion."""
+    """Workspace of one residual evaluation at a snapshot and eps.
 
-    def __init__(self, state: CkdvState, mean_tol: float | None):
+    Builds A, A^2, the eliminated D = drho A and D2 = drho^2 A, and the
+    nonlinear terms once.  The complex FFT of each field the expansion
+    differentiates is taken once, and every derivative is kept once taken.
+    """
+
+    def __init__(self, state: CkdvState, eps: float, mean_tol: float | None):
+        self.state = state
+        self.eps = eps
         self.grid = state.A.grid
-        self.rho = state.rho
+        self.rho = rho = state.rho
         tol = mean_tolerance(state.A, mean_tol)
         if abs(state.A.mean()) > tol:
             raise MeanValueError(
                 f"residual expansion needs zero-mean A: |mean|={abs(state.A.mean()):.3e}")
-        self.a = state.A.values
         self.mean_tol = tol
-        self.d = self.grid.core.derivative
+        self._core = self.grid.core
+        self._spectra = {}
+        self._derivs = {}
 
-    def build(self):
-        a, rho = self.a, self.rho
-        sq = a * a
+        a = state.A.values
         # drho A eliminated through the cKdV equation
-        D = self.grid.core.ckdv_drho(a, rho)
+        D = self._core.ckdv_drho(a, rho)
+        self.fields = {"a": a, "sq": a * a, "D": D, "2aD": 2.0 * a * D}
         # drho^2 A: differentiate the elimination once more
-        D_t3 = self.d(D, 3)
-        aD_t = self.d(2.0 * a * D, 1)
-        D2 = -0.5 * (-a / rho ** 2 + D / rho + D_t3 - aD_t)
-        return a, sq, D, D2
+        D2 = -0.5 * (-a / rho ** 2 + D / rho + self.d("D", 3) - self.d("2aD", 1))
+        nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
+        self.fields.update({"D2": D2, "2(DD+aD2)": 2 * (D * D + a * D2),
+                            "N": nn, "N_rho": n_rho, "N_rho2": n_rho2})
+
+    def d(self, name: str, order: int) -> np.ndarray:
+        """tau-derivative of the named field, from its cached spectrum."""
+        key = (name, order)
+        if key not in self._derivs:
+            if name not in self._spectra:
+                self._spectra[name] = np.fft.fft(self.fields[name])
+            out = self._core.derivative_of_spectrum(self._spectra[name], order)
+            out.setflags(write=False)
+            self._derivs[key] = out
+        return self._derivs[key]
 
 
 def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
@@ -90,91 +108,103 @@ def _t_grid_of(grid, eps: float):
     return make_grid(grid.n, grid.length / eps, grid.center / eps)
 
 
-def residual_field(state: CkdvState, eps: float,
-                   mean_tol: float | None = None) -> RealField:
+def _workspace(state: CkdvState, eps: float, mean_tol: float | None,
+               workspace: _Elimination | None) -> _Elimination:
+    if workspace is None:
+        return _Elimination(state, eps, mean_tol)
+    if workspace.state is not state or workspace.eps != eps:
+        raise ValueError("workspace was built for another snapshot or eps")
+    return workspace
+
+
+def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
+                   workspace: _Elimination | None = None) -> RealField:
     """Residual of the ansatz at one radius, sampled on the t-grid.
 
     All eps-power prefactors are included; the leading block is O(eps^8).
+    A workspace built for the same state and eps may be passed to share its
+    transforms with :func:`antiderivative_residual`.
     """
-    ws = _Elimination(state, mean_tol)
-    a, sq, D, D2 = ws.build()
+    ws = _workspace(state, eps, mean_tol, workspace)
+    f = ws.fields
     rho = ws.rho
     d = ws.d
     e8, e10, e12 = eps ** 8, eps ** 10, eps ** 12
 
-    res = (-e8 * D2
-           - e8 * D / rho
-           - 2 * e8 * d(D, 3)
-           + e10 * d(D2, 2)
-           - e8 * d(a, 3) / rho
-           + e10 * d(D, 2) / rho
-           - e8 * d(sq, 4)
-           + 2 * e10 * d(2 * a * D, 3)
-           - e12 * d(2 * (D * D + a * D2), 2)
-           + e10 * d(sq, 3) / rho
-           - e12 * d(2 * a * D, 2) / rho)
+    res = (-e8 * f["D2"]
+           - e8 * f["D"] / rho
+           - 2 * e8 * d("D", 3)
+           + e10 * d("D2", 2)
+           - e8 * d("a", 3) / rho
+           + e10 * d("D", 2) / rho
+           - e8 * d("sq", 4)
+           + 2 * e10 * d("2aD", 3)
+           - e12 * d("2(DD+aD2)", 2)
+           + e10 * d("sq", 3) / rho
+           - e12 * d("2aD", 2) / rho)
 
-    nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
     res = (res
-           + eps ** 2 * d(nn, 2)
-           + eps ** 4 * d(nn, 4)
-           - 2 * eps ** 6 * d(n_rho, 3)
-           + e8 * d(n_rho2, 2)
-           - eps ** 6 * d(nn, 3) / rho
-           + e8 * d(n_rho, 2) / rho)
+           + eps ** 2 * d("N", 2)
+           + eps ** 4 * d("N", 4)
+           - 2 * eps ** 6 * d("N_rho", 3)
+           + e8 * d("N_rho2", 2)
+           - eps ** 6 * d("N", 3) / rho
+           + e8 * d("N_rho", 2) / rho)
 
     return RealField(grid=_t_grid_of(ws.grid, eps), values=res)
 
 
-def antiderivative_residual(state: CkdvState, eps: float,
-                            mean_tol: float | None = None) -> RealField:
+def antiderivative_residual(state: CkdvState, eps: float, mean_tol: float | None = None,
+                            workspace: _Elimination | None = None) -> RealField:
     """dt^{-1} of the residual, on the t-grid.
 
     Every block of the expansion is a perfect tau-derivative except the
     -(4 rho^2)^{-1} A piece left by eliminating the radial block, which is
     integrated spectrally and requires the zero mean of A.  The overall
     dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
+    A workspace is shared as in :func:`residual_field`.
     """
-    ws = _Elimination(state, mean_tol)
-    a, sq, D, D2 = ws.build()
+    ws = _workspace(state, eps, mean_tol, workspace)
+    f = ws.fields
+    a, sq, D = f["a"], f["sq"], f["D"]
     rho = ws.rho
     d = ws.d
     e8, e10, e12 = eps ** 8, eps ** 10, eps ** 12
 
-    b = spectral_antiderivative(RealField(grid=ws.grid, values=a), ws.mean_tol).values
-    a_t2 = d(a, 2)
+    b = spectral_antiderivative(state.A, ws.mean_tol).values
+    a_t2 = d("a", 2)
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
-    radial = e8 * (0.25 * (2 * (d(D, 2) - 2 * a * D) + (a_t2 - sq) / rho)
+    radial = e8 * (0.25 * (2 * (d("D", 2) - 2 * a * D) + (a_t2 - sq) / rho)
                    - 0.25 * b / rho ** 2)
 
     anti = (radial
-            - 2 * e8 * d(D, 2)
-            + e10 * d(D2, 1)
+            - 2 * e8 * d("D", 2)
+            + e10 * d("D2", 1)
             - e8 * a_t2 / rho
-            + e10 * d(D, 1) / rho
-            - e8 * d(sq, 3)
-            + 2 * e10 * d(2 * a * D, 2)
-            - e12 * d(2 * (D * D + a * D2), 1)
-            + e10 * d(sq, 2) / rho
-            - e12 * d(2 * a * D, 1) / rho)
+            + e10 * d("D", 1) / rho
+            - e8 * d("sq", 3)
+            + 2 * e10 * d("2aD", 2)
+            - e12 * d("2(DD+aD2)", 1)
+            + e10 * d("sq", 2) / rho
+            - e12 * d("2aD", 1) / rho)
 
-    nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
     anti = (anti
-            + eps ** 2 * d(nn, 1)
-            + eps ** 4 * d(nn, 3)
-            - 2 * eps ** 6 * d(n_rho, 2)
-            + e8 * d(n_rho2, 1)
-            - eps ** 6 * d(nn, 2) / rho
-            + e8 * d(n_rho, 1) / rho)
+            + eps ** 2 * d("N", 1)
+            + eps ** 4 * d("N", 3)
+            - 2 * eps ** 6 * d("N_rho", 2)
+            + e8 * d("N_rho2", 1)
+            - eps ** 6 * d("N", 2) / rho
+            + e8 * d("N_rho", 1) / rho)
 
     return RealField(grid=_t_grid_of(ws.grid, eps), values=anti / eps)
 
 
 def residual_report(state: CkdvState, eps: float,
                     mean_tol: float | None = None) -> ResidualReport:
-    res = residual_field(state, eps, mean_tol)
-    anti = antiderivative_residual(state, eps, mean_tol)
+    ws = _Elimination(state, eps, mean_tol)
+    res = residual_field(state, eps, workspace=ws)
+    anti = antiderivative_residual(state, eps, workspace=ws)
     return ResidualReport(eps=eps, res_l2=res.l2(), res_sup=res.sup(),
                           antires_l2=anti.l2(), rho_at_sup=state.rho)
 

@@ -49,6 +49,20 @@ class TestStepAndEvolve:
         expected = amp * np.abs(fac) * np.sin(3 * g.nodes + np.angle(fac))
         assert np.abs(final.A.values - expected).max() <= 1e-9 * amp
 
+    def test_phase_cache_across_step_sizes(self):
+        # the three segments step with h = 0.013, 0.0446 and 0.0485; a phase
+        # cached for a stale h would turn the mode by the wrong angle
+        g = make_grid(64, 2 * np.pi)
+        amp = 1e-8
+        a0 = RealField(grid=g, values=amp * np.sin(3 * g.nodes))
+        cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.05, grid=g)
+        states = ckdv_evolve(a0, cfg, output_rhos=[1.013, 1.37, 2.0])
+        assert [st.rho for st in states] == [1.013, 1.37, 2.0]
+        for st in states:
+            fac = ckdv_linear_propagator(3.0, 1.0, st.rho)
+            expected = amp * np.abs(fac) * np.sin(3 * g.nodes + np.angle(fac))
+            assert np.abs(st.A.values - expected).max() <= 1e-9 * amp
+
     def test_zero_mean_preserved_1000_steps(self, grid256):
         a0 = gaussian_pulse(grid256)
         cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.0005, grid=grid256)
@@ -100,6 +114,17 @@ class TestStepAndEvolve:
             with np.errstate(all="ignore"), pytest.raises(StepUnstable,
                                                           match="non-finite by rho=1.05"):
                 ckdv_evolve(a0, cfg)
+
+    def test_final_step_growth_detected(self):
+        # the forcing acts only inside the last step, so the blow-up shows in
+        # the returned snapshot alone, never in a stage entering a step
+        g = make_grid(128, 40.0)
+        a0 = gaussian_pulse(g)
+        kick = RealField(grid=g, values=1e7 * np.sin(6 * np.pi * g.nodes / g.length))
+        zero = RealField(grid=g, values=np.zeros(g.n))
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=g)
+        with pytest.raises(StepUnstable, match="at rho=1.5$"):
+            ckdv_evolve(a0, cfg, forcing=lambda rho: kick if rho > 1.47 else zero)
 
     def test_linear_l2_decay(self, grid256):
         amp = 1e-10

@@ -138,6 +138,19 @@ class TestSpectralCore:
         want = np.fft.ifft(b2_multiplier(g.wavenumbers) * np.fft.fft(f)).real
         assert np.abs(g.core.b2(f) - want).max() <= 1e-14 * np.abs(f).max()
 
+    @pytest.mark.parametrize("n", [8, 10, 64, 126])
+    def test_real_fft_symbols_are_complex_layout_half(self, n):
+        g = make_grid(n, 7.0)
+        core, half = g.core, slice(0, n // 2 + 1)
+        assert np.array_equal(core.rfft_ik, core.ik[half])
+        assert np.array_equal(core.rfft_inv_ik, core.inv_ik[half])
+        assert np.array_equal(core.rfft_k[: n // 2], g.wavenumbers[: n // 2])
+        assert core.rfft_k[n // 2] == 0.0
+        kmax = np.pi * n / g.length
+        mask = np.abs(g.wavenumbers) <= (2.0 / 3.0) * kmax
+        assert np.array_equal(core.dealias_mask, mask[half].astype(float))
+        assert core.dealias_mask[n // 2] == 0.0
+
 
 class TestDispersion:
     def test_reference_value(self):

@@ -5,9 +5,9 @@ from ckdvlab.boussinesq import AnsatzConfig, boussinesq_evolve, make_ansatz_stat
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
-from ckdvlab.residual import (BETA_EXPONENT, antiderivative_residual, energy,
-                              gronwall_growth_check, residual_field, sweep_report,
-                              unexpanded_residual_fd)
+from ckdvlab.residual import (BETA_EXPONENT, _Elimination, antiderivative_residual, energy,
+                              gronwall_growth_check, residual_field, residual_report,
+                              sweep_report, unexpanded_residual_fd)
 
 from conftest import random_zero_mean_field
 
@@ -56,6 +56,23 @@ class TestResidualField:
         anti = antiderivative_residual(st, 0.1)
         danti = spectral_derivative(anti, 1)
         assert np.abs(danti.values - res.values).max() <= 1e-8 * res.sup()
+
+    @pytest.mark.parametrize("index", [1, 4])
+    @pytest.mark.parametrize("eps", [0.14, 0.07])
+    def test_shared_workspace_changes_no_number(self, trajectory, index, eps):
+        st = trajectory[index]
+        rep = residual_report(st, eps)
+        res = residual_field(st, eps)
+        assert rep.res_l2 == res.l2()
+        assert rep.res_sup == res.sup()
+        assert rep.antires_l2 == antiderivative_residual(st, eps).l2()
+
+    def test_workspace_of_other_snapshot_rejected(self, trajectory):
+        ws = _Elimination(trajectory[1], 0.1, None)
+        with pytest.raises(ValueError):
+            residual_field(trajectory[2], 0.1, workspace=ws)
+        with pytest.raises(ValueError):
+            antiderivative_residual(trajectory[1], 0.2, workspace=ws)
 
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
