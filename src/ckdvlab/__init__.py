@@ -7,6 +7,8 @@ equation, the ansatz-residual scaling experiments, and a CLI that emits
 reproducible CSV/SVG artifacts.
 """
 
+__version__ = "0.1.0"
+
 from .airy import AiryValues, SolitonSpec, airy_eval, capital_f, capital_g, compatibility_residual
 from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, n1_of_v, n2_of_v,
@@ -23,5 +25,3 @@ from .residual import (EnergyReport, ResidualReport, antiderivative_residual, en
 from .soliton import (SelfSimilarPoint, bilinear_residual, physical_wave,
                       self_similar_point, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
-
-__version__ = "0.1.0"

@@ -97,18 +97,20 @@ def _maclaurin(z64: np.ndarray):
     return f, fp, g, gp
 
 
-_AI0_LD = np.longdouble("0.355028053887817239260063186004183176398")
-_AIP0_LD = np.longdouble("-0.2588194037928067984051835601892039634791")
-_BI0_LD = np.longdouble("0.6149266274460007351509223690936135535947")
-_BIP0_LD = np.longdouble("0.4482883573538263579148237103988283908662")
+# (w(0), w'(0)) of Ai and Bi
+_AI0_LD = (np.longdouble("0.355028053887817239260063186004183176398"),
+           np.longdouble("-0.2588194037928067984051835601892039634791"))
+_BI0_LD = (np.longdouble("0.6149266274460007351509223690936135535947"),
+           np.longdouble("0.4482883573538263579148237103988283908662"))
 
 
-def _series_all(z: np.ndarray):
+def _series(z: np.ndarray, *initial):
+    """w, w' from the Maclaurin pair for each (w(0), w'(0)) given."""
     f, fp, g, gp = _maclaurin(z)
-    return ((_AI0_LD * f + _AIP0_LD * g).astype(float),
-            (_AI0_LD * fp + _AIP0_LD * gp).astype(float),
-            (_BI0_LD * f + _BIP0_LD * g).astype(float),
-            (_BI0_LD * fp + _BIP0_LD * gp).astype(float))
+    out = []
+    for w0, wp0 in initial:
+        out += [(w0 * f + wp0 * g).astype(float), (w0 * fp + wp0 * gp).astype(float)]
+    return out
 
 
 def _trunc_sum(zeta: np.ndarray, coeffs: np.ndarray, sign: float):
@@ -128,7 +130,7 @@ def _trunc_sum(zeta: np.ndarray, coeffs: np.ndarray, sign: float):
     return acc
 
 
-def _asym_pos_ai(z: np.ndarray):
+def _asym_pos(z: np.ndarray, with_bi: bool):
     zeta = (2.0 / 3.0) * z ** 1.5
     q = z ** 0.25
     sa = _trunc_sum(zeta, _U, -1.0)
@@ -137,13 +139,8 @@ def _asym_pos_ai(z: np.ndarray):
         em = np.exp(-zeta)
         ai = em / (2 * _SQRT_PI * q) * sa
         aip = -q * em / (2 * _SQRT_PI) * sap
-    return ai, aip
-
-
-def _asym_pos(z: np.ndarray):
-    zeta = (2.0 / 3.0) * z ** 1.5
-    q = z ** 0.25
-    ai, aip = _asym_pos_ai(z)
+    if not with_bi:
+        return ai, aip
     sb = _trunc_sum(zeta, _U, 1.0)
     sbp = _trunc_sum(zeta, _V, 1.0)
     ep = np.exp(zeta)
@@ -172,7 +169,7 @@ def _pair_sums(zeta: np.ndarray, coeffs: np.ndarray):
     return ev, od
 
 
-def _asym_neg(z: np.ndarray):
+def _asym_neg(z: np.ndarray, with_bi: bool):
     x = -z
     zeta = (2.0 / 3.0) * x ** 1.5
     chi = zeta + np.pi / 4
@@ -181,25 +178,29 @@ def _asym_neg(z: np.ndarray):
     s, c = np.sin(chi), np.cos(chi)
     q = x ** 0.25
     ai = (s * pu - c * qu) / (_SQRT_PI * q)
-    bi = (c * pu + s * qu) / (_SQRT_PI * q)
     aip = -(q / _SQRT_PI) * (c * pv + s * qv)
+    if not with_bi:
+        return ai, aip
+    bi = (c * pu + s * qu) / (_SQRT_PI * q)
     bip = (q / _SQRT_PI) * (s * pv - c * qv)
     return ai, aip, bi, bip
 
 
-def _taylor_step(z0: float, w: float, wp: float, h: float, nterms: int = 34):
-    """Advance (w, w') of w'' = z w from z0 by h via the local Taylor series."""
+def _taylor(z0: float, w, wp, h, nterms: int):
+    """(w, w') of w'' = z w at z0 + h from the local Taylor series at z0.
+
+    h may be a scalar or an array of offsets sharing the expansion point.
+    """
     a = np.empty(nterms)
     a[0], a[1] = w, wp
     a[2] = z0 * a[0] / 2.0
     for n in range(1, nterms - 2):
         a[n + 2] = (z0 * a[n] + a[n - 1]) / ((n + 1) * (n + 2))
-    val = 0.0
-    der = 0.0
-    for n in range(nterms - 1, 0, -1):
+    val = der = 0.0
+    for n in range(nterms - 1, 1, -1):
         val = (val + a[n]) * h
-        der = (der + n * a[n]) * h if n > 1 else der + a[1]
-    return val + a[0], der
+        der = der * h + n * a[n]
+    return (val + a[1]) * h + a[0], der * h + a[1]
 
 
 _GAP_ANCHORS: dict[int, tuple[float, float]] | None = None
@@ -213,21 +214,24 @@ def _gap_anchor_table():
     """
     global _GAP_ANCHORS
     if _GAP_ANCHORS is None:
-        seed = _asym_pos(np.array([_MARCH_SEED]))
+        seed = _asym_pos(np.array([_MARCH_SEED]), False)
         ai, aip = float(seed[0][0]), float(seed[1][0])
         table = {0: (ai, aip)}
         z0 = _MARCH_SEED
         nsteps = int(round((_MARCH_SEED - 4.0) / _MARCH_STEP))
         for j in range(1, nsteps + 1):
-            ai, aip = _taylor_step(z0, ai, aip, -_MARCH_STEP)
+            ai, aip = _taylor(z0, ai, aip, -_MARCH_STEP, 34)
             z0 -= _MARCH_STEP
             table[j] = (ai, aip)
         _GAP_ANCHORS = table
     return _GAP_ANCHORS
 
 
-def _gap_ai(z: np.ndarray):
-    """Ai, Ai' on the cancellation gap via Taylor steps from cached anchors."""
+def _gap(z: np.ndarray, with_bi: bool):
+    """Ai, Ai' on the cancellation gap via Taylor steps from cached anchors.
+
+    Bi has no cancellation here and keeps the Maclaurin series.
+    """
     table = _gap_anchor_table()
     idx = np.rint((_MARCH_SEED - z) / _MARCH_STEP).astype(int)
     ai = np.empty_like(z)
@@ -235,51 +239,44 @@ def _gap_ai(z: np.ndarray):
     for j in np.unique(idx):
         sel = idx == j
         z0 = _MARCH_SEED - j * _MARCH_STEP
-        a0, a1 = table[int(j)]
-        nterms = 20
-        a = np.empty(nterms)
-        a[0], a[1] = a0, a1
-        a[2] = z0 * a[0] / 2.0
-        for n in range(1, nterms - 2):
-            a[n + 2] = (z0 * a[n] + a[n - 1]) / ((n + 1) * (n + 2))
-        h = z[sel] - z0
-        val = np.zeros_like(h)
-        der = np.zeros_like(h)
-        for n in range(nterms - 1, 0, -1):
-            val = (val + a[n]) * h
-            der = der * h + n * a[n] if n > 1 else der * h + a[1]
-        ai[sel] = val + a[0]
-        aip[sel] = der
-    return ai, aip
+        ai[sel], aip[sel] = _taylor(z0, *table[int(j)], z[sel] - z0, 20)
+    if not with_bi:
+        return ai, aip
+    return (ai, aip, *_series(z, _BI0_LD))
+
+
+def _mid(z: np.ndarray, with_bi: bool):
+    return _series(z, _AI0_LD, _BI0_LD) if with_bi else _series(z, _AI0_LD)
+
+
+def _airy(z, with_bi: bool):
+    """Ai, Ai' (and Bi, Bi' when with_bi) over the four argument ranges."""
+    zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    if with_bi and zarr.size and zarr.max() > _BI_OVERFLOW + 1e-12:
+        raise OverflowGuard(f"Bi evaluation refused for z={zarr.max():.3f} > {_BI_OVERFLOW}")
+    out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
+    neg = zarr < _NEG_ASYM
+    ranges = ((neg, _asym_neg),
+              ((~neg) & (zarr < _POS_SERIES_END), _mid),
+              ((zarr >= _POS_SERIES_END) & (zarr < _POS_ASYM), _gap),
+              (zarr >= _POS_ASYM, _asym_pos))
+    for sel, branch in ranges:
+        if sel.any():
+            for dst, val in zip(out, branch(zarr[sel], with_bi)):
+                dst[sel] = val
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return [v[0] for v in out]
+    return out
 
 
 def airy_ai_only(z):
     """Ai and Ai' alone, valid for arbitrarily large z (decays to zero).
 
     The canonical profile family never touches Bi, so its evaluation path
-    must not trip the Bi overflow guard; far past the guard Ai simply
-    underflows to zero.
+    does no Bi work and cannot trip the Bi overflow guard; far past the
+    guard Ai simply underflows to zero.
     """
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    ai = np.empty_like(zarr)
-    aip = np.empty_like(zarr)
-    neg = zarr < _NEG_ASYM
-    mid = (~neg) & (zarr < _POS_SERIES_END)
-    gap = (zarr >= _POS_SERIES_END) & (zarr < _POS_ASYM)
-    pos = zarr >= _POS_ASYM
-    if neg.any():
-        ai[neg], aip[neg], _, _ = _asym_neg(zarr[neg])
-    if mid.any():
-        f, fp, g, gp = _maclaurin(zarr[mid])
-        ai[mid] = (_AI0_LD * f + _AIP0_LD * g).astype(float)
-        aip[mid] = (_AI0_LD * fp + _AIP0_LD * gp).astype(float)
-    if gap.any():
-        ai[gap], aip[gap] = _gap_ai(zarr[gap])
-    if pos.any():
-        ai[pos], aip[pos] = _asym_pos_ai(zarr[pos])
-    if scalar:
-        return ai[0], aip[0]
+    ai, aip = _airy(z, False)
     return ai, aip
 
 
@@ -293,36 +290,7 @@ def airy_eval(z) -> AiryValues:
     Raises:
         OverflowGuard: z > 30, where Bi would leave the guarded range.
     """
-    zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    scalar = np.isscalar(z) or np.ndim(z) == 0
-    if zarr.size and zarr.max() > _BI_OVERFLOW + 1e-12:
-        raise OverflowGuard(f"Bi evaluation refused for z={zarr.max():.3f} > {_BI_OVERFLOW}")
-    ai = np.empty_like(zarr)
-    aip = np.empty_like(zarr)
-    bi = np.empty_like(zarr)
-    bip = np.empty_like(zarr)
-
-    neg = zarr < _NEG_ASYM
-    mid = (~neg) & (zarr < _POS_SERIES_END)
-    gap = (zarr >= _POS_SERIES_END) & (zarr < _POS_ASYM)
-    pos = zarr >= _POS_ASYM
-
-    if neg.any():
-        ai[neg], aip[neg], bi[neg], bip[neg] = _asym_neg(zarr[neg])
-    if mid.any():
-        ai[mid], aip[mid], bi[mid], bip[mid] = _series_all(zarr[mid])
-    if gap.any():
-        zg = zarr[gap]
-        f, fp, g, gp = _maclaurin(zg)  # Bi has no cancellation here
-        bi[gap] = (_BI0_LD * f + _BIP0_LD * g).astype(float)
-        bip[gap] = (_BI0_LD * fp + _BIP0_LD * gp).astype(float)
-        ai[gap], aip[gap] = _gap_ai(zg)
-    if pos.any():
-        ai[pos], aip[pos], bi[pos], bip[pos] = _asym_pos(zarr[pos])
-
-    if scalar:
-        return AiryValues(ai=ai[0], ai_prime=aip[0], bi=bi[0], bi_prime=bip[0])
-    return AiryValues(ai=ai, ai_prime=aip, bi=bi, bi_prime=bip)
+    return AiryValues(*_airy(z, True))
 
 
 @dataclass(frozen=True)
@@ -357,19 +325,28 @@ class SolitonSpec:
         return self.beta == 0.0 and self.alpha >= 0.0
 
 
+def _pair(x, xp, y, yp, z):
+    """Product form of two solutions x, y of w'' = z w.
+
+    Returns (F, G, G', G'', G''') with G = x y and F = x'y' - z x y, so that
+    F' = -G; the derivatives of G follow from w'' = z w.
+    """
+    xy = x * y
+    g1 = xp * y + x * yp
+    return xp * yp - z * xy, xy, g1, 2 * (xp * yp + z * xy), 2 * xy + 4 * z * g1
+
+
+def _product_form(z, alpha: float, beta: float, gamma: float):
+    """(F, G, G', G'', G''') of G = alpha Ai^2 + beta Bi^2 + gamma Ai Bi."""
+    av = airy_eval(z)
+    a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
+    return tuple(alpha * p + beta * q + gamma * r for p, q, r in
+                 zip(_pair(a, ap, a, ap, z), _pair(b, bp, b, bp, z), _pair(a, ap, b, bp, z)))
+
+
 def capital_g(z, spec: SolitonSpec):
     """G(z) = alpha Ai^2 + beta Bi^2 + gamma Ai Bi; equals -F'(z)."""
-    av = airy_eval(z)
-    return (spec.alpha * av.ai ** 2 + spec.beta * av.bi ** 2
-            + spec.gamma * av.ai * av.bi)
-
-
-def _quadratic_form(z, alpha: float, beta: float, gamma: float):
-    """F(z) from the Airy quadratic form with integration constant zero."""
-    av = airy_eval(z)
-    return (alpha * (av.ai_prime ** 2 - z * av.ai ** 2)
-            + beta * (av.bi_prime ** 2 - z * av.bi ** 2)
-            + gamma * (av.ai_prime * av.bi_prime - z * av.ai * av.bi))
+    return _product_form(z, spec.alpha, spec.beta, spec.gamma)[1]
 
 
 def _ai_squared_tail(z: float) -> float:
@@ -386,7 +363,7 @@ def capital_f(z, spec: SolitonSpec, quad_tol: float = 1e-12):
     The two routes agree for beta = 0, which the tests exercise.
     """
     if spec.beta != 0.0:
-        return _quadratic_form(z, spec.alpha, spec.beta, spec.gamma)
+        return capital_f_closed(z, spec)
     if spec.alpha == 0.0:
         return np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0
 
@@ -404,7 +381,7 @@ def capital_f(z, spec: SolitonSpec, quad_tol: float = 1e-12):
 
 def capital_f_closed(z, spec: SolitonSpec):
     """F(z) via the closed quadratic form (fast route used by profile code)."""
-    return _quadratic_form(z, spec.alpha, spec.beta, spec.gamma)
+    return _product_form(z, spec.alpha, spec.beta, spec.gamma)[0]
 
 
 def profile_pack(z, spec: SolitonSpec):
@@ -420,22 +397,9 @@ def profile_pack(z, spec: SolitonSpec):
         z = np.asarray(z, dtype=float) if np.ndim(z) else z
         a, ap = airy_ai_only(z)
         with np.errstate(under="ignore"):
-            f0 = al * (ap ** 2 - z * a ** 2)
-            g0 = al * a ** 2
-            g1 = 2 * al * a * ap
-            g2 = 2 * al * (ap ** 2 + z * a ** 2)
-            g3 = 2 * al * (a ** 2 + 4 * z * a * ap)
-        return f0, -g0, -g1, -g2, -g3
-    av = airy_eval(z)
-    a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
-    f0 = (al * (ap ** 2 - z * a ** 2) + be * (bp ** 2 - z * b ** 2)
-          + ga * (ap * bp - z * a * b))
-    g0 = al * a ** 2 + be * b ** 2 + ga * a * b
-    g1 = 2 * al * a * ap + 2 * be * b * bp + ga * (ap * b + a * bp)
-    g2 = (2 * al * (ap ** 2 + z * a ** 2) + 2 * be * (bp ** 2 + z * b ** 2)
-          + ga * (2 * ap * bp + 2 * z * a * b))
-    g3 = (2 * al * (a ** 2 + 4 * z * a * ap) + 2 * be * (b ** 2 + 4 * z * b * bp)
-          + ga * (2 * a * b + 4 * z * (a * bp + ap * b)))
+            f0, g0, g1, g2, g3 = (al * t for t in _pair(a, ap, a, ap, z))
+    else:
+        f0, g0, g1, g2, g3 = _product_form(z, al, be, ga)
     return f0, -g0, -g1, -g2, -g3
 
 
@@ -445,12 +409,7 @@ def compatibility_residual(z, alpha: float, beta: float, gamma: float):
     Analytically equal to (gamma^2 - 4 alpha beta) / pi^2, independent of z;
     the canonical compatibility gamma^2 = 4 alpha beta makes it vanish.
     """
-    av = airy_eval(z)
-    a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
-    f0 = (alpha * (ap ** 2 - z * a ** 2) + beta * (bp ** 2 - z * b ** 2)
-          + gamma * (ap * bp - z * a * b))
-    g0 = alpha * a ** 2 + beta * b ** 2 + gamma * a * b
-    g1 = 2 * alpha * a * ap + 2 * beta * b * bp + gamma * (ap * b + a * bp)
+    f0, g0, g1, _, _ = _product_form(z, alpha, beta, gamma)
     f1 = -g0
     f2 = -g1
     return f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ckdv import CkdvState, GROWTH_LIMIT
+from .ckdv import CkdvState, _GrowthGuard, _schedule
 from .errors import BranchError, NoConvergence, StepUnstable
 from .grid import RealField, SpectralGrid, make_grid
 
@@ -43,7 +43,8 @@ from .grid import RealField, SpectralGrid, make_grid
 #: resolvent's contraction stop assumes its multiplier norm is at most one
 B2Operator = Callable[[np.ndarray], np.ndarray]
 
-V_MAX_DEFAULT = 0.25
+#: the resolvent contracts (sup|g| < 1 with g = (1 + 4v)^{-1/2} - 1) iff v > -3/16
+V_MIN = -3.0 / 16.0
 RHS_TOL_DEFAULT = 1e-12
 RESOLVENT_MAX_ITER = 200
 
@@ -104,13 +105,12 @@ class BoussinesqState:
     r: float
     v: RealField
     w: RealField
-    v_max: float = V_MAX_DEFAULT
 
     def __post_init__(self):
-        if self.v.sup() > self.v_max:
+        v_min = float(self.v.values.min())
+        if not v_min > V_MIN:
             raise ValueError(
-                f"sup|v|={self.v.sup():.4f} exceeds v_max={self.v_max}; outside the "
-                "contraction/invertibility region")
+                f"min v={v_min:.4f} is not above -3/16; outside the contraction region")
 
 
 def _l2(values: np.ndarray, dx: float) -> float:
@@ -192,63 +192,46 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
     converges at fourth order.  Steps land exactly on the output radii.
 
     Raises:
-        StepUnstable: sup|v| grows by more than 10x in one step, or a stage
-            or step turns non-finite.
+        StepUnstable: sup|v| grows by more than 10x in one step, a step
+            leaves the contraction region v > -3/16, or a stage or step
+            turns non-finite.
+        ValueError: an output radius outside [init.r, r1].
         NoConvergence: propagated from the resolvent.
     """
     if not dr > 0:
         raise ValueError(f"step must be positive, got {dr}")
     if not init.r > 0:
         raise ValueError(f"radius must be positive, got {init.r}")
-    if output_radii is None:
-        output_radii = [r1]
-    targets = sorted(set(float(r) for r in output_radii) | {float(r1)})
-    for r in targets:
-        if r < init.r - 1e-9 or r > r1 + 1e-9:
-            raise ValueError(f"output radius {r} outside [{init.r}, {r1}]")
-
+    emit_start, steps = _schedule(init.r, r1, output_radii, dr)
     grid = init.v.grid
     b2 = b2 or grid.core.b2
     dx = grid.dx
     v = init.v.values.copy()
     w = init.w.values.copy()
-    r = init.r
 
     def rhs(rr, vv, ww):
         return _rhs(b2, dx, rr, vv, ww, rhs_tol)
 
-    out = []
-    if abs(init.r - targets[0]) < 1e-12:
-        out.append(init)
-        targets = targets[1:]
-
-    hist_sup = float(np.abs(v).max())
-    for target in targets:
-        nsteps = max(1, int(np.ceil((target - r) / dr - 1e-12)))
-        h = (target - r) / nsteps
-        for _ in range(nsteps):
-            sup_old = float(np.abs(v).max())
-            k1v, k1w = rhs(r, v, w)
-            k2v, k2w = rhs(r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
-            k3v, k3w = rhs(r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
-            k4v, k4w = rhs(r + h, v + h * k3v, w + h * k3w)
-            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-            w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-            r += h
-            sup_new = float(np.abs(v).max())
-            if not (np.isfinite(sup_new) and np.all(np.isfinite(w))):
-                raise StepUnstable(f"non-finite state after the step to r={r:.6g}")
-            # growth is measured against the run scale, not the instantaneous
-            # sup: oscillatory fields legitimately pass through small norms
-            ref = max(sup_old, 0.1 * hist_sup)
-            if ref > 0 and sup_new > GROWTH_LIMIT * ref:
-                raise StepUnstable(
-                    f"sup|v| grew {sup_new / ref:.1f}x in one step at r={r:.6g}")
-            hist_sup = max(hist_sup, sup_new)
-        r = target
-        out.append(BoussinesqState(r=r, v=RealField(grid=grid, values=v),
-                                   w=RealField(grid=grid, values=w),
-                                   v_max=init.v_max))
+    out = [init] if emit_start else []
+    guard = _GrowthGuard("sup|v|", float(np.abs(v).max()))
+    for r, h, landing in steps:
+        k1v, k1w = rhs(r, v, w)
+        k2v, k2w = rhs(r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
+        k3v, k3w = rhs(r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
+        k4v, k4w = rhs(r + h, v + h * k3v, w + h * k3w)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        sup_new = float(np.abs(v).max())
+        if not (np.isfinite(sup_new) and np.all(np.isfinite(w))):
+            raise StepUnstable(f"non-finite state after the step to r={r + h:.6g}")
+        guard.advance(sup_new, "r", r + h)
+        v_min = float(v.min())
+        if not v_min > V_MIN:
+            raise StepUnstable(
+                f"v left the contraction region (min v={v_min:.4f}) at r={r + h:.6g}")
+        if landing is not None:
+            out.append(BoussinesqState(r=landing, v=RealField(grid=grid, values=v),
+                                       w=RealField(grid=grid, values=w)))
     return out
 
 
@@ -293,8 +276,12 @@ class AnsatzConfig:
 
     @property
     def t_grid(self) -> SpectralGrid:
-        g = self.tau_grid
-        return make_grid(g.n, g.length / self.eps, g.center / self.eps)
+        return _t_grid_of(self.tau_grid, self.eps)
+
+
+def _t_grid_of(tau_grid: SpectralGrid, eps: float) -> SpectralGrid:
+    """The tau-grid stretched by 1/eps: same node count, physical time t."""
+    return make_grid(tau_grid.n, tau_grid.length / eps, tau_grid.center / eps)
 
 
 def _twist(values: np.ndarray, grid: SpectralGrid, shift: float) -> np.ndarray:

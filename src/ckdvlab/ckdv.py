@@ -26,6 +26,63 @@ from .grid import RealField, SpectralGrid, mean_tolerance, spectral_antiderivati
 GROWTH_LIMIT = 10.0
 
 
+class _GrowthGuard:
+    """Fails a step whose sup exceeds GROWTH_LIMIT times its reference.
+
+    The reference is max(previous sup, 0.1 * largest sup so far): growth is
+    measured against the run scale, not the instantaneous sup, because
+    oscillatory or forced fields legitimately pass through small norms.
+    """
+
+    def __init__(self, label: str, sup0: float):
+        self.label = label
+        self.last = self.peak = sup0
+
+    def check(self, sup: float, coord: str, at: float):
+        ref = max(self.last, 0.1 * self.peak)
+        if ref > 0 and sup > GROWTH_LIMIT * ref:
+            raise StepUnstable(
+                f"{self.label} grew {sup / ref:.1f}x in one step at {coord}={at:.6g}")
+
+    def advance(self, sup: float, coord: str, at: float):
+        """Check sup, then make it the previous sup of the next step."""
+        self.check(sup, coord, at)
+        self.last = sup
+        self.peak = max(self.peak, sup)
+
+
+def _schedule(start: float, end: float, output_radii, d: float):
+    """Landing schedule of a radial run from start to end with nominal step d.
+
+    Returns (emit_start, steps): whether the start radius is itself an output
+    radius, and the steps as (x, h, landing) with the radius x the step
+    leaves, its size h and the output radius it lands on (None between
+    outputs).  Steps are d, shortened to land exactly on each output radius
+    and on end.  Radii closer than 1e-12 times the larger end radius of
+    the span count as equal.
+
+    Raises:
+        ValueError: an output radius outside [start, end].
+    """
+    radii = () if output_radii is None else output_radii
+    targets = sorted({float(r) for r in radii} | {float(end)})
+    tol = 1e-12 * max(abs(start), abs(end))
+    for r in targets:
+        if r < start - tol or r > end + tol:
+            raise ValueError(f"output radius {r} outside [{start}, {end}]")
+    emit_start = bool(abs(start - targets[0]) <= tol)
+    steps = []
+    x = start
+    for target in targets[1:] if emit_start else targets:
+        nsteps = max(1, int(np.ceil((target - x) / d - 1e-12)))
+        h = (target - x) / nsteps
+        for j in range(nsteps):
+            steps.append((x, h, target if j == nsteps - 1 else None))
+            x += h
+        x = target
+    return emit_start, steps
+
+
 @dataclass(frozen=True)
 class CkdvState:
     """Snapshot of the radial evolution: amplitude A and antiderivative B."""
@@ -51,11 +108,6 @@ class CkdvRunConfig:
             raise ValueError(f"need 0 < rho0 < rho1, got ({self.rho0}, {self.rho1})")
         if not self.d_rho > 0:
             raise ValueError(f"step must be positive, got {self.d_rho}")
-
-
-def stable_step_hint(grid: SpectralGrid) -> float:
-    """Documented step heuristic: d_rho <= 2 * dtau * 0.5."""
-    return grid.dx
 
 
 def ckdv_linear_propagator(k, rho_from: float, rho_to: float):
@@ -149,11 +201,6 @@ def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> Ckd
     return CkdvState(rho=float(rho0), A=A0, B=B0)
 
 
-def ckdv_rhs(state: CkdvState) -> RealField:
-    """dA/drho = -(A/rho + d^3A/dtau^3 - d(A^2)/dtau) / 2 on the grid."""
-    return ckdv_rhs_with_forcing(state, None)
-
-
 def ckdv_rhs_with_forcing(state: CkdvState, forcing: RealField | None) -> RealField:
     """Radial derivative of A with an optional additive forcing.
 
@@ -192,10 +239,7 @@ def ckdv_step(state: CkdvState, d_rho: float, cfg: CkdvRunConfig,
     b_hat = np.fft.rfft(state.B.values)
     a_new, b_new, _ = stepper.step(a_hat, b_hat, state.rho, d_rho, fh)
     new = _wrap_state(a_new, b_new, state.rho + d_rho, cfg.grid)
-    old_sup = state.A.sup()
-    if old_sup > 0 and new.A.sup() > GROWTH_LIMIT * old_sup:
-        raise StepUnstable(
-            f"sup grew {new.A.sup() / old_sup:.1f}x in one step at rho={new.rho:.6g}")
+    _GrowthGuard("sup", state.A.sup()).check(new.A.sup(), "rho", new.rho)
     return new
 
 
@@ -214,50 +258,24 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     rho1.  Raises MeanValueError for initial data with nonzero mean and
     propagates StepUnstable.
     """
-    if output_rhos is None:
-        output_rhos = [cfg.rho1]
-    targets = sorted(set(float(r) for r in output_rhos) | {cfg.rho1})
-    for r in targets:
-        if r < cfg.rho0 - 1e-12 or r > cfg.rho1 + 1e-12:
-            raise ValueError(f"output radius {r} outside [{cfg.rho0}, {cfg.rho1}]")
-
+    emit_start, steps = _schedule(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho)
     state = make_state(A0, cfg.rho0, cfg.mean_tol)
     stepper = _Stepper(cfg)
     fh = _forcing_hat_fn(forcing, cfg.grid)
     a_hat = np.fft.rfft(state.A.values)
     b_hat = np.fft.rfft(state.B.values)
 
-    out = []
-    if abs(cfg.rho0 - targets[0]) < 1e-14:
-        out.append(state)
-        targets = targets[1:]
-
-    rho = cfg.rho0
-    last_sup = state.A.sup()
-    hist_sup = last_sup
-
-    def check_growth(sup: float, at_rho: float):
-        # growth measured against the run scale; oscillatory or forced
-        # fields may legitimately pass through small norms
-        ref = max(last_sup, 0.1 * hist_sup)
-        if ref > 0 and sup > GROWTH_LIMIT * ref:
-            raise StepUnstable(f"sup grew {sup / ref:.1f}x in one step at rho={at_rho:.6g}")
-
-    for target in targets:
-        nsteps = max(1, int(np.ceil((target - rho) / cfg.d_rho - 1e-12)))
-        h = (target - rho) / nsteps
-        for _ in range(nsteps):
-            a_hat, b_hat, sup_stage = stepper.step(a_hat, b_hat, rho, h, fh)
-            if not (np.isfinite(a_hat).all() and np.isfinite(b_hat).all()):
-                raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
-            # sup_stage is the field entering this step
-            check_growth(sup_stage, rho)
-            last_sup = sup_stage
-            hist_sup = max(hist_sup, sup_stage)
-            rho += h
-        rho = target
-        snap = _wrap_state(a_hat, b_hat, rho, cfg.grid)
-        # the field leaving the last step enters no further stage check
-        check_growth(snap.A.sup(), rho)
-        out.append(snap)
+    out = [state] if emit_start else []
+    guard = _GrowthGuard("sup", state.A.sup())
+    for rho, h, landing in steps:
+        a_hat, b_hat, sup_stage = stepper.step(a_hat, b_hat, rho, h, fh)
+        if not (np.isfinite(a_hat).all() and np.isfinite(b_hat).all()):
+            raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
+        # sup_stage is the field entering this step
+        guard.advance(sup_stage, "rho", rho)
+        if landing is not None:
+            snap = _wrap_state(a_hat, b_hat, landing, cfg.grid)
+            # the field leaving the last step enters no further stage check
+            guard.check(snap.A.sup(), "rho", landing)
+            out.append(snap)
     return out

@@ -24,16 +24,15 @@ from pathlib import Path
 import numpy as np
 from scipy import special as sp_special
 
+from . import __version__
 from .airy import SolitonSpec, airy_eval
 from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, resolvent_solve,
                          u_to_v, v_to_u)
-from .ckdv import (CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator,
-                   stable_step_hint)
+from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
-from .report import (PACKAGE_VERSION, ScalingReport, config_hash, fit_loglog,
-                     write_csv, write_manifest)
+from .report import ScalingReport, config_hash, fit_loglog, write_csv, write_manifest
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
@@ -84,7 +83,7 @@ class ExperimentConfig:
     def manifest(self) -> dict:
         return {
             "config_hash": config_hash(self.flat()),
-            "version": PACKAGE_VERSION,
+            "version": __version__,
             "command": self.command,
             "rhs_tol": self.rhs_tol,
             "seed": self.seed,
@@ -241,7 +240,7 @@ def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
     a0 = _gaussian_derivative(grid_tau)
     _check_pulse_fits(a0)
     # 0.02 converges the residual slopes to grid-independence on [1, 1.5]
-    d_rho = cfg.d_rho if cfg.d_rho is not None else min(0.02, 0.5 * stable_step_hint(grid_tau))
+    d_rho = cfg.d_rho if cfg.d_rho is not None else min(0.02, 0.5 * grid_tau.dx)
     run = CkdvRunConfig(rho0=cfg.rho0, rho1=cfg.rho1, d_rho=d_rho,
                         grid=grid_tau, dealias=cfg.dealias)
     return ckdv_evolve(a0, run, output_rhos=sample_rhos)

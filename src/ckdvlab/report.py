@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-PACKAGE_VERSION = "0.1.0"
-
-
 def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope and intercept of log y against log x.
 

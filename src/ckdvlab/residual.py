@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boussinesq import AnsatzConfig, BoussinesqState, make_ansatz_state, n1_of_v, n2_of_v, n_of_v
+from .boussinesq import (AnsatzConfig, BoussinesqState, _t_grid_of, make_ansatz_state, n1_of_v,
+                         n2_of_v, n_of_v)
 from .ckdv import CkdvState
 from .errors import MeanValueError
-from .grid import (RealField, make_grid, mean_tolerance, spectral_antiderivative,
-                   spectral_derivative)
+from .grid import RealField, mean_tolerance, spectral_antiderivative, spectral_derivative
 
 BETA_EXPONENT = 3.5
 
@@ -104,10 +104,6 @@ def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
     return nn, n_rho, n_rho2
 
 
-def _t_grid_of(grid, eps: float):
-    return make_grid(grid.n, grid.length / eps, grid.center / eps)
-
-
 def _workspace(state: CkdvState, eps: float, mean_tol: float | None,
                workspace: _Elimination | None) -> _Elimination:
     if workspace is None:
@@ -115,6 +111,37 @@ def _workspace(state: CkdvState, eps: float, mean_tol: float | None,
     if workspace.state is not state or workspace.eps != eps:
         raise ValueError("workspace was built for another snapshot or eps")
     return workspace
+
+
+# The tau-derivative terms of the residual expansion, summed left to right:
+# (signed coefficient, eps power, field, tau order, divided by rho) stands
+# for coefficient * eps^power * dtau^order field [/ rho].  Each term is a
+# perfect tau-derivative, so the antiderivative sums the table one order lower.
+_TERMS = (
+    (-2, 8, "D", 3, False),
+    (1, 10, "D2", 2, False),
+    (-1, 8, "a", 3, True),
+    (1, 10, "D", 2, True),
+    (-1, 8, "sq", 4, False),
+    (2, 10, "2aD", 3, False),
+    (-1, 12, "2(DD+aD2)", 2, False),
+    (1, 10, "sq", 3, True),
+    (-1, 12, "2aD", 2, True),
+    (1, 2, "N", 2, False),
+    (1, 4, "N", 4, False),
+    (-2, 6, "N_rho", 3, False),
+    (1, 8, "N_rho2", 2, False),
+    (-1, 6, "N", 3, True),
+    (1, 8, "N_rho", 2, True),
+)
+
+
+def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
+    """acc plus the table's terms, each with its tau order lowered by lower."""
+    for coef, power, name, order, by_rho in _TERMS:
+        term = coef * ws.eps ** power * ws.d(name, order - lower)
+        acc = acc + (term / ws.rho if by_rho else term)
+    return acc
 
 
 def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
@@ -127,30 +154,9 @@ def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
     """
     ws = _workspace(state, eps, mean_tol, workspace)
     f = ws.fields
-    rho = ws.rho
-    d = ws.d
-    e8, e10, e12 = eps ** 8, eps ** 10, eps ** 12
-
-    res = (-e8 * f["D2"]
-           - e8 * f["D"] / rho
-           - 2 * e8 * d("D", 3)
-           + e10 * d("D2", 2)
-           - e8 * d("a", 3) / rho
-           + e10 * d("D", 2) / rho
-           - e8 * d("sq", 4)
-           + 2 * e10 * d("2aD", 3)
-           - e12 * d("2(DD+aD2)", 2)
-           + e10 * d("sq", 3) / rho
-           - e12 * d("2aD", 2) / rho)
-
-    res = (res
-           + eps ** 2 * d("N", 2)
-           + eps ** 4 * d("N", 4)
-           - 2 * eps ** 6 * d("N_rho", 3)
-           + e8 * d("N_rho2", 2)
-           - eps ** 6 * d("N", 3) / rho
-           + e8 * d("N_rho", 2) / rho)
-
+    e8 = eps ** 8
+    # the radial block -(drho^2 + rho^{-1} drho) A
+    res = _sum_terms(-e8 * f["D2"] - e8 * f["D"] / ws.rho, ws, 0)
     return RealField(grid=_t_grid_of(ws.grid, eps), values=res)
 
 
@@ -168,35 +174,12 @@ def antiderivative_residual(state: CkdvState, eps: float, mean_tol: float | None
     f = ws.fields
     a, sq, D = f["a"], f["sq"], f["D"]
     rho = ws.rho
-    d = ws.d
-    e8, e10, e12 = eps ** 8, eps ** 10, eps ** 12
-
     b = spectral_antiderivative(state.A, ws.mean_tol).values
-    a_t2 = d("a", 2)
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
-    radial = e8 * (0.25 * (2 * (d("D", 2) - 2 * a * D) + (a_t2 - sq) / rho)
-                   - 0.25 * b / rho ** 2)
-
-    anti = (radial
-            - 2 * e8 * d("D", 2)
-            + e10 * d("D2", 1)
-            - e8 * a_t2 / rho
-            + e10 * d("D", 1) / rho
-            - e8 * d("sq", 3)
-            + 2 * e10 * d("2aD", 2)
-            - e12 * d("2(DD+aD2)", 1)
-            + e10 * d("sq", 2) / rho
-            - e12 * d("2aD", 1) / rho)
-
-    anti = (anti
-            + eps ** 2 * d("N", 1)
-            + eps ** 4 * d("N", 3)
-            - 2 * eps ** 6 * d("N_rho", 2)
-            + e8 * d("N_rho2", 1)
-            - eps ** 6 * d("N", 2) / rho
-            + e8 * d("N_rho", 1) / rho)
-
+    radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
+                         - 0.25 * b / rho ** 2)
+    anti = _sum_terms(radial, ws, 1)
     return RealField(grid=_t_grid_of(ws.grid, eps), values=anti / eps)
 
 

@@ -197,6 +197,30 @@ class TestSpatialRhs:
         assert np.abs(fw.values + w.values / 7.0).max() <= 1e-15
 
 
+class TestStateRegion:
+    # the resolvent contracts iff sup|(1 + 4v)^{-1/2} - 1| < 1, i.e. min v > -3/16
+
+    def test_below_contraction_bound_rejected(self, grid64):
+        v = RealField(grid=grid64, values=np.full(grid64.n, -0.2))
+        zero = RealField(grid=grid64, values=np.zeros(grid64.n))
+        with pytest.raises(ValueError, match="-3/16"):
+            BoussinesqState(r=10.0, v=v, w=zero)
+
+    def test_large_positive_v_accepted(self, grid64):
+        v = RealField(grid=grid64, values=np.full(grid64.n, 0.3))
+        zero = RealField(grid=grid64, values=np.zeros(grid64.n))
+        assert BoussinesqState(r=10.0, v=v, w=zero).v.sup() == 0.3
+
+    def test_step_leaving_region_is_step_unstable(self, grid64):
+        # constant-in-t data: dv/dr = w and w decays like 1/r, so v crosses
+        # -3/16 near r = 10.19, inside the first step
+        v = RealField(grid=grid64, values=np.full(grid64.n, -0.15))
+        w = RealField(grid=grid64, values=np.full(grid64.n, -0.2))
+        init = BoussinesqState(r=10.0, v=v, w=w)
+        with pytest.raises(StepUnstable, match="contraction region.*r=10.25$"):
+            boussinesq_evolve(init, 20.0, 0.25)
+
+
 class TestEvolve:
     def test_zero_data(self, grid256):
         zero = RealField(grid=grid256, values=np.zeros(grid256.n))
@@ -238,6 +262,29 @@ class TestEvolve:
         init = BoussinesqState(r=10.0, v=zero, w=w)
         with np.errstate(all="ignore"), pytest.raises(StepUnstable, match="non-finite state"):
             boussinesq_evolve(init, 20.0, 0.25, b2=np.zeros_like)
+
+    def test_finite_growth_is_step_unstable(self, grid256):
+        # v = 1e-6 cos t moves by about dr * w = 2.5e-4 in the first step
+        v = RealField(grid=grid256, values=1e-6 * np.cos(grid256.nodes))
+        w = RealField(grid=grid256, values=1e-3 * np.cos(grid256.nodes))
+        init = BoussinesqState(r=10.0, v=v, w=w)
+        with pytest.raises(StepUnstable, match=r"sup\|v\| grew .* at r=10.25$"):
+            boussinesq_evolve(init, 20.0, 0.25)
+
+    def test_states_exactly_at_requested_radii(self, grid64):
+        v = RealField(grid=grid64, values=1e-3 * np.cos(grid64.nodes))
+        init = BoussinesqState(r=10.0, v=v, w=RealField(grid=grid64, values=np.zeros(grid64.n)))
+        radii = [10.0, 10.13, 11.7, 12.0]
+        out = boussinesq_evolve(init, 12.0, 0.25, output_radii=radii)
+        assert [st.r for st in out] == radii
+        assert out[0] is init
+
+    def test_output_radius_outside_span_rejected(self, grid64):
+        zero = RealField(grid=grid64, values=np.zeros(grid64.n))
+        init = BoussinesqState(r=10.0, v=zero, w=zero)
+        for bad in (9.5, 12.5):
+            with pytest.raises(ValueError, match="outside"):
+                boussinesq_evolve(init, 12.0, 0.25, output_radii=[bad])
 
     def test_fourth_order_self_convergence(self):
         g = make_grid(64, 40.0)

@@ -3,8 +3,7 @@ import pytest
 
 from ckdvlab.airy import SolitonSpec
 from ckdvlab.ckdv import (CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator,
-                          ckdv_rhs_with_forcing, ckdv_step, make_state,
-                          stable_step_hint)
+                          ckdv_rhs_with_forcing, ckdv_step, make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.soliton import soliton_amplitude
@@ -56,12 +55,21 @@ class TestStepAndEvolve:
         amp = 1e-8
         a0 = RealField(grid=g, values=amp * np.sin(3 * g.nodes))
         cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.05, grid=g)
-        states = ckdv_evolve(a0, cfg, output_rhos=[1.013, 1.37, 2.0])
-        assert [st.rho for st in states] == [1.013, 1.37, 2.0]
+        states = ckdv_evolve(a0, cfg, output_rhos=[1.0, 1.013, 1.37, 2.0])
+        assert [st.rho for st in states] == [1.0, 1.013, 1.37, 2.0]
+        assert states[0].A is a0
         for st in states:
             fac = ckdv_linear_propagator(3.0, 1.0, st.rho)
             expected = amp * np.abs(fac) * np.sin(3 * g.nodes + np.angle(fac))
             assert np.abs(st.A.values - expected).max() <= 1e-9 * amp
+
+    def test_output_radius_outside_span_rejected(self):
+        g = make_grid(64, 40.0)
+        a0 = gaussian_pulse(g)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=g)
+        for bad in (0.9, 1.6):
+            with pytest.raises(ValueError, match="outside"):
+                ckdv_evolve(a0, cfg, output_rhos=[bad])
 
     def test_zero_mean_preserved_1000_steps(self, grid256):
         a0 = gaussian_pulse(grid256)
