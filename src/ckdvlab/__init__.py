@@ -9,12 +9,12 @@ reproducible CSV/SVG artifacts.
 
 __version__ = "0.1.0"
 
-from .airy import AiryValues, SolitonSpec, airy_eval, capital_f, capital_g, compatibility_residual
+from .airy import AiryValues, SolitonSpec, airy_eval, capital_g, compatibility_residual
 from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, n1_of_v, n2_of_v,
                          n_of_v, resolvent_solve, spatial_rhs, u_to_v, v_to_u)
 from .ckdv import (CkdvRunConfig, CkdvState, ckdv_evolve, ckdv_linear_propagator,
-                   ckdv_rhs_with_forcing, ckdv_step, make_state)
+                   ckdv_rhs_with_forcing, make_state)
 from .errors import (BranchError, CkdvLabError, ConfigError, DenominatorSignError,
                      MeanValueError, NoConvergence, OverflowGuard, SingularDispersion,
                      StepUnstable)

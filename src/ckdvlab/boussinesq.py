@@ -31,7 +31,7 @@ injects a faulty operator.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,7 +247,6 @@ class AnsatzConfig:
     eps: float
     ckdv_source: list[CkdvState]
     r0: float
-    _by_rho: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.eps <= 0.3):
@@ -258,13 +257,8 @@ class AnsatzConfig:
         if abs(self.r0 - rho0 / self.eps ** 3) > 1e-6 * self.r0:
             raise ValueError(
                 f"r0={self.r0} inconsistent with rho0/eps^3={rho0 / self.eps ** 3}")
-        object.__setattr__(self, "_by_rho",
-                           {round(s.rho, 12): s for s in self.ckdv_source})
 
     def source_at(self, rho: float) -> CkdvState:
-        key = round(rho, 12)
-        if key in self._by_rho:
-            return self._by_rho[key]
         for s in self.ckdv_source:
             if abs(s.rho - rho) <= 1e-9 * max(1.0, abs(rho)):
                 return s

@@ -230,19 +230,6 @@ def _forcing_hat_fn(forcing, grid: SpectralGrid):
     return fh
 
 
-def ckdv_step(state: CkdvState, d_rho: float, cfg: CkdvRunConfig,
-              forcing=None) -> CkdvState:
-    """Advance one step of size d_rho; raises StepUnstable on 10x growth."""
-    stepper = _Stepper(cfg)
-    fh = _forcing_hat_fn(forcing, cfg.grid)
-    a_hat = np.fft.rfft(state.A.values)
-    b_hat = np.fft.rfft(state.B.values)
-    a_new, b_new, _ = stepper.step(a_hat, b_hat, state.rho, d_rho, fh)
-    new = _wrap_state(a_new, b_new, state.rho + d_rho, cfg.grid)
-    _GrowthGuard("sup", state.A.sup()).check(new.A.sup(), "rho", new.rho)
-    return new
-
-
 def _wrap_state(a_hat, b_hat, rho: float, grid: SpectralGrid) -> CkdvState:
     a = np.fft.irfft(a_hat, grid.n)
     b = np.fft.irfft(b_hat, grid.n)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import special as sp_special
 
 from . import __version__
 from .airy import SolitonSpec, airy_eval
@@ -193,7 +192,7 @@ def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
     for rho in cfg.rho_profiles:
         s = (6.0 * rho) ** (1.0 / 3.0)
         tau = np.linspace(-22.0 * s, 12.0 * s, 3000)
-        amp = soliton_amplitude(rho, tau, spec) if cfg.alpha or cfg.beta else np.zeros_like(tau)
+        amp = soliton_amplitude(rho, tau, spec)
         tag = f"rho{rho:g}".replace(".", "p")
         files.append(write_csv(out / f"soliton_A_{tag}.csv", ["tau", "amplitude"],
                                zip(tau, amp), manifest))
@@ -444,6 +443,8 @@ def _check_propagator() -> tuple[bool, float]:
 
 def _check_bessel(b2_of=None) -> tuple[bool, float]:
     """Bessel-mode oracle; b2_of maps the grid to the solver's B^2 operator."""
+    from scipy import special as sp_special
+
     n, L = 128, 40.0
     g = make_grid(n, L)
     m = 3

@@ -83,11 +83,6 @@ class RealField:
         """L2 norm with the physical measure, sqrt(dx * sum v^2)."""
         return float(np.sqrt(self.grid.dx * np.sum(self.values ** 2)))
 
-    def l2_spectral(self) -> float:
-        """Same norm evaluated from Fourier coefficients (Parseval)."""
-        vhat = np.fft.fft(self.values)
-        return float(np.sqrt(self.grid.length * np.sum(np.abs(vhat) ** 2)) / self.grid.n)
-
 
 def make_grid(n: int, length: float, center: float = 0.0) -> SpectralGrid:
     """Build a periodic grid with n nodes over [center - L/2, center + L/2)."""

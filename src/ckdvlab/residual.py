@@ -210,56 +210,6 @@ def sweep_report(states: list[CkdvState], eps: float,
     return best
 
 
-def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvState],
-                           eps: float, delta_r: float) -> RealField:
-    """Residual from the untransformed definition with radial finite differences.
-
-    Takes cKdV snapshots at rho - eps^3 dr, rho, rho + eps^3 dr, builds
-    v = eps^2 A at the three radii (with the tau argument shifted
-    consistently), and assembles
-    -(dr^2 + r^{-1} dr) v + dt^2 (1 + dr^2 + r^{-1} dr)(v - v^2 + N(v))
-    with centered differences in r and spectral derivatives in t.  Agrees
-    with the eliminated closed form to O(delta_r^2).
-    """
-    sm, s0, sp = states_minus_plus
-    grid = s0.A.grid
-    k = grid.wavenumbers
-    r0 = s0.rho / eps ** 3
-
-    def v_at(state: CkdvState, r: float) -> np.ndarray:
-        # tau = eps (t - r): relative to the center snapshot, the argument
-        # shifts by eps (r - r0)
-        shift = eps * (r - r0)
-        phase = np.exp(-1j * k * shift)
-        return eps ** 2 * np.fft.ifft(phase * np.fft.fft(state.A.values)).real
-
-    vm = v_at(sm, r0 - delta_r)
-    v0 = v_at(s0, r0)
-    vp = v_at(sp, r0 + delta_r)
-
-    def transform(v):
-        return v - v * v + n_of_v(v)
-
-    um, u0, up = transform(vm), transform(v0), transform(vp)
-
-    def ddr(fm, f0, fp):
-        return (fp - fm) / (2 * delta_r)
-
-    def ddr2(fm, f0, fp):
-        return (fp - 2 * f0 + fm) / delta_r ** 2
-
-    # dt^2 on the t-grid equals (eps k)^2 multipliers on the tau-layout
-    kt = eps * k
-
-    def dt2(vals):
-        return np.fft.ifft(-(kt ** 2) * np.fft.fft(vals)).real
-
-    radial_v = ddr2(vm, v0, vp) + ddr(vm, v0, vp) / r0
-    radial_u = ddr2(um, u0, up) + ddr(um, u0, up) / r0
-    res = -radial_v + dt2(u0 + radial_u)
-    return RealField(grid=_t_grid_of(grid, eps), values=res)
-
-
 def energy(R: RealField, Rr: RealField, A_field: RealField, eps: float,
            beta: float = BETA_EXPONENT, mean_tol: float | None = None) -> EnergyReport:
     """Energy of the scaled error R with radial derivative Rr = dR/dr.

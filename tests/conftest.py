@@ -1,8 +1,14 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from ckdvlab.airy import SolitonSpec, airy_eval, capital_f_closed
+from ckdvlab.boussinesq import _t_grid_of, n_of_v
+from ckdvlab.ckdv import CkdvState
 from ckdvlab.grid import RealField, make_grid
+
+_TAIL_Z = 8.0          # quadrature/tail split for the profile integral
 
 
 @pytest.fixture
@@ -103,3 +109,89 @@ def airy_series_oracle(z, terms=None, dps=None):
         bi = sqrt3 * (c1 * f + c2 * g)
         bip = sqrt3 * (c1 * fp + c2 * gp)
         return float(ai), float(aip), float(bi), float(bip)
+
+
+def l2_spectral(f: RealField) -> float:
+    """L2 norm of a field evaluated from Fourier coefficients (Parseval)."""
+    vhat = np.fft.fft(f.values)
+    return float(np.sqrt(f.grid.length * np.sum(np.abs(vhat) ** 2)) / f.grid.n)
+
+
+def _ai_squared_tail(z: float) -> float:
+    """Asymptotic integral of Ai^2 over (z, inf), leading decay term."""
+    return np.exp(-(4.0 / 3.0) * z ** 1.5) / (8.0 * np.pi * z)
+
+
+def capital_f(z, spec: SolitonSpec, quad_tol: float = 1e-12):
+    """Profile function F(z).
+
+    For the canonical family (beta = 0) this is alpha times the integral of
+    Ai^2 over (z, inf), evaluated by adaptive quadrature up to z = 8 plus an
+    asymptotic tail; otherwise the closed Airy quadratic form is returned.
+    The two routes agree for beta = 0, which the tests exercise.
+    """
+    if spec.beta != 0.0:
+        return capital_f_closed(z, spec)
+    if spec.alpha == 0.0:
+        return np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0
+
+    def one(zv: float) -> float:
+        if zv >= _TAIL_Z:
+            return spec.alpha * _ai_squared_tail(zv)
+        integrand = lambda x: float(airy_eval(x).ai ** 2)
+        val, _ = quad(integrand, zv, _TAIL_Z, epsabs=quad_tol, epsrel=quad_tol, limit=400)
+        return spec.alpha * (val + _ai_squared_tail(_TAIL_Z))
+
+    if np.ndim(z) == 0:
+        return one(float(z))
+    return np.array([one(float(zv)) for zv in np.asarray(z, dtype=float)])
+
+
+def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvState],
+                           eps: float, delta_r: float) -> RealField:
+    """Residual from the untransformed definition with radial finite differences.
+
+    Takes cKdV snapshots at rho - eps^3 dr, rho, rho + eps^3 dr, builds
+    v = eps^2 A at the three radii (with the tau argument shifted
+    consistently), and assembles
+    -(dr^2 + r^{-1} dr) v + dt^2 (1 + dr^2 + r^{-1} dr)(v - v^2 + N(v))
+    with centered differences in r and spectral derivatives in t.  Agrees
+    with the eliminated closed form to O(delta_r^2).
+    """
+    sm, s0, sp = states_minus_plus
+    grid = s0.A.grid
+    k = grid.wavenumbers
+    r0 = s0.rho / eps ** 3
+
+    def v_at(state: CkdvState, r: float) -> np.ndarray:
+        # tau = eps (t - r): relative to the center snapshot, the argument
+        # shifts by eps (r - r0)
+        shift = eps * (r - r0)
+        phase = np.exp(-1j * k * shift)
+        return eps ** 2 * np.fft.ifft(phase * np.fft.fft(state.A.values)).real
+
+    vm = v_at(sm, r0 - delta_r)
+    v0 = v_at(s0, r0)
+    vp = v_at(sp, r0 + delta_r)
+
+    def transform(v):
+        return v - v * v + n_of_v(v)
+
+    um, u0, up = transform(vm), transform(v0), transform(vp)
+
+    def ddr(fm, f0, fp):
+        return (fp - fm) / (2 * delta_r)
+
+    def ddr2(fm, f0, fp):
+        return (fp - 2 * f0 + fm) / delta_r ** 2
+
+    # dt^2 on the t-grid equals (eps k)^2 multipliers on the tau-layout
+    kt = eps * k
+
+    def dt2(vals):
+        return np.fft.ifft(-(kt ** 2) * np.fft.fft(vals)).real
+
+    radial_v = ddr2(vm, v0, vp) + ddr(vm, v0, vp) / r0
+    radial_u = ddr2(um, u0, up) + ddr(um, u0, up) / r0
+    res = -radial_v + dt2(u0 + radial_u)
+    return RealField(grid=_t_grid_of(grid, eps), values=res)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, capital_f,
-                          capital_f_closed, capital_g, compatibility_residual,
-                          profile_pack)
+from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, capital_f_closed,
+                          capital_g, compatibility_residual, profile_pack)
 from ckdvlab.errors import OverflowGuard
 
-from conftest import airy_series_oracle, fd_derivative
+from conftest import airy_series_oracle, capital_f, fd_derivative
 
 
 def test_series_oracle_wronskian_self_check():
@@ -94,6 +93,15 @@ class TestCapitalG:
         ai0 = airy_eval(0.0).ai
         assert capital_g(0.0, SolitonSpec(alpha=1.0)) == pytest.approx(ai0 ** 2, rel=1e-12)
 
+    def test_canonical_past_bi_guard(self):
+        # beta = 0 needs no Bi, so F and G stay defined where Bi would overflow
+        spec = SolitonSpec(alpha=1.0)
+        pack = profile_pack(40.0, spec)
+        g, f = capital_g(40.0, spec), capital_f_closed(40.0, spec)
+        assert np.isfinite(g) and np.isfinite(f) and g > 0
+        assert g == -pack[1]
+        assert f == pack[0]
+
     def test_third_order_ode_by_fd(self):
         # G''' - 4 z G' - 2 G = 0 for the Airy-product solutions
         spec = SolitonSpec(alpha=0.8, beta=0.5, branch=1)
@@ -180,9 +188,9 @@ class TestCompatibility:
 
     def test_constancy_in_z(self):
         v1 = compatibility_residual(0.0, 2.0, 3.0, 0.0)
-        v2 = compatibility_residual(-3.0, 2.0, 3.0, 0.0)
         assert v1 == pytest.approx(-24.0 / np.pi ** 2, rel=1e-9)
-        assert v2 == pytest.approx(v1, rel=1e-9)
+        for z in (-3.0, 3.0):
+            assert compatibility_residual(z, 2.0, 3.0, 0.0) == pytest.approx(v1, rel=1e-9)
 
     def test_random_triples(self, rng):
         for _ in range(20):

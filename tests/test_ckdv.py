@@ -3,7 +3,7 @@ import pytest
 
 from ckdvlab.airy import SolitonSpec
 from ckdvlab.ckdv import (CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator,
-                          ckdv_rhs_with_forcing, ckdv_step, make_state)
+                          ckdv_rhs_with_forcing, make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.soliton import soliton_amplitude
@@ -106,12 +106,9 @@ class TestStepAndEvolve:
     def test_step_unstable_detected(self):
         g = make_grid(64, 2 * np.pi)
         a0 = RealField(grid=g, values=50.0 * np.sin(g.nodes))
-        state = make_state(a0, 1.0)
-        cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.5, grid=g, dealias=False)
-        with pytest.raises(StepUnstable):
-            st = state
-            for _ in range(40):
-                st = ckdv_step(st, 0.5, cfg)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=21.0, d_rho=0.5, grid=g, dealias=False)
+        with pytest.raises(StepUnstable, match="at rho=1.5$"):
+            ckdv_evolve(a0, cfg)
 
     def test_overflow_to_non_finite_is_step_unstable(self):
         # NaN compares false, so a plain growth test lets the overflow through
@@ -167,11 +164,10 @@ class TestForcing:
 
     def test_zero_forcing_matches_plain_step(self, grid256):
         a0 = gaussian_pulse(grid256)
-        state = make_state(a0, 1.0)
-        cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.05, grid=grid256)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.05, d_rho=0.05, grid=grid256)
         zero = RealField(grid=grid256, values=np.zeros(grid256.n))
-        plain = ckdv_step(state, 0.05, cfg)
-        forced = ckdv_step(state, 0.05, cfg, forcing=lambda rho: zero)
+        plain = ckdv_evolve(a0, cfg)[-1]
+        forced = ckdv_evolve(a0, cfg, forcing=lambda rho: zero)[-1]
         assert np.array_equal(plain.A.values, forced.A.values)
 
     def test_constructed_fixed_point(self, grid256):
@@ -189,11 +185,9 @@ class TestForcing:
         # ... and the integrating-factor stepper holds the state to its
         # fourth-order step tolerance
         def drift(h):
-            cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=h, grid=grid256)
-            st = state
-            for _ in range(5):
-                st = ckdv_step(st, h, cfg, forcing=forcing)
-            return np.abs(st.A.values - a0.values).max()
+            cfg = CkdvRunConfig(rho0=1.0, rho1=1.0 + 5 * h, d_rho=h, grid=grid256)
+            final = ckdv_evolve(a0, cfg, forcing=forcing)[-1]
+            return np.abs(final.A.values - a0.values).max()
 
         d1, d2 = drift(0.01), drift(0.005)
         assert d2 <= 1e-7

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ckdvlab
 from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckdv,
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
@@ -165,6 +171,19 @@ class TestSelftest:
         assert "FAIL bessel-oracle" in out
         # the fault hook must not leak into later runs
         assert cmd_selftest(ExperimentConfig(out_dir=str(tmp_path), quiet=True)) == 0
+
+
+class TestImport:
+    def test_package_loads_no_scipy(self):
+        # the test modules import scipy themselves, so only a fresh
+        # interpreter shows what importing the package loads
+        src = str(Path(ckdvlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, ckdvlab, ckdvlab.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestArgparse:

@@ -7,9 +7,9 @@ from ckdvlab.errors import MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.residual import (BETA_EXPONENT, _Elimination, antiderivative_residual, energy,
                               gronwall_growth_check, residual_field, residual_report,
-                              sweep_report, unexpanded_residual_fd)
+                              sweep_report)
 
-from conftest import random_zero_mean_field
+from conftest import random_zero_mean_field, unexpanded_residual_fd
 
 
 def gaussian_source(grid):
