@@ -14,12 +14,25 @@ the coefficients collapse to
     v - v^2 + N(v) = u = (s - 1)/2,   -2v + N'(v) = 1/s - 1,
     -2 + N''(v) = -2/s^3,
 
-which is how the solver evaluates them.  The resolvent is solved by
-fixed-point iteration.  B^2 has multiplier norm below one, so for
-sup|g| < 1 (g = -2v + N'(v)) the iteration contracts and the increment
-bounds the residual: ||h - B^2(g h) - rhs|| <= sup|g| * ||increment||.  The
-iteration stops once the increment is at most tol/2; only when sup|g| >= 1,
-where that bound does not hold, is the residual checked a posteriori.
+which is how the solver evaluates them.  With g = -2v + N'(v) and the
+pointwise source src = (s - 1)/2 - 2 w^2/s^3, the resolvent term h solves
+h = B^2(src + g h) and is found by the fixed-point iteration
+
+    h_{k+1} = B^2(src + g h_k),
+
+whose first sweep from h_0 = 0 is the source application B^2 src.  Every
+iterate satisfies the residual identity
+
+    h_{k+1} - B^2(g h_{k+1}) - B^2 src = B^2(g (h_k - h_{k+1})),
+
+and B^2 has multiplier norm below one, so for sup|g| < 1 the residual is at
+most sup|g| * ||h_{k+1} - h_k|| from any start h_0.  The iteration stops once
+that increment is at most tol/2; only when sup|g| >= 1, where the bound does
+not hold, is the residual checked a posteriori.  Because any start is
+allowed, each stage of one ``boussinesq_evolve`` call starts from the
+previous stage's h (the first stage of a step from the last stage of the
+step before, at the same radius); ``spatial_rhs`` and ``resolvent_solve``
+start cold.
 
 The RK4 loop runs on bare arrays through the grid's spectral core;
 ``spatial_rhs`` and ``resolvent_solve`` are RealField wrappers over the same
@@ -62,7 +75,7 @@ def u_to_v(u):
 
 
 def _check_branch(a):
-    if np.any(a <= -0.25):
+    if (a <= -0.25).any():
         raise BranchError(f"v must exceed -1/4, got min {np.min(a):.4f}")
 
 
@@ -117,24 +130,29 @@ def _l2(values: np.ndarray, dx: float) -> float:
     return float(np.sqrt(dx * np.dot(values, values)))
 
 
-def _resolve(b2: B2Operator, g: np.ndarray, rhs: np.ndarray, dx: float,
-             tol: float, max_iter: int) -> np.ndarray:
-    """Fixed-point solve of h - B^2(g h) = rhs on bare arrays."""
+def _resolve(b2: B2Operator, g: np.ndarray, src: np.ndarray, prev: np.ndarray,
+             h: np.ndarray, dx: float, tol: float, max_iter: int) -> np.ndarray:
+    """Fixed-point solve of h = B^2(src + g h) on bare arrays.
+
+    Continues the iteration h <- B^2(src + g h) whose first sweep, made by
+    the caller, took the start prev to h; at most max_iter more sweeps.
+    """
     sup_g = float(np.abs(g).max())
-    initial = max(_l2(rhs, dx), 1e-300)
-    h = rhs
-    for _ in range(max_iter):
-        h_new = rhs + b2(g * h)
-        incr = _l2(h_new - h, dx)
-        h = h_new
-        if not np.isfinite(incr):
-            break
+    incr = _l2(h - prev, dx)
+    # the divergence scale is the first iterate's size, never only a warm
+    # start's (possibly tiny) first increment
+    scale = max(_l2(h, dx), incr, 1e-300)
+    sweeps = 0
+    while np.isfinite(incr) and incr <= 1e6 * scale:
         if incr <= 0.5 * tol:
             # contraction: residual <= sup|g| * incr < tol; otherwise check it
-            if sup_g < 1.0 or _l2(h - b2(g * h) - rhs, dx) <= tol:
+            if sup_g < 1.0 or _l2(h - b2(src + g * h), dx) <= tol:
                 return h
-        if incr > 1e6 * initial:
+        if sweeps == max_iter:
             break
+        prev, h = h, b2(src + g * h)
+        incr = _l2(h - prev, dx)
+        sweeps += 1
     raise NoConvergence(
         f"resolvent iteration did not reach tol={tol:.1e} in {max_iter} sweeps "
         f"(sup|g|={sup_g:.3f})")
@@ -144,11 +162,14 @@ def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
                     max_iter: int = RESOLVENT_MAX_ITER) -> RealField:
     """Solve h - B^2(g h) = rhs by fixed-point iteration.
 
-    The returned iterate satisfies the equation with L2 residual at most
-    tol.  For sup|g| < 1 the iteration contracts with ratio sup|g| and stops
-    once an increment is at most tol/2, which bounds the residual by
-    sup|g| * tol/2.  For sup|g| >= 1 that bound fails, so the residual of
-    each such candidate is computed and checked a posteriori.
+    The solution is h = rhs + y with y = B^2(g rhs + g y), which is solved
+    cold (from y = 0) by the same iteration y <- B^2(g rhs + g y) as the
+    radial RHS; the residual of h is the residual of y, and h = rhs
+    exactly when g = 0.  The returned iterate satisfies the equation with L2
+    residual at most tol.  For sup|g| < 1 the iteration contracts with
+    ratio sup|g| and stops once an increment is at most tol/2, which bounds
+    the residual by sup|g| * tol/2.  For sup|g| >= 1 that bound fails, so the
+    residual of each such candidate is computed and checked a posteriori.
 
     Raises:
         NoConvergence: tolerance not reached in max_iter sweeps, the
@@ -156,21 +177,30 @@ def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
             outside the small-amplitude regime.
     """
     grid = rhs.grid
-    h = _resolve(grid.core.b2, g.values, rhs.values, grid.dx, tol, max_iter)
-    return RealField(grid=grid, values=h)
+    b2 = grid.core.b2
+    src = g.values * rhs.values
+    y = _resolve(b2, g.values, src, np.zeros_like(src), b2(src), grid.dx, tol, max_iter)
+    return RealField(grid=grid, values=rhs.values + y)
 
 
 def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
-         tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(dv/dr, dw/dr) on bare arrays."""
+         h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dv/dr, dw/dr) on bare arrays, and the resolvent term h they used.
+
+    The resolvent iteration starts from h (zeros for a cold start); its first
+    sweep is made here, so that a non-finite stage is told apart from a
+    resolvent that fails to converge.
+    """
     _check_branch(v)
     s = np.sqrt(1.0 + 4.0 * v)
     q = 1.0 / s
-    source = b2(0.5 * (s - 1.0) - 2.0 * q * q * q * w * w)
-    if not np.all(np.isfinite(source)):
+    g = q - 1.0
+    src = 0.5 * (s - 1.0) - 2.0 * q * q * q * w * w
+    first = b2(src + g * h)
+    if not np.isfinite(first).all():
         raise StepUnstable(f"non-finite stage at r={r:.6g}")
-    h = _resolve(b2, q - 1.0, source, dx, tol, RESOLVENT_MAX_ITER)
-    return w, -w / r + h
+    h = _resolve(b2, g, src, h, first, dx, tol, RESOLVENT_MAX_ITER)
+    return w, -w / r + h, h
 
 
 def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
@@ -178,7 +208,9 @@ def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
     if not state.r > 0:
         raise ValueError(f"radius must be positive, got {state.r}")
     grid = state.v.grid
-    _, f = _rhs(grid.core.b2, grid.dx, state.r, state.v.values, state.w.values, rhs_tol)
+    v = state.v.values
+    _, f, _ = _rhs(grid.core.b2, grid.dx, state.r, v, state.w.values,
+                   np.zeros_like(v), rhs_tol)
     return state.w, RealField(grid=grid, values=f)
 
 
@@ -209,8 +241,13 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
     v = init.v.values.copy()
     w = init.w.values.copy()
 
+    # each stage's resolvent solve starts from the previous stage's solution
+    res = np.zeros_like(v)
+
     def rhs(rr, vv, ww):
-        return _rhs(b2, dx, rr, vv, ww, rhs_tol)
+        nonlocal res
+        dv, dw, res = _rhs(b2, dx, rr, vv, ww, res, rhs_tol)
+        return dv, dw
 
     out = [init] if emit_start else []
     guard = _GrowthGuard("sup|v|", float(np.abs(v).max()))
@@ -222,7 +259,7 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
         sup_new = float(np.abs(v).max())
-        if not (np.isfinite(sup_new) and np.all(np.isfinite(w))):
+        if not (np.isfinite(sup_new) and np.isfinite(w).all()):
             raise StepUnstable(f"non-finite state after the step to r={r + h:.6g}")
         guard.advance(sup_new, "r", r + h)
         v_min = float(v.min())

@@ -37,6 +37,20 @@ def test_branch_overlap_agreement():
                 assert g == pytest.approx(r, rel=1e-9)
 
 
+def test_oscillatory_terms_decrease_from_the_seam():
+    # _pair_sums serves z < _NEG_ASYM only; at the seam, where zeta is
+    # smallest, every term |C_k|/zeta^k of both expansions must still be
+    # smaller than the one before up to _KMAX, so the truncation never acts
+    from ckdvlab import airy as am
+    zeta = (2.0 / 3.0) * (-am._NEG_ASYM) ** 1.5
+    assert zeta == pytest.approx(16.52, abs=5e-3)
+    for coeffs in (am._U, am._V):
+        assert len(coeffs) == am._KMAX
+        terms = np.abs(coeffs) / zeta ** np.arange(am._KMAX)
+        assert np.all(np.diff(terms) < 0.0)
+        assert terms[-1] < 1.1e-15
+
+
 def test_wronskian_identity_dense():
     z = np.linspace(-10.0, 3.0, 1000)
     w = airy_eval(z).wronskian()
