@@ -9,17 +9,17 @@ reproducible CSV/SVG artifacts.
 
 __version__ = "0.1.0"
 
-from .airy import AiryValues, SolitonSpec, airy_eval, capital_g, compatibility_residual
+from .airy import AiryValues, SolitonSpec, airy_eval, compatibility_residual
 from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
-                         boussinesq_evolve, make_ansatz_state, n1_of_v, n2_of_v,
-                         n_of_v, resolvent_solve, spatial_rhs, u_to_v, v_to_u)
+                         boussinesq_evolve, make_ansatz_state, n_forms, resolvent_solve,
+                         spatial_rhs, u_to_v, v_to_u)
 from .ckdv import (CkdvRunConfig, CkdvState, ckdv_evolve, ckdv_linear_propagator,
-                   ckdv_rhs_with_forcing, make_state)
+                   make_state)
 from .errors import (BranchError, CkdvLabError, ConfigError, DenominatorSignError,
                      MeanValueError, NoConvergence, OverflowGuard, SingularDispersion,
                      StepUnstable)
 from .grid import (RealField, SpectralGrid, apply_b2, dispersion_omega_squared,
-                   field_on, make_grid, spectral_antiderivative, spectral_derivative)
+                   make_grid, spectral_antiderivative, spectral_derivative)
 from .residual import (EnergyReport, ResidualReport, antiderivative_residual, energy,
                        gronwall_growth_check, residual_field)
 from .soliton import (SelfSimilarPoint, bilinear_residual, physical_wave,

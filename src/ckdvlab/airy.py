@@ -342,20 +342,6 @@ def _product_form(z, alpha: float, beta: float, gamma: float):
                  zip(_pair(a, ap, a, ap, z), _pair(b, bp, b, bp, z), _pair(a, ap, b, bp, z)))
 
 
-def capital_g(z, spec: SolitonSpec):
-    """G(z) = alpha Ai^2 + beta Bi^2 + gamma Ai Bi; equals -F'(z).
-
-    Served by profile_pack, so the canonical family (beta = 0) is valid
-    for arbitrarily large z.
-    """
-    return -profile_pack(z, spec)[1]
-
-
-def capital_f_closed(z, spec: SolitonSpec):
-    """F(z) in closed Airy form, on the same domain as profile_pack."""
-    return profile_pack(z, spec)[0]
-
-
 def profile_pack(z, spec: SolitonSpec):
     """F and its first four derivatives in closed Airy form.
 

@@ -62,53 +62,32 @@ RHS_TOL_DEFAULT = 1e-12
 RESOLVENT_MAX_ITER = 200
 
 
-def _lift(x, fn):
-    """Apply a pointwise map to a scalar, array, or RealField."""
-    if isinstance(x, RealField):
-        return RealField(grid=x.grid, values=fn(np.asarray(x.values)))
-    return fn(np.asarray(x, dtype=float)) if np.ndim(x) else float(fn(np.asarray(x, dtype=float)))
-
-
 def u_to_v(u):
-    """Change of variables v = u + u^2."""
-    return _lift(u, lambda a: a + a * a)
+    """Change of variables v = u + u^2, pointwise on an array or scalar."""
+    return u + u * u
 
 
 def _check_branch(a):
-    if (a <= -0.25).any():
+    if (np.asarray(a) <= -0.25).any():
         raise BranchError(f"v must exceed -1/4, got min {np.min(a):.4f}")
 
 
 def v_to_u(v):
     """Small-amplitude branch u = (-1 + sqrt(1 + 4v)) / 2 of v = u + u^2."""
-    def fn(a):
-        _check_branch(a)
-        return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * a))
-    return _lift(v, fn)
+    _check_branch(v)
+    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * v))
 
 
-def n_of_v(v):
-    """Analytic remainder N(v) = u(v) - v + v^2 = 2 v^3 + O(v^4)."""
-    def fn(a):
-        _check_branch(a)
-        return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * a)) - a + a * a
-    return _lift(v, fn)
+def n_forms(v):
+    """(N, N', N'') of the remainder N(v) = u(v) - v + v^2 = 2 v^3 + O(v^4), pointwise.
 
-
-def n1_of_v(v):
-    """N'(v) = (1 + 4v)^{-1/2} - 1 + 2v."""
-    def fn(a):
-        _check_branch(a)
-        return 1.0 / np.sqrt(1.0 + 4.0 * a) - 1.0 + 2.0 * a
-    return _lift(v, fn)
-
-
-def n2_of_v(v):
-    """N''(v) = -2 (1 + 4v)^{-3/2} + 2."""
-    def fn(a):
-        _check_branch(a)
-        return -2.0 * (1.0 + 4.0 * a) ** -1.5 + 2.0
-    return _lift(v, fn)
+    N' = (1 + 4v)^{-1/2} - 1 + 2v and N'' = -2 (1 + 4v)^{-3/2} + 2.
+    """
+    _check_branch(v)
+    s = np.sqrt(1.0 + 4.0 * v)
+    return (0.5 * (-1.0 + s) - v + v * v,
+            1.0 / s - 1.0 + 2.0 * v,
+            -2.0 * (1.0 + 4.0 * v) ** -1.5 + 2.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +110,11 @@ def _l2(values: np.ndarray, dx: float) -> float:
 
 
 def _resolve(b2: B2Operator, g: np.ndarray, src: np.ndarray, prev: np.ndarray,
-             h: np.ndarray, dx: float, tol: float, max_iter: int) -> np.ndarray:
+             h: np.ndarray, dx: float, tol: float) -> np.ndarray:
     """Fixed-point solve of h = B^2(src + g h) on bare arrays.
 
     Continues the iteration h <- B^2(src + g h) whose first sweep, made by
-    the caller, took the start prev to h; at most max_iter more sweeps.
+    the caller, took the start prev to h; at most RESOLVENT_MAX_ITER more sweeps.
     """
     sup_g = float(np.abs(g).max())
     incr = _l2(h - prev, dx)
@@ -148,18 +127,17 @@ def _resolve(b2: B2Operator, g: np.ndarray, src: np.ndarray, prev: np.ndarray,
             # contraction: residual <= sup|g| * incr < tol; otherwise check it
             if sup_g < 1.0 or _l2(h - b2(src + g * h), dx) <= tol:
                 return h
-        if sweeps == max_iter:
+        if sweeps == RESOLVENT_MAX_ITER:
             break
         prev, h = h, b2(src + g * h)
         incr = _l2(h - prev, dx)
         sweeps += 1
     raise NoConvergence(
-        f"resolvent iteration did not reach tol={tol:.1e} in {max_iter} sweeps "
-        f"(sup|g|={sup_g:.3f})")
+        f"resolvent iteration did not reach tol={tol:.1e} in {RESOLVENT_MAX_ITER} "
+        f"sweeps (sup|g|={sup_g:.3f})")
 
 
-def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
-                    max_iter: int = RESOLVENT_MAX_ITER) -> RealField:
+def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT) -> RealField:
     """Solve h - B^2(g h) = rhs by fixed-point iteration.
 
     The solution is h = rhs + y with y = B^2(g rhs + g y), which is solved
@@ -172,14 +150,14 @@ def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT,
     residual of each such candidate is computed and checked a posteriori.
 
     Raises:
-        NoConvergence: tolerance not reached in max_iter sweeps, the
+        NoConvergence: tolerance not reached in RESOLVENT_MAX_ITER sweeps, the
             iterates diverged or turned non-finite: the footprint of data
             outside the small-amplitude regime.
     """
     grid = rhs.grid
     b2 = grid.core.b2
     src = g.values * rhs.values
-    y = _resolve(b2, g.values, src, np.zeros_like(src), b2(src), grid.dx, tol, max_iter)
+    y = _resolve(b2, g.values, src, np.zeros_like(src), b2(src), grid.dx, tol)
     return RealField(grid=grid, values=rhs.values + y)
 
 
@@ -199,7 +177,7 @@ def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
     first = b2(src + g * h)
     if not np.isfinite(first).all():
         raise StepUnstable(f"non-finite stage at r={r:.6g}")
-    h = _resolve(b2, g, src, h, first, dx, tol, RESOLVENT_MAX_ITER)
+    h = _resolve(b2, g, src, h, first, dx, tol)
     return w, -w / r + h, h
 
 
@@ -355,16 +333,19 @@ class ApproxErrorRow:
     r_at_sup: float
 
 
-def approximation_error(traj: list[BoussinesqState], cfg: AnsatzConfig) -> ApproxErrorRow:
-    """sup over snapshots and t of |u - eps^2 A| (and |v - eps^2 psi|)."""
+def approximation_error(traj: list[BoussinesqState], ansatz_states: list[BoussinesqState],
+                        eps: float) -> ApproxErrorRow:
+    """sup over snapshots and t of |u - eps^2 A| (and |v - eps^2 psi|).
+
+    ansatz_states[i] is the ansatz state at traj[i].r; lists of different
+    lengths raise ValueError.
+    """
     err_u = err_v = 0.0
     r_at = traj[0].r
-    for st in traj:
-        ans = make_ansatz_state(cfg, st.r)
-        u = v_to_u(st.v)
-        eu = float(np.abs(u.values - ans.v.values).max())
+    for st, ans in zip(traj, ansatz_states, strict=True):
+        eu = float(np.abs(v_to_u(st.v.values) - ans.v.values).max())
         ev = float(np.abs(st.v.values - ans.v.values).max())
         if eu > err_u:
             err_u, r_at = eu, st.r
         err_v = max(err_v, ev)
-    return ApproxErrorRow(eps=cfg.eps, err_u=err_u, err_v=err_v, r_at_sup=r_at)
+    return ApproxErrorRow(eps=eps, err_u=err_u, err_v=err_v, r_at_sup=r_at)

@@ -201,22 +201,6 @@ def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> Ckd
     return CkdvState(rho=float(rho0), A=A0, B=B0)
 
 
-def ckdv_rhs_with_forcing(state: CkdvState, forcing: RealField | None) -> RealField:
-    """Radial derivative of A with an optional additive forcing.
-
-    A manufactured profile A_ex(rho, tau) becomes an exact solution when
-    forcing = dA_ex/drho - rhs(A_ex); the tests drive convergence studies
-    through this hook.
-    """
-    g = state.A.grid
-    vals = g.core.ckdv_drho(state.A.values, state.rho)
-    if forcing is not None:
-        if forcing.grid != g:
-            raise ValueError("forcing grid does not match state grid")
-        vals = vals + forcing.values
-    return RealField(grid=g, values=vals)
-
-
 def _forcing_hat_fn(forcing, grid: SpectralGrid):
     if forcing is None:
         return None
@@ -242,8 +226,9 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     """Integrate from rho0 to rho1, returning states at the requested radii.
 
     Steps are d_rho, shortened to land exactly on each output radius and on
-    rho1.  Raises MeanValueError for initial data with nonzero mean and
-    propagates StepUnstable.
+    rho1; forcing(rho), if given, is a RealField added to dA/drho.  Raises
+    MeanValueError for initial data with nonzero mean and propagates
+    StepUnstable.
     """
     emit_start, steps = _schedule(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho)
     state = make_state(A0, cfg.rho0, cfg.mean_tol)

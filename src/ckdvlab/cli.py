@@ -109,7 +109,10 @@ def load_config(path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     cfg = ExperimentConfig()
     for f in fields(cfg):
         if f.name == "command":
@@ -117,20 +120,25 @@ def load_config(path) -> ExperimentConfig:
         section = _SECTION_OF.get(f.name)
         if section is None or not parser.has_option(section, f.name):
             continue
-        raw = parser.get(section, f.name)
         current = getattr(cfg, f.name)
-        if f.name in ("eps_list", "rho_profiles", "t_values"):
-            setattr(cfg, f.name, _parse_float_list(raw))
-        elif isinstance(current, bool):
-            setattr(cfg, f.name, parser.getboolean(section, f.name))
-        elif isinstance(current, int):
-            setattr(cfg, f.name, parser.getint(section, f.name))
-        elif f.name in ("d_rho",) and raw.strip().lower() in ("", "none", "auto"):
-            setattr(cfg, f.name, None)
-        elif isinstance(current, float) or f.name == "d_rho":
-            setattr(cfg, f.name, parser.getfloat(section, f.name))
-        else:
-            setattr(cfg, f.name, raw)
+        try:
+            raw = parser.get(section, f.name)
+            # save_config writes None as "auto"
+            if f.name in ("eps_list", "d_rho") and raw.strip().lower() in ("", "none", "auto"):
+                value = None
+            elif f.name in ("eps_list", "rho_profiles", "t_values"):
+                value = _parse_float_list(raw)
+            elif isinstance(current, bool):
+                value = parser.getboolean(section, f.name)
+            elif isinstance(current, int):
+                value = parser.getint(section, f.name)
+            elif isinstance(current, float) or f.name == "d_rho":
+                value = parser.getfloat(section, f.name)
+            else:
+                value = raw
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigError(f"bad value for [{section}] {f.name}: {exc}") from exc
+        setattr(cfg, f.name, value)
     for section in parser.sections():
         for key in parser.options(section):
             if _SECTION_OF.get(key) != section:
@@ -314,8 +322,10 @@ def run_theorem1_case(cfg: ExperimentConfig, eps: float):
     init = make_ansatz_state(ansatz, r0)
     traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol,
                              output_radii=list(snaps_r))
-    err = approximation_error(traj, ansatz)
-    gron = gronwall_growth_check(traj, ansatz)
+    # r0 is the first output radius: traj[0] is init itself
+    ans = [init] + [make_ansatz_state(ansatz, st.r) for st in traj[1:]]
+    err = approximation_error(traj, ans, eps)
+    gron = gronwall_growth_check(traj, ans, eps)
     return err, gron
 
 
@@ -394,8 +404,8 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
                              output_radii=snaps_r)
     rows = []
     for st in traj:
-        u = v_to_u(st.v)
-        for t, uu, vv, ww in zip(st.v.grid.nodes, u.values, st.v.values, st.w.values):
+        u = v_to_u(st.v.values)
+        for t, uu, vv, ww in zip(st.v.grid.nodes, u, st.v.values, st.w.values):
             rows.append((st.r, t, uu, vv, ww))
     files = [write_csv(out / "boussinesq_snapshots.csv",
                        ["r", "t", "u", "v", "w"], rows, manifest)]

@@ -103,13 +103,6 @@ def _wavenumbers(n: int, length: float) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(n, d=length / n)
 
 
-def field_on(grid: SpectralGrid, values) -> RealField:
-    """Wrap sample values (or a callable of the nodes) as a RealField."""
-    if callable(values):
-        values = values(grid.nodes)
-    return RealField(grid=grid, values=np.broadcast_to(values, (grid.n,)))
-
-
 def b2_multiplier(k: np.ndarray) -> np.ndarray:
     """Fourier symbol of dt^2 (1 - dt^2)^{-1}, i.e. -k^2/(1+k^2)."""
     return -k ** 2 / (1.0 + k ** 2)

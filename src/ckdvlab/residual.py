@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boussinesq import (AnsatzConfig, BoussinesqState, _t_grid_of, make_ansatz_state, n1_of_v,
-                         n2_of_v, n_of_v)
+from .boussinesq import BoussinesqState, _t_grid_of, n_forms
 from .ckdv import CkdvState
 from .errors import MeanValueError
 from .grid import RealField, mean_tolerance, spectral_antiderivative, spectral_derivative
@@ -46,7 +45,6 @@ class EnergyReport:
     e0: float
     e1: float
     e: float
-    beta_exp: float
 
 
 class _Elimination:
@@ -57,16 +55,15 @@ class _Elimination:
     differentiates is taken once, and every derivative is kept once taken.
     """
 
-    def __init__(self, state: CkdvState, eps: float, mean_tol: float | None):
+    def __init__(self, state: CkdvState, eps: float):
         self.state = state
         self.eps = eps
         self.grid = state.A.grid
         self.rho = rho = state.rho
-        tol = mean_tolerance(state.A, mean_tol)
+        tol = mean_tolerance(state.A)
         if abs(state.A.mean()) > tol:
             raise MeanValueError(
                 f"residual expansion needs zero-mean A: |mean|={abs(state.A.mean()):.3e}")
-        self.mean_tol = tol
         self._core = self.grid.core
         self._spectra = {}
         self._derivs = {}
@@ -96,18 +93,15 @@ class _Elimination:
 def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
     """N(eps^2 A) and its eliminated rho-derivatives (pointwise fields)."""
     v = eps ** 2 * a
-    nn = n_of_v(v)
-    n1 = n1_of_v(v)
-    n2 = n2_of_v(v)
+    nn, n1, n2 = n_forms(v)
     n_rho = eps ** 2 * n1 * D
     n_rho2 = eps ** 4 * n2 * D * D + eps ** 2 * n1 * D2
     return nn, n_rho, n_rho2
 
 
-def _workspace(state: CkdvState, eps: float, mean_tol: float | None,
-               workspace: _Elimination | None) -> _Elimination:
+def _workspace(state: CkdvState, eps: float, workspace: _Elimination | None) -> _Elimination:
     if workspace is None:
-        return _Elimination(state, eps, mean_tol)
+        return _Elimination(state, eps)
     if workspace.state is not state or workspace.eps != eps:
         raise ValueError("workspace was built for another snapshot or eps")
     return workspace
@@ -144,7 +138,7 @@ def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
     return acc
 
 
-def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
+def residual_field(state: CkdvState, eps: float,
                    workspace: _Elimination | None = None) -> RealField:
     """Residual of the ansatz at one radius, sampled on the t-grid.
 
@@ -152,7 +146,7 @@ def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
     A workspace built for the same state and eps may be passed to share its
     transforms with :func:`antiderivative_residual`.
     """
-    ws = _workspace(state, eps, mean_tol, workspace)
+    ws = _workspace(state, eps, workspace)
     f = ws.fields
     e8 = eps ** 8
     # the radial block -(drho^2 + rho^{-1} drho) A
@@ -160,7 +154,7 @@ def residual_field(state: CkdvState, eps: float, mean_tol: float | None = None,
     return RealField(grid=_t_grid_of(ws.grid, eps), values=res)
 
 
-def antiderivative_residual(state: CkdvState, eps: float, mean_tol: float | None = None,
+def antiderivative_residual(state: CkdvState, eps: float,
                             workspace: _Elimination | None = None) -> RealField:
     """dt^{-1} of the residual, on the t-grid.
 
@@ -170,11 +164,11 @@ def antiderivative_residual(state: CkdvState, eps: float, mean_tol: float | None
     dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
     A workspace is shared as in :func:`residual_field`.
     """
-    ws = _workspace(state, eps, mean_tol, workspace)
+    ws = _workspace(state, eps, workspace)
     f = ws.fields
     a, sq, D = f["a"], f["sq"], f["D"]
     rho = ws.rho
-    b = spectral_antiderivative(state.A, ws.mean_tol).values
+    b = spectral_antiderivative(state.A).values
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
     radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
@@ -183,21 +177,19 @@ def antiderivative_residual(state: CkdvState, eps: float, mean_tol: float | None
     return RealField(grid=_t_grid_of(ws.grid, eps), values=anti / eps)
 
 
-def residual_report(state: CkdvState, eps: float,
-                    mean_tol: float | None = None) -> ResidualReport:
-    ws = _Elimination(state, eps, mean_tol)
+def residual_report(state: CkdvState, eps: float) -> ResidualReport:
+    ws = _Elimination(state, eps)
     res = residual_field(state, eps, workspace=ws)
     anti = antiderivative_residual(state, eps, workspace=ws)
     return ResidualReport(eps=eps, res_l2=res.l2(), res_sup=res.sup(),
                           antires_l2=anti.l2(), rho_at_sup=state.rho)
 
 
-def sweep_report(states: list[CkdvState], eps: float,
-                 mean_tol: float | None = None) -> ResidualReport:
+def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
     """Sup over the sampled radii of the residual norms (the lemma statement)."""
     best = None
     for st in states:
-        row = residual_report(st, eps, mean_tol)
+        row = residual_report(st, eps)
         if best is None:
             best = row
         else:
@@ -211,13 +203,13 @@ def sweep_report(states: list[CkdvState], eps: float,
 
 
 def energy(R: RealField, Rr: RealField, A_field: RealField, eps: float,
-           beta: float = BETA_EXPONENT, mean_tol: float | None = None) -> EnergyReport:
+           mean_tol: float | None = None) -> EnergyReport:
     """Energy of the scaled error R with radial derivative Rr = dR/dr.
 
     E0 collects the six quadratic time-integrals (the dr-exact terms of the
     two estimate families; the (dR/dr)^2 integral appears in both and keeps
     its double weight), E1 the seven cubic and amplitude-weighted
-    corrections with the eps^beta bookkeeping, beta = 7/2.
+    corrections with the eps^beta bookkeeping, beta = BETA_EXPONENT = 7/2.
     """
     g = R.grid
     dx = g.dx
@@ -229,13 +221,13 @@ def energy(R: RealField, Rr: RealField, A_field: RealField, eps: float,
     rr = Rr.values
     rt = spectral_derivative(R, 1).values
     rrt = spectral_derivative(Rr, 1).values
-    r_anti = spectral_antiderivative(Rr, mean_tolerance(Rr, mean_tol)).values
+    r_anti = spectral_antiderivative(Rr, mean_tol).values
 
     e0 = 0.5 * (integral(r ** 2) + integral(r_anti ** 2) + 2.0 * integral(rr ** 2)
                 + integral(rt ** 2) + integral(rrt ** 2))
 
     av = A_field.values
-    eb = eps ** beta
+    eb = eps ** BETA_EXPONENT
     e1 = (-eps ** 2 * integral(av * r ** 2)
           - eps ** 2 * integral(av * rr ** 2)
           - eb / 3.0 * integral(r ** 3)
@@ -243,7 +235,7 @@ def energy(R: RealField, Rr: RealField, A_field: RealField, eps: float,
           - eps ** 2 * integral(av * rt ** 2)
           - eps ** 2 * integral(av * rrt ** 2)
           - eb * integral(r * rrt ** 2))
-    return EnergyReport(e0=e0, e1=e1, e=e0 + e1, beta_exp=beta)
+    return EnergyReport(e0=e0, e1=e1, e=e0 + e1)
 
 
 @dataclass(frozen=True)
@@ -253,44 +245,23 @@ class GronwallReport:
     radii: np.ndarray
     energies: np.ndarray
     e0_values: np.ndarray
-    e1_values: np.ndarray
-    fitted_rate: float
     max_e: float
-    bounded: bool
-    bound: float
 
 
-def gronwall_growth_check(traj: list[BoussinesqState], cfg: AnsatzConfig,
-                          bound: float = 1e3) -> GronwallReport:
+def gronwall_growth_check(traj: list[BoussinesqState], ansatz_states: list[BoussinesqState],
+                          eps: float) -> GronwallReport:
     """Energy of R = eps^{-beta} (v - eps^2 psi) along the trajectory.
 
-    Fits the effective exponential growth rate of E(r) and flags whether
-    the trace stays below the given bound over the whole radial span.
+    ansatz_states[i] is the ansatz state at traj[i].r; lists of different
+    lengths raise ValueError.  Reports E(r), its quadratic part E0(r) and max E.
     """
-    eps = cfg.eps
-    radii = []
-    energies = []
-    e0s = []
-    e1s = []
-    for st in traj:
-        ans = make_ansatz_state(cfg, st.r)
+    reps = []
+    for st, ans in zip(traj, ansatz_states, strict=True):
         amp = RealField(grid=st.v.grid, values=ans.v.values / eps ** 2)
         R = RealField(grid=st.v.grid, values=(st.v.values - ans.v.values) / eps ** BETA_EXPONENT)
         Rr = RealField(grid=st.v.grid, values=(st.w.values - ans.w.values) / eps ** BETA_EXPONENT)
-        rep = energy(R, Rr, amp, eps, mean_tol=1e-6 * max(Rr.sup(), 1e-300))
-        radii.append(st.r)
-        energies.append(rep.e)
-        e0s.append(rep.e0)
-        e1s.append(rep.e1)
-    radii = np.asarray(radii)
-    energies = np.asarray(energies)
-    positive = energies > 0
-    if positive.sum() >= 2:
-        rate = float(np.polyfit(radii[positive], np.log(energies[positive]), 1)[0])
-    else:
-        rate = 0.0
-    max_e = float(energies.max(initial=0.0))
-    return GronwallReport(radii=radii, energies=energies,
-                          e0_values=np.asarray(e0s), e1_values=np.asarray(e1s),
-                          fitted_rate=rate, max_e=max_e,
-                          bounded=bool(max_e <= bound), bound=bound)
+        reps.append(energy(R, Rr, amp, eps, mean_tol=1e-6 * max(Rr.sup(), 1e-300)))
+    energies = np.array([rep.e for rep in reps])
+    return GronwallReport(radii=np.array([st.r for st in traj]), energies=energies,
+                          e0_values=np.array([rep.e0 for rep in reps]),
+                          max_e=float(energies.max(initial=0.0)))

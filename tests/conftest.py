@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckdvlab.airy import SolitonSpec, airy_eval, capital_f_closed
-from ckdvlab.boussinesq import _t_grid_of, n_of_v
+from ckdvlab.airy import SolitonSpec, airy_eval, profile_pack
+from ckdvlab.boussinesq import _t_grid_of, n_forms
 from ckdvlab.ckdv import CkdvState
 from ckdvlab.grid import RealField, make_grid
 
@@ -131,7 +131,7 @@ def capital_f(z, spec: SolitonSpec, quad_tol: float = 1e-12):
     The two routes agree for beta = 0, which the tests exercise.
     """
     if spec.beta != 0.0:
-        return capital_f_closed(z, spec)
+        return profile_pack(z, spec)[0]
     if spec.alpha == 0.0:
         return np.zeros_like(np.asarray(z, dtype=float)) if np.ndim(z) else 0.0
 
@@ -175,7 +175,7 @@ def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvSt
     vp = v_at(sp, r0 + delta_r)
 
     def transform(v):
-        return v - v * v + n_of_v(v)
+        return v - v * v + n_forms(v)[0]
 
     um, u0, up = transform(vm), transform(v0), transform(vp)
 

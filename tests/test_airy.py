@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, capital_f_closed,
-                          capital_g, compatibility_residual, profile_pack)
+from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, compatibility_residual,
+                          profile_pack)
 from ckdvlab.errors import OverflowGuard
 
 from conftest import airy_series_oracle, capital_f, fd_derivative
@@ -101,26 +101,25 @@ class TestSolitonSpec:
 
 class TestCapitalG:
     def test_zero_spec(self):
-        assert capital_g(0.7, SolitonSpec(alpha=0.0)) == 0.0
+        assert -profile_pack(0.7, SolitonSpec(alpha=0.0))[1] == 0.0
 
     def test_definition_at_origin(self):
         ai0 = airy_eval(0.0).ai
-        assert capital_g(0.0, SolitonSpec(alpha=1.0)) == pytest.approx(ai0 ** 2, rel=1e-12)
+        g0 = -profile_pack(0.0, SolitonSpec(alpha=1.0))[1]
+        assert g0 == pytest.approx(ai0 ** 2, rel=1e-12)
 
     def test_canonical_past_bi_guard(self):
         # beta = 0 needs no Bi, so F and G stay defined where Bi would overflow
         spec = SolitonSpec(alpha=1.0)
         pack = profile_pack(40.0, spec)
-        g, f = capital_g(40.0, spec), capital_f_closed(40.0, spec)
+        f, g = pack[0], -pack[1]
         assert np.isfinite(g) and np.isfinite(f) and g > 0
-        assert g == -pack[1]
-        assert f == pack[0]
 
     def test_third_order_ode_by_fd(self):
         # G''' - 4 z G' - 2 G = 0 for the Airy-product solutions
         spec = SolitonSpec(alpha=0.8, beta=0.5, branch=1)
         z = np.linspace(-8.0, 2.0, 101)
-        fn = lambda x: capital_g(x, spec)
+        fn = lambda x: -profile_pack(x, spec)[1]
         g3 = fd_derivative(fn, z, 3, h=0.02)
         g1 = fd_derivative(fn, z, 1, h=0.02)
         resid = g3 - 4 * z * g1 - 2 * fn(z)
@@ -143,23 +142,23 @@ class TestCapitalF:
         spec = SolitonSpec(alpha=2.5)
         for z in (-6.0, -1.0, 0.0, 2.0, 5.0, 7.9):
             quadrature = capital_f(z, spec)
-            closed = capital_f_closed(z, spec)
+            closed = profile_pack(z, spec)[0]
             assert quadrature == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
     def test_monotone_nonincreasing(self):
         spec = SolitonSpec(alpha=3.0)
         z = np.linspace(-12.0, 8.0, 400)
-        f = capital_f_closed(z, spec)
+        f = profile_pack(z, spec)[0]
         assert np.all(np.diff(f) <= 1e-12)
 
     def test_positive_definite_iff_canonical(self):
         z = np.linspace(-40.0, 12.0, 2000)
         k = 0.5
-        f_canon = capital_f_closed(z, SolitonSpec(alpha=5.0))
+        f_canon = profile_pack(z, SolitonSpec(alpha=5.0))[0]
         assert np.all(k + f_canon > 0)
         # any beta != 0 profile changes the sign of k + F on a wide window
-        f_bad = capital_f_closed(np.linspace(-30.0, 20.0, 2000),
-                                 SolitonSpec(alpha=1.0, beta=0.2, branch=1))
+        f_bad = profile_pack(np.linspace(-30.0, 20.0, 2000),
+                             SolitonSpec(alpha=1.0, beta=0.2, branch=1))[0]
         signs = np.sign(k + f_bad)
         assert signs.min() < 0 < signs.max()
 
@@ -167,7 +166,7 @@ class TestCapitalF:
         # F'''' - 4 z F'' - 2 F' = 0 and the quadratic companion
         spec = SolitonSpec(alpha=1.0)
         z = np.linspace(-8.0, 2.0, 101)
-        fn = lambda x: capital_f_closed(x, spec)
+        fn = lambda x: profile_pack(x, spec)[0]
         f0 = fn(z)
         f1 = fd_derivative(fn, z, 1, h=0.02)
         f2 = fd_derivative(fn, z, 2, h=0.02)
@@ -183,10 +182,10 @@ class TestCapitalF:
         h = 1e-4
         for z in (-5.0, -1.2, 0.0, 1.7, 3.5):
             f0, f1, f2, f3, f4 = profile_pack(z, spec)
-            fp = (capital_f_closed(z + h, spec) - capital_f_closed(z - h, spec)) / (2 * h)
+            fp = (profile_pack(z + h, spec)[0] - profile_pack(z - h, spec)[0]) / (2 * h)
             assert f1 == pytest.approx(fp, rel=1e-6, abs=1e-9)
-            fpp = (capital_f_closed(z + h, spec) - 2 * f0
-                   + capital_f_closed(z - h, spec)) / h ** 2
+            fpp = (profile_pack(z + h, spec)[0] - 2 * f0
+                   + profile_pack(z - h, spec)[0]) / h ** 2
             assert f2 == pytest.approx(fpp, rel=1e-5, abs=1e-7)
 
 

@@ -6,9 +6,8 @@ from scipy import special
 
 from ckdvlab import boussinesq
 from ckdvlab.boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
-                                boussinesq_evolve, make_ansatz_state, n1_of_v,
-                                n2_of_v, n_of_v, resolvent_solve, spatial_rhs,
-                                u_to_v, v_to_u)
+                                boussinesq_evolve, make_ansatz_state, n_forms,
+                                resolvent_solve, spatial_rhs, u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
 from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
 from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
@@ -21,6 +20,9 @@ PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=
 
 #: the state region (-3/16, 0.3] of the Boussinesq solver
 V_REGION = st.floats(min_value=-3.0 / 16.0, max_value=0.3, exclude_min=True)
+
+#: the branch v > -1/4 of the change of variables
+V_BRANCH = st.floats(min_value=-0.25, max_value=0.3, exclude_min=True)
 
 
 def gaussian_source(grid):
@@ -51,35 +53,33 @@ class TestChangeOfVariables:
     def test_round_trip_property(self, v):
         assert abs(u_to_v(v_to_u(v)) - v) <= 1e-14
 
-    def test_field_lift(self, grid64, rng):
-        f = random_zero_mean_field(grid64, rng, scale=0.1)
-        out = u_to_v(f)
-        assert isinstance(out, RealField)
-        assert np.allclose(out.values, f.values + f.values ** 2)
+
+def separate_closed_forms(v):
+    """N, N' and N'' of the remainder, each evaluated with its own square root."""
+    return (0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * v)) - v + v * v,
+            1.0 / np.sqrt(1.0 + 4.0 * v) - 1.0 + 2.0 * v,
+            -2.0 * (1.0 + 4.0 * v) ** -1.5 + 2.0)
 
 
 class TestRemainder:
     def test_cubic_at_origin(self):
-        assert n_of_v(0.0) == 0.0
-        h = 1e-5
-        assert abs(n1_of_v(0.0)) == 0.0
-        assert abs(n2_of_v(0.0)) == 0.0
+        assert n_forms(0.0) == (0.0, 0.0, 0.0)
 
     def test_leading_coefficient(self):
         # N(v) = 2 v^3 - 5 v^4 + ...
         v = 1e-3
-        assert n_of_v(v) / v ** 3 == pytest.approx(2.0, rel=0.01)
+        assert n_forms(v)[0] / v ** 3 == pytest.approx(2.0, rel=0.01)
 
     def test_definition_consistency(self, rng):
         v = rng.uniform(-0.2, 0.2, 500)
-        assert np.abs(v - v * v + n_of_v(v) - v_to_u(v)).max() <= 1e-14
+        assert np.abs(v - v * v + n_forms(v)[0] - v_to_u(v)).max() <= 1e-14
 
     @PROPERTY
     @given(st.floats(min_value=-0.05, max_value=0.05))
     def test_cubic_remainder_property(self, v):
         # N(v) = 2 v^3 - 5 v^4 + 14 v^5 - ...; the tail is below 6 v^4 for
         # |v| <= 0.05, and the closed form cancels to about 1e-16 absolute
-        assert abs(n_of_v(v) - 2.0 * v ** 3) <= 6.0 * v ** 4 + 2e-16
+        assert abs(n_forms(v)[0] - 2.0 * v ** 3) <= 6.0 * v ** 4 + 2e-16
 
     @PROPERTY
     @given(V_REGION)
@@ -89,10 +89,28 @@ class TestRemainder:
     @example(0.2)
     def test_derivatives_by_fd(self, v):
         h = 1e-6
-        fd1 = (n_of_v(v + h) - n_of_v(v - h)) / (2 * h)
-        assert n1_of_v(v) == pytest.approx(fd1, abs=1e-8)
-        fd2 = (n1_of_v(v + h) - n1_of_v(v - h)) / (2 * h)
-        assert n2_of_v(v) == pytest.approx(fd2, abs=1e-7)
+        _, n1, n2 = n_forms(v)
+        fd1 = (n_forms(v + h)[0] - n_forms(v - h)[0]) / (2 * h)
+        assert n1 == pytest.approx(fd1, abs=1e-8)
+        fd2 = (n_forms(v + h)[1] - n_forms(v - h)[1]) / (2 * h)
+        assert n2 == pytest.approx(fd2, abs=1e-7)
+
+    @PROPERTY
+    @given(V_BRANCH, st.lists(V_BRANCH, min_size=1, max_size=16))
+    def test_shared_root_is_bit_identical(self, v, vs):
+        # the residual expansion relies on n_forms reproducing these exactly
+        assert n_forms(v) == separate_closed_forms(v)
+        arr = np.array(vs)
+        for got, want in zip(n_forms(arr), separate_closed_forms(arr), strict=True):
+            assert np.array_equal(got, want)
+
+    @PROPERTY
+    @given(st.floats(max_value=-0.25, allow_nan=False), st.lists(V_BRANCH, max_size=8))
+    def test_branch_guard(self, bad, good):
+        with pytest.raises(BranchError):
+            n_forms(bad)
+        with pytest.raises(BranchError):
+            n_forms(np.array(good + [bad]))
 
 
 class TestResolvent:
@@ -148,8 +166,7 @@ def resolve_with(op, g, rhs, tol):
     y = B^2(src + g y), so that h = rhs + y solves h - B^2(g h) = rhs.
     """
     src = g.values * rhs.values
-    y = boussinesq._resolve(op, g.values, src, np.zeros_like(src), op(src), rhs.grid.dx,
-                            tol, boussinesq.RESOLVENT_MAX_ITER)
+    y = boussinesq._resolve(op, g.values, src, np.zeros_like(src), op(src), rhs.grid.dx, tol)
     return src, y
 
 
@@ -209,8 +226,9 @@ def pulse_stage(grid, j):
 
 def stage_resolvent_residual(grid, v, w, h):
     """Residual of h - B^2(g h) = B^2 src, with g and src from the N(v) closed forms."""
-    g = -2.0 * v + n1_of_v(v)
-    src = v - v * v + n_of_v(v) + (-2.0 + n2_of_v(v)) * w * w
+    nn, n1, n2 = n_forms(v)
+    g = -2.0 * v + n1
+    src = v - v * v + nn + (-2.0 + n2) * w * w
     b2_src = RealField(grid=grid, values=complex_fft_b2(src, grid))
     return complex_fft_residual_l2(RealField(grid=grid, values=g),
                                    RealField(grid=grid, values=h), b2_src)
@@ -263,8 +281,7 @@ class TestWarmStart:
             outs.append(m @ values)
             return outs[-1]
 
-        y = boussinesq._resolve(op, g, src, start, op(start), 1.0, 1e-12,
-                                boussinesq.RESOLVENT_MAX_ITER)
+        y = boussinesq._resolve(op, g, src, start, op(start), 1.0, 1e-12)
         incrs = [np.linalg.norm(b - a) for a, b in zip(outs, outs[1:])]
         assert max(incrs) > 1e6 * np.linalg.norm(outs[0] - start)
         assert np.linalg.norm(y - m @ (src + g * y)) <= 1e-12
@@ -473,12 +490,20 @@ class TestApproximationError:
         # change-of-variables defect |v_to_u(eps^2 psi) - eps^2 psi| = O(eps^4)
         cfg, snaps_r = build_ansatz()
         init = make_ansatz_state(cfg, snaps_r[0])
-        row = approximation_error([init], cfg)
+        row = approximation_error([init], [init], cfg.eps)
         psi = init.v.values
-        expected = np.abs(v_to_u(init.v).values - psi).max()
+        expected = np.abs(v_to_u(psi) - psi).max()
         assert row.err_u == pytest.approx(expected, rel=1e-12)
         assert row.err_u <= 1.1 * np.abs(psi ** 2).max()
         assert row.err_v == 0.0
+
+    def test_lists_of_different_lengths_rejected(self):
+        cfg, snaps_r = build_ansatz()
+        init = make_ansatz_state(cfg, snaps_r[0])
+        with pytest.raises(ValueError):
+            approximation_error([init, init], [init], cfg.eps)
+        with pytest.raises(ValueError):
+            approximation_error([init], [init, init], cfg.eps)
 
     def test_zero_source_error(self):
         g = make_grid(64, 40.0)
@@ -487,6 +512,6 @@ class TestApproximationError:
         st = make_state(zero, 1.0)
         cfg = AnsatzConfig(eps=0.1, ckdv_source=[st], r0=1000.0)
         init = make_ansatz_state(cfg, 1000.0)
-        row = approximation_error([init], cfg)
+        row = approximation_error([init], [init], cfg.eps)
         assert row.err_u == 0.0
         assert row.err_v == 0.0

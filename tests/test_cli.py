@@ -36,6 +36,26 @@ class TestConfigFile:
         assert loaded.seed == 99
         assert loaded.flat() == cfg.flat()
 
+    def test_default_round_trip(self, tmp_path):
+        # None (eps_list, d_rho) is written as "auto" and read back as None
+        path = tmp_path / "default.ini"
+        save_config(ExperimentConfig(), path)
+        loaded = load_config(path)
+        assert loaded.eps_list is None and loaded.d_rho is None
+        assert loaded.flat() == ExperimentConfig().flat()
+
+    @pytest.mark.parametrize("text", ["[grid]\nn = abc\n", "[model]\neps_list = 0.1,x\n",
+                                      "[solver]\ndealias = maybe\n", "n = 128\n"],
+                             ids=["int", "float-list", "bool", "no-section"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        rc = main(["selftest", "--config", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.ini")

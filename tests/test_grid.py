@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from ckdvlab.errors import MeanValueError, SingularDispersion
 from ckdvlab.grid import (RealField, apply_b2, b2_multiplier, dispersion_omega_squared,
-                          field_on, make_grid, spectral_antiderivative,
-                          spectral_derivative)
+                          make_grid, spectral_antiderivative, spectral_derivative)
 
 from conftest import l2_spectral, random_zero_mean_field
 
@@ -38,23 +37,23 @@ class TestMakeGrid:
 
 class TestDerivative:
     def test_sin_first(self, grid64):
-        f = field_on(grid64, np.sin(grid64.nodes))
+        f = RealField(grid=grid64, values=np.sin(grid64.nodes))
         df = spectral_derivative(f, 1)
         assert np.abs(df.values - np.cos(grid64.nodes)).max() < 1e-13
 
     def test_sin_third(self, grid64):
         # round-off in off modes is amplified by k_max^3
-        f = field_on(grid64, np.sin(grid64.nodes))
+        f = RealField(grid=grid64, values=np.sin(grid64.nodes))
         d3 = spectral_derivative(f, 3)
         assert np.abs(d3.values + np.cos(grid64.nodes)).max() < 1e-11
 
     def test_constant_any_order(self, grid64):
-        f = field_on(grid64, np.ones(grid64.n))
+        f = RealField(grid=grid64, values=np.ones(grid64.n))
         for order in (1, 2, 3, 4):
             assert spectral_derivative(f, order).sup() < 1e-14
 
     def test_bad_order(self, grid64):
-        f = field_on(grid64, np.sin(grid64.nodes))
+        f = RealField(grid=grid64, values=np.sin(grid64.nodes))
         with pytest.raises(ValueError):
             spectral_derivative(f, 5)
 
@@ -62,7 +61,7 @@ class TestDerivative:
         f = random_zero_mean_field(grid64, rng)
         g = random_zero_mean_field(grid64, rng)
         a, b = 1.7, -0.3
-        combo = field_on(grid64, a * f.values + b * g.values)
+        combo = RealField(grid=grid64, values=a * f.values + b * g.values)
         for op in (lambda x: spectral_derivative(x, 2), spectral_antiderivative,
                    apply_b2):
             lhs = op(combo)
@@ -72,17 +71,17 @@ class TestDerivative:
 
 class TestAntiderivative:
     def test_cos_to_sin(self, grid64):
-        f = field_on(grid64, np.cos(grid64.nodes))
+        f = RealField(grid=grid64, values=np.cos(grid64.nodes))
         g = spectral_antiderivative(f)
         assert np.abs(g.values - np.sin(grid64.nodes)).max() < 1e-13
 
     def test_zero_field(self, grid64):
-        g = spectral_antiderivative(field_on(grid64, np.zeros(grid64.n)))
+        g = spectral_antiderivative(RealField(grid=grid64, values=np.zeros(grid64.n)))
         assert g.sup() == 0.0
 
     def test_constant_rejected(self, grid64):
         with pytest.raises(MeanValueError):
-            spectral_antiderivative(field_on(grid64, np.ones(grid64.n)))
+            spectral_antiderivative(RealField(grid=grid64, values=np.ones(grid64.n)))
 
     def test_inverse_of_derivative(self, grid256, rng):
         f = random_zero_mean_field(grid256, rng)
@@ -96,12 +95,12 @@ class TestAntiderivative:
 
 class TestB2:
     def test_single_mode(self, grid64):
-        f = field_on(grid64, np.cos(grid64.nodes))
+        f = RealField(grid=grid64, values=np.cos(grid64.nodes))
         out = apply_b2(f)
         assert np.abs(out.values + 0.5 * np.cos(grid64.nodes)).max() < 1e-13
 
     def test_constant_killed(self, grid64):
-        out = apply_b2(field_on(grid64, np.full(grid64.n, 3.0)))
+        out = apply_b2(RealField(grid=grid64, values=np.full(grid64.n, 3.0)))
         assert out.sup() < 1e-14
 
     def test_norm_bound(self, grid256, rng):
@@ -181,6 +180,6 @@ class TestFieldNorms:
             RealField(grid=grid64, values=vals)
 
     def test_immutable(self, grid64):
-        f = field_on(grid64, np.sin(grid64.nodes))
+        f = RealField(grid=grid64, values=np.sin(grid64.nodes))
         with pytest.raises(ValueError):
             f.values[0] = 7.0

@@ -5,7 +5,7 @@ from ckdvlab.boussinesq import AnsatzConfig, boussinesq_evolve, make_ansatz_stat
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
-from ckdvlab.residual import (BETA_EXPONENT, _Elimination, antiderivative_residual, energy,
+from ckdvlab.residual import (_Elimination, antiderivative_residual, energy,
                               gronwall_growth_check, residual_field, residual_report,
                               sweep_report)
 
@@ -68,7 +68,7 @@ class TestResidualField:
         assert rep.antires_l2 == antiderivative_residual(st, eps).l2()
 
     def test_workspace_of_other_snapshot_rejected(self, trajectory):
-        ws = _Elimination(trajectory[1], 0.1, None)
+        ws = _Elimination(trajectory[1], 0.1)
         with pytest.raises(ValueError):
             residual_field(trajectory[2], 0.1, workspace=ws)
         with pytest.raises(ValueError):
@@ -120,7 +120,6 @@ class TestEnergy:
         zero = RealField(grid=g, values=np.zeros(g.n))
         rep = energy(zero, zero, zero, 0.1)
         assert rep.e0 == 0.0 and rep.e1 == 0.0 and rep.e == 0.0
-        assert rep.beta_exp == BETA_EXPONENT
 
     def test_quadratic_scaling_of_e0(self, rng):
         g = make_grid(128, 40.0)
@@ -152,9 +151,13 @@ class TestGronwall:
         cfg = AnsatzConfig(eps=eps, ckdv_source=[st], r0=1.0 / eps ** 3)
         init = make_ansatz_state(cfg, cfg.r0)
         traj = [init]
-        rep = gronwall_growth_check(traj, cfg)
+        rep = gronwall_growth_check(traj, [init], eps)
         assert rep.max_e == 0.0
-        assert rep.bounded
+        assert rep.max_e <= 1e3
+        with pytest.raises(ValueError):
+            gronwall_growth_check([init, init], [init], eps)
+        with pytest.raises(ValueError):
+            gronwall_growth_check(traj, [], eps)
 
     def test_energy_trace_of_short_run(self):
         eps = 0.1
@@ -167,7 +170,7 @@ class TestGronwall:
         ans = AnsatzConfig(eps=eps, ckdv_source=states, r0=r0)
         init = make_ansatz_state(ans, r0)
         traj = boussinesq_evolve(init, snaps_r[-1], 0.2, output_radii=snaps_r)
-        rep = gronwall_growth_check(traj, ans, bound=1e3)
+        rep = gronwall_growth_check(traj, [make_ansatz_state(ans, st.r) for st in traj], eps)
         assert rep.energies[0] <= 1e-12
         assert np.all(np.diff(rep.energies) >= -1e-9)
-        assert rep.bounded
+        assert rep.max_e <= 1e3
