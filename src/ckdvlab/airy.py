@@ -28,7 +28,7 @@ _SQRT_PI = np.sqrt(np.pi)
 # series pushes the negative seam past the oscillatory test windows
 _NEG_ASYM = -8.5       # asymptotics below, series above
 _POS_SERIES_END = 4.2  # series cancellation exceeds 1e-10 for Ai beyond this
-_POS_ASYM = 7.4        # positive asymptotics converged to ~5e-14 beyond this
+_POS_ASYM = 7.4        # positive asymptotics accurate to ~3e-13 beyond this
 _BI_OVERFLOW = 30.0    # guarded ceiling for the growing solution
 _MARCH_SEED = 8.0      # downward Taylor march starts here
 _MARCH_STEP = 0.25
@@ -111,68 +111,52 @@ def _series(z: np.ndarray, *initial):
     return out
 
 
-def _trunc_sum(zeta: np.ndarray, coeffs: np.ndarray, sign: float):
-    """sum_k coeffs[k] sign^k zeta^{-k}, truncated at the smallest term."""
-    acc = np.full_like(zeta, coeffs[0])
-    term = np.ones_like(zeta)
-    prev = np.full_like(zeta, np.inf)
-    live = np.ones(zeta.shape, dtype=bool)
-    for k in range(1, len(coeffs)):
-        term = term * (sign * coeffs[k] / coeffs[k - 1]) / zeta
-        mag = np.abs(term)
-        live &= mag < prev
-        acc = np.where(live, acc + term, acc)
-        prev = mag
-        if not live.any() or mag.max() < 1e-18:
-            break
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """sum_k coeffs[k] x^k over the whole table, in one in-place accumulator.
+
+    No truncation is needed: on both asymptotic ranges every term of _U and
+    _V is smaller than the one before up to _KMAX (the seams are pinned by
+    tests), so the fixed sum is the optimally truncated one.
+    """
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
     return acc
+
+
+# even and odd parts of the oscillatory expansions, as series in -1/zeta^2
+_U_EVEN, _U_ODD, _V_EVEN, _V_ODD = _U[0::2], _U[1::2], _V[0::2], _V[1::2]
 
 
 def _asym_pos(z: np.ndarray, with_bi: bool):
     zeta = (2.0 / 3.0) * z ** 1.5
     q = z ** 0.25
-    sa = _trunc_sum(zeta, _U, -1.0)
-    sap = _trunc_sum(zeta, _V, -1.0)
+    x = 1.0 / zeta
+    sa = _horner(_U, -x)
+    sap = _horner(_V, -x)
     with np.errstate(under="ignore"):
         em = np.exp(-zeta)
         ai = em / (2 * _SQRT_PI * q) * sa
         aip = -q * em / (2 * _SQRT_PI) * sap
     if not with_bi:
         return ai, aip
-    sb = _trunc_sum(zeta, _U, 1.0)
-    sbp = _trunc_sum(zeta, _V, 1.0)
+    sb = _horner(_U, x)
+    sbp = _horner(_V, x)
     ep = np.exp(zeta)
     bi = ep / (_SQRT_PI * q) * sb
     bip = q * ep / _SQRT_PI * sbp
     return ai, aip, bi, bip
 
 
-def _pair_sums(zeta: np.ndarray, coeffs: np.ndarray):
-    """Even and odd alternating sums of the oscillatory expansions."""
-    ev = np.full_like(zeta, coeffs[0])
-    od = coeffs[1] / zeta
-    prev = np.full_like(zeta, np.inf)
-    live = np.ones(zeta.shape, dtype=bool)
-    zeta2 = zeta * zeta
-    for k in range(1, len(coeffs) // 2):
-        te = (-1) ** k * coeffs[2 * k] / zeta2 ** k
-        to = (-1) ** k * coeffs[2 * k + 1] / (zeta2 ** k * zeta)
-        mag = np.abs(te)
-        live &= mag < prev
-        ev = np.where(live, ev + te, ev)
-        od = np.where(live, od + to, od)
-        prev = mag
-        if not live.any() or mag.max() < 1e-18:
-            break
-    return ev, od
-
-
 def _asym_neg(z: np.ndarray, with_bi: bool):
     x = -z
     zeta = (2.0 / 3.0) * x ** 1.5
     chi = zeta + np.pi / 4
-    pu, qu = _pair_sums(zeta, _U)
-    pv, qv = _pair_sums(zeta, _V)
+    y = -1.0 / (zeta * zeta)
+    pu, qu = _horner(_U_EVEN, y), _horner(_U_ODD, y) / zeta
+    pv, qv = _horner(_V_EVEN, y), _horner(_V_ODD, y) / zeta
+    del y  # the combination below sets the peak memory of the tail windows
     s, c = np.sin(chi), np.cos(chi)
     q = x ** 0.25
     ai = (s * pu - c * qu) / (_SQRT_PI * q)

@@ -108,7 +108,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:
@@ -147,7 +147,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for f in fields(cfg):
         if f.name == "command":
             continue
@@ -333,6 +333,8 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     eps_list = cfg.eps_list if cfg.eps_list is not None else (0.12, 0.1, 0.08)
     if not eps_list:
         raise ConfigError("theorem1 sweep needs a non-empty eps list")
+    if cfg.snapshots < 1:
+        raise ConfigError(f"theorem1 needs snapshots >= 1, got {cfg.snapshots}")
     out = _outdir(cfg)
     manifest = cfg.manifest()
 

@@ -38,9 +38,10 @@ def test_branch_overlap_agreement():
 
 
 def test_oscillatory_terms_decrease_from_the_seam():
-    # _pair_sums serves z < _NEG_ASYM only; at the seam, where zeta is
-    # smallest, every term |C_k|/zeta^k of both expansions must still be
-    # smaller than the one before up to _KMAX, so the truncation never acts
+    # the oscillatory Horner sums serve z < _NEG_ASYM only; at the seam,
+    # where zeta is smallest, every term |C_k|/zeta^k of both expansions must
+    # still be smaller than the one before up to _KMAX, so summing the whole
+    # table is the optimally truncated sum
     from ckdvlab import airy as am
     zeta = (2.0 / 3.0) * (-am._NEG_ASYM) ** 1.5
     assert zeta == pytest.approx(16.52, abs=5e-3)
@@ -49,6 +50,50 @@ def test_oscillatory_terms_decrease_from_the_seam():
         terms = np.abs(coeffs) / zeta ** np.arange(am._KMAX)
         assert np.all(np.diff(terms) < 0.0)
         assert terms[-1] < 1.1e-15
+
+
+def test_positive_asymptotic_terms_decrease_from_the_seam():
+    # the positive Horner sums serve z >= _POS_ASYM only; at that seam, where
+    # zeta is smallest, every term |C_k|/zeta^k must be smaller than the one
+    # before up to _KMAX, so no truncation is needed there either
+    from ckdvlab import airy as am
+    zeta = (2.0 / 3.0) * am._POS_ASYM ** 1.5
+    assert zeta == pytest.approx(13.42, abs=5e-3)
+    for coeffs in (am._U, am._V):
+        assert len(coeffs) == am._KMAX
+        terms = np.abs(coeffs) / zeta ** np.arange(am._KMAX)
+        assert np.all(np.diff(terms) < 0.0)
+        assert terms[-1] < 2e-13
+
+
+def test_far_range_against_mpmath():
+    # the soliton tail reaches z ~ -880; near the zeros of the oscillatory
+    # side a pointwise relative error means nothing, so errors there are
+    # measured against the envelope |z|^{-1/4}/sqrt(pi) (|z|^{1/4} for the
+    # derivatives)
+    import mpmath as mp
+
+    def ref(fn, z, derivative):
+        with mp.workdps(30):
+            return float(fn(z, derivative=derivative))
+
+    for z in (-880.0, -300.0, -80.0, -8.6):
+        got = airy_eval(z)
+        envelope = abs(z) ** -0.25 / np.sqrt(np.pi)
+        envelope_prime = abs(z) ** 0.25 / np.sqrt(np.pi)
+        for g, fn, d, env in ((got.ai, mp.airyai, 0, envelope),
+                              (got.ai_prime, mp.airyai, 1, envelope_prime),
+                              (got.bi, mp.airybi, 0, envelope),
+                              (got.bi_prime, mp.airybi, 1, envelope_prime)):
+            assert abs(g - ref(fn, z, d)) <= 1e-10 * env
+    for z in (7.5, 12.0, 20.0, 60.0):
+        ai, aip = airy_ai_only(z)
+        assert ai == pytest.approx(ref(mp.airyai, z, 0), rel=1e-10)
+        assert aip == pytest.approx(ref(mp.airyai, z, 1), rel=1e-10)
+    for z in (7.5, 12.0, 20.0, 29.5):
+        got = airy_eval(z)
+        assert got.bi == pytest.approx(ref(mp.airybi, z, 0), rel=1e-10)
+        assert got.bi_prime == pytest.approx(ref(mp.airybi, z, 1), rel=1e-10)
 
 
 def test_wronskian_identity_dense():

@@ -44,6 +44,14 @@ class TestConfigFile:
         assert loaded.eps_list is None and loaded.d_rho is None
         assert loaded.flat() == ExperimentConfig().flat()
 
+    def test_percent_in_value_round_trips(self, tmp_path):
+        # values are stored verbatim: '%' is not an interpolation marker
+        path = tmp_path / "pct.ini"
+        save_config(ExperimentConfig(out_dir="run%1"), path)
+        assert load_config(path).out_dir == "run%1"
+        path.write_text("[output]\nout_dir = a%%b\n")
+        assert load_config(path).out_dir == "a%%b"
+
     @pytest.mark.parametrize("text", ["[grid]\nn = abc\n", "[model]\neps_list = 0.1,x\n",
                                       "[solver]\ndealias = maybe\n", "n = 128\n"],
                              ids=["int", "float-list", "bool", "no-section"])
@@ -132,6 +140,21 @@ class TestTheorem1:
         names = {f.name for f in files}
         assert "theorem1_errors.csv" in names
         assert any(n.startswith("theorem1_energy_") for n in names)
+
+    def test_zero_snapshots_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "snap.ini"
+        path.write_text(f"[solver]\nsnapshots = 0\n[output]\nout_dir = {tmp_path / 'out'}\n")
+        rc = main(["theorem1", "--config", str(path), "--eps", "0.12"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_snapshot_runs(self, tmp_path):
+        cfg = small_cfg(tmp_path, n=128, eps_list=(0.2,), rho0=1.0, rho1=1.05,
+                        dr=0.25, snapshots=1, dt_target=3.0)
+        files = cmd_theorem1(cfg)
+        rows = next(f for f in files if f.name == "theorem1_errors.csv").read_text()
+        assert "nan" not in rows.lower()
 
     def test_pulse_must_fit_domain(self, tmp_path):
         cfg = small_cfg(tmp_path, n=64, l_tau=6.0, eps_list=(0.2,), rho1=1.05,
