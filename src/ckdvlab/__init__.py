@@ -10,9 +10,9 @@ reproducible CSV/SVG artifacts.
 __version__ = "0.1.0"
 
 from .airy import AiryValues, SolitonSpec, airy_eval, compatibility_residual
-from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
-                         boussinesq_evolve, make_ansatz_state, n_forms, resolvent_solve,
-                         spatial_rhs, u_to_v, v_to_u)
+from .boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
+                         make_ansatz_state, n_forms, resolvent_solve, spatial_rhs, u_to_v,
+                         v_to_u)
 from .ckdv import (CkdvRunConfig, CkdvState, ckdv_evolve, ckdv_linear_propagator,
                    make_state)
 from .errors import (BranchError, CkdvLabError, ConfigError, DenominatorSignError,

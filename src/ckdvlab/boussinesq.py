@@ -250,44 +250,6 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
     return out
 
 
-@dataclass(frozen=True)
-class AnsatzConfig:
-    """Long-wave ansatz bookkeeping: eps, the cKdV source, starting radius.
-
-    The t-grid is the tau-grid stretched by 1/eps (same node count), so the
-    slow variable tau = eps (t - r) lands exactly on grid nodes up to a
-    circular shift by eps*r, which is applied as an exact spectral phase.
-    """
-
-    eps: float
-    ckdv_source: list[CkdvState]
-    r0: float
-
-    def __post_init__(self):
-        if not (0 < self.eps <= 0.3):
-            raise ValueError(f"eps must lie in (0, 0.3], got {self.eps}")
-        if not self.ckdv_source:
-            raise ValueError("empty cKdV source trajectory")
-        rho0 = self.ckdv_source[0].rho
-        if abs(self.r0 - rho0 / self.eps ** 3) > 1e-6 * self.r0:
-            raise ValueError(
-                f"r0={self.r0} inconsistent with rho0/eps^3={rho0 / self.eps ** 3}")
-
-    def source_at(self, rho: float) -> CkdvState:
-        for s in self.ckdv_source:
-            if abs(s.rho - rho) <= 1e-9 * max(1.0, abs(rho)):
-                return s
-        raise ValueError(f"cKdV source has no snapshot at rho={rho!r}")
-
-    @property
-    def tau_grid(self) -> SpectralGrid:
-        return self.ckdv_source[0].A.grid
-
-    @property
-    def t_grid(self) -> SpectralGrid:
-        return _t_grid_of(self.tau_grid, self.eps)
-
-
 def _t_grid_of(tau_grid: SpectralGrid, eps: float) -> SpectralGrid:
     """The tau-grid stretched by 1/eps: same node count, physical time t."""
     return make_grid(tau_grid.n, tau_grid.length / eps, tau_grid.center / eps)
@@ -299,26 +261,36 @@ def _twist(values: np.ndarray, grid: SpectralGrid, shift: float) -> np.ndarray:
     return np.fft.ifft(phase * np.fft.fft(values)).real
 
 
-def make_ansatz_state(cfg: AnsatzConfig, at_r: float) -> BoussinesqState:
-    """Boussinesq state carrying v = eps^2 A and the chain-rule w at radius at_r.
+def make_ansatz_state(src: CkdvState, eps: float, r: float) -> BoussinesqState:
+    """Boussinesq state carrying v = eps^2 A and the chain-rule w at radius r.
 
+    src is the cKdV snapshot at rho = eps^3 r.  The t-grid is the tau-grid
+    stretched by 1/eps (same node count), so the slow variable
+    tau = eps (t - r) lands exactly on grid nodes up to a circular shift by
+    eps*r, which is applied as an exact spectral phase.
     w = eps^2 (-eps dtau A + eps^3 drho A) with drho A eliminated through
     the cKdV equation, matching the approximation order of the ansatz
     without any numerical r-derivative.
+
+    Raises:
+        ValueError: eps outside (0, 0.3], or src.rho differs from eps^3 r
+            by more than 1e-9 max(1, src.rho).
     """
-    eps = cfg.eps
-    src = cfg.source_at(eps ** 3 * at_r)
-    tau_grid = cfg.tau_grid
+    if not (0 < eps <= 0.3):
+        raise ValueError(f"eps must lie in (0, 0.3], got {eps}")
+    if abs(src.rho - eps ** 3 * r) > 1e-9 * max(1.0, src.rho):
+        raise ValueError(f"cKdV snapshot at rho={src.rho!r} is not at eps^3 r={eps ** 3 * r!r}")
+    tau_grid = src.A.grid
     core = tau_grid.core
     a_tau = core.derivative(src.A.values, 1)
     drho_a = core.ckdv_drho(src.A.values, src.rho)
 
-    shift = eps * at_r
+    shift = eps * r
     v_vals = eps ** 2 * _twist(src.A.values, tau_grid, shift)
     w_vals = eps ** 2 * _twist(-eps * a_tau + eps ** 3 * drho_a, tau_grid, shift)
 
-    t_grid = cfg.t_grid
-    return BoussinesqState(r=float(at_r),
+    t_grid = _t_grid_of(tau_grid, eps)
+    return BoussinesqState(r=float(r),
                            v=RealField(grid=t_grid, values=v_vals),
                            w=RealField(grid=t_grid, values=w_vals))
 
@@ -327,14 +299,13 @@ def make_ansatz_state(cfg: AnsatzConfig, at_r: float) -> BoussinesqState:
 class ApproxErrorRow:
     """Measured distance between a trajectory and the long-wave ansatz."""
 
-    eps: float
     err_u: float
     err_v: float
     r_at_sup: float
 
 
-def approximation_error(traj: list[BoussinesqState], ansatz_states: list[BoussinesqState],
-                        eps: float) -> ApproxErrorRow:
+def approximation_error(traj: list[BoussinesqState],
+                        ansatz_states: list[BoussinesqState]) -> ApproxErrorRow:
     """sup over snapshots and t of |u - eps^2 A| (and |v - eps^2 psi|).
 
     ansatz_states[i] is the ansatz state at traj[i].r; lists of different
@@ -348,4 +319,4 @@ def approximation_error(traj: list[BoussinesqState], ansatz_states: list[Boussin
         if eu > err_u:
             err_u, r_at = eu, st.r
         err_v = max(err_v, ev)
-    return ApproxErrorRow(eps=eps, err_u=err_u, err_v=err_v, r_at_sup=r_at)
+    return ApproxErrorRow(err_u=err_u, err_v=err_v, r_at_sup=r_at)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeanValueError, StepUnstable
-from .grid import RealField, SpectralGrid, mean_tolerance, spectral_antiderivative
+from .grid import RealField, SpectralGrid, mean_tolerance
 
 GROWTH_LIMIT = 10.0
 
@@ -59,17 +59,21 @@ def _schedule(start: float, end: float, output_radii, d: float):
     leaves, its size h and the output radius it lands on (None between
     outputs).  Steps are d, shortened to land exactly on each output radius
     and on end.  Radii closer than 1e-12 times the larger end radius of
-    the span count as equal.
+    the span count as equal: the start absorbs the radii it equals, and
+    other equal radii make one landing, on the later of them.
 
     Raises:
         ValueError: an output radius outside [start, end].
     """
     radii = () if output_radii is None else output_radii
-    targets = sorted({float(r) for r in radii} | {float(end)})
     tol = 1e-12 * max(abs(start), abs(end))
-    for r in targets:
+    targets = []
+    for r in sorted({float(r) for r in radii} | {float(end)}):
         if r < start - tol or r > end + tol:
             raise ValueError(f"output radius {r} outside [{start}, {end}]")
+        if targets and r - targets[-1] <= tol:
+            targets.pop()
+        targets.append(r)
     emit_start = bool(abs(start - targets[0]) <= tol)
     steps = []
     x = start
@@ -197,7 +201,7 @@ def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> Ckd
     if abs(A0.mean()) > tol:
         raise MeanValueError(
             f"initial data must have zero mean: |mean|={abs(A0.mean()):.3e} > {tol:.3e}")
-    B0 = spectral_antiderivative(A0, mean_tol=tol)
+    B0 = RealField(grid=A0.grid, values=A0.grid.core.antiderivative(A0.values))
     return CkdvState(rho=float(rho0), A=A0, B=B0)
 
 

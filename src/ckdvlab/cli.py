@@ -25,9 +25,8 @@ import numpy as np
 
 from . import __version__
 from .airy import SolitonSpec, airy_eval
-from .boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
-                         boussinesq_evolve, make_ansatz_state, resolvent_solve,
-                         u_to_v, v_to_u)
+from .boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
+                         make_ansatz_state, resolvent_solve, u_to_v, v_to_u)
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
@@ -310,21 +309,31 @@ def next_pow2(x: float) -> int:
     return int(2 ** np.ceil(np.log2(max(8.0, x))))
 
 
+def _radial_run(cfg: ExperimentConfig, eps: float, n: int, snaps_r, r1: float):
+    """cKdV source, then the radial run from the ansatz at snaps_r[0] to r1.
+
+    Returns (states, traj): the cKdV snapshots at rho = eps^3 r and then at
+    rho1, and the radial states at each r and then at r1.  states[i] is the
+    source of the ansatz at traj[i].r, the last pair included when
+    r1 = rho1 / eps^3.
+    """
+    states = _ckdv_trajectory(cfg, n, [eps ** 3 * r for r in snaps_r])
+    init = make_ansatz_state(states[0], eps, snaps_r[0])
+    traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol,
+                             output_radii=list(snaps_r))
+    return states, traj
+
+
 def run_theorem1_case(cfg: ExperimentConfig, eps: float):
     """One eps case: cKdV source, ansatz init, radial run, error + energy."""
     n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
-    r0 = cfg.rho0 / eps ** 3
     r1 = cfg.rho1 / eps ** 3
-    snaps_r = np.linspace(r0, r1, cfg.snapshots)
-    snaps_rho = [eps ** 3 * r for r in snaps_r]
-    states = _ckdv_trajectory(cfg, n, snaps_rho)
-    ansatz = AnsatzConfig(eps=eps, ckdv_source=states, r0=r0)
-    init = make_ansatz_state(ansatz, r0)
-    traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol,
-                             output_radii=list(snaps_r))
-    # r0 is the first output radius: traj[0] is init itself
-    ans = [init] + [make_ansatz_state(ansatz, st.r) for st in traj[1:]]
-    err = approximation_error(traj, ans, eps)
+    snaps_r = np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots)
+    states, traj = _radial_run(cfg, eps, n, snaps_r, r1)
+    # the first snapshot radius is the start: traj[0] is the ansatz start itself
+    ans = [traj[0]] + [make_ansatz_state(src, eps, st.r)
+                       for src, st in zip(states[1:], traj[1:], strict=True)]
+    err = approximation_error(traj, ans)
     gron = gronwall_growth_check(traj, ans, eps)
     return err, gron
 
@@ -397,13 +406,8 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
     r0 = cfg.rho0 / eps ** 3
     span = min(20.0, (cfg.rho1 - cfg.rho0) / eps ** 3)
-    snaps_r = list(np.linspace(r0, r0 + span, 5))
-    snaps_rho = [eps ** 3 * r for r in snaps_r]
-    states = _ckdv_trajectory(cfg, cfg.n, snaps_rho)
-    ansatz = AnsatzConfig(eps=eps, ckdv_source=states, r0=r0)
-    init = make_ansatz_state(ansatz, r0)
-    traj = boussinesq_evolve(init, snaps_r[-1], cfg.dr, rhs_tol=cfg.rhs_tol,
-                             output_radii=snaps_r)
+    snaps_r = np.linspace(r0, r0 + span, 5)
+    _, traj = _radial_run(cfg, eps, cfg.n, snaps_r, snaps_r[-1])
     rows = []
     for st in traj:
         u = v_to_u(st.v.values)

@@ -168,7 +168,7 @@ def antiderivative_residual(state: CkdvState, eps: float,
     f = ws.fields
     a, sq, D = f["a"], f["sq"], f["D"]
     rho = ws.rho
-    b = spectral_antiderivative(state.A).values
+    b = ws.grid.core.antiderivative(a)
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
     radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
@@ -186,20 +186,15 @@ def residual_report(state: CkdvState, eps: float) -> ResidualReport:
 
 
 def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
-    """Sup over the sampled radii of the residual norms (the lemma statement)."""
-    best = None
-    for st in states:
-        row = residual_report(st, eps)
-        if best is None:
-            best = row
-        else:
-            best = ResidualReport(
-                eps=eps,
-                res_l2=max(best.res_l2, row.res_l2),
-                res_sup=max(best.res_sup, row.res_sup),
-                antires_l2=max(best.antires_l2, row.antires_l2),
-                rho_at_sup=row.rho_at_sup if row.res_sup > best.res_sup else best.rho_at_sup)
-    return best
+    """Sup over the sampled radii of the residual norms (the lemma statement).
+
+    rho_at_sup is the radius of the first snapshot with the largest res_sup.
+    """
+    rows = [residual_report(st, eps) for st in states]
+    return ResidualReport(eps=eps, res_l2=max(row.res_l2 for row in rows),
+                          res_sup=max(row.res_sup for row in rows),
+                          antires_l2=max(row.antires_l2 for row in rows),
+                          rho_at_sup=max(rows, key=lambda row: row.res_sup).rho_at_sup)
 
 
 def energy(R: RealField, Rr: RealField, A_field: RealField, eps: float,

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 from ckdvlab import boussinesq
-from ckdvlab.boussinesq import (AnsatzConfig, BoussinesqState, approximation_error,
-                                boussinesq_evolve, make_ansatz_state, n_forms,
-                                resolvent_solve, spatial_rhs, u_to_v, v_to_u)
+from ckdvlab.boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
+                                make_ansatz_state, n_forms, resolvent_solve, spatial_rhs,
+                                u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
 from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
 from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
@@ -432,7 +432,7 @@ def build_ansatz(eps=0.1, n=256, l_tau=40.0, nsnap=4, rho0=1.0, rho1=1.5):
     snaps_r = np.linspace(r0, rho1 / eps ** 3, nsnap)
     cfg = CkdvRunConfig(rho0=rho0, rho1=rho1, d_rho=0.02, grid=g)
     states = ckdv_evolve(a0, cfg, output_rhos=[eps ** 3 * r for r in snaps_r])
-    return AnsatzConfig(eps=eps, ckdv_source=states, r0=r0), snaps_r
+    return states, snaps_r
 
 
 class TestAnsatz:
@@ -441,16 +441,14 @@ class TestAnsatz:
         zero = RealField(grid=g, values=np.zeros(g.n))
         from ckdvlab.ckdv import make_state
         st = make_state(zero, 1.0)
-        cfg = AnsatzConfig(eps=0.1, ckdv_source=[st], r0=1.0 / 0.1 ** 3)
-        out = make_ansatz_state(cfg, 1.0 / 0.1 ** 3)
+        out = make_ansatz_state(st, 0.1, 1.0 / 0.1 ** 3)
         assert out.v.sup() == 0.0
         assert out.w.sup() == 0.0
 
     def test_amplitude_scaling(self):
-        cfg, snaps_r = build_ansatz()
-        st = make_ansatz_state(cfg, snaps_r[0])
-        src = cfg.ckdv_source[0]
-        assert st.v.sup() == pytest.approx(0.1 ** 2 * src.A.sup(), rel=1e-12)
+        states, snaps_r = build_ansatz()
+        st = make_ansatz_state(states[0], 0.1, snaps_r[0])
+        assert st.v.sup() == pytest.approx(0.1 ** 2 * states[0].A.sup(), rel=1e-12)
 
     def test_chain_rule_w_against_radial_fd(self):
         eps = 0.1
@@ -463,34 +461,37 @@ class TestAnsatz:
             rho_hi = 1.0 + eps ** 3 * delta
             cfg = CkdvRunConfig(rho0=rho_lo, rho1=rho_hi, d_rho=1e-4, grid=g)
             states = ckdv_evolve(a0, cfg, output_rhos=[rho_lo, 1.0, rho_hi])
-            ans = AnsatzConfig(eps=eps, ckdv_source=states, r0=r_c - delta)
-            mid = make_ansatz_state(ans, r_c)
-            lo = make_ansatz_state(ans, r_c - delta)
-            hi = make_ansatz_state(ans, r_c + delta)
+            lo, mid, hi = (make_ansatz_state(src, eps, r)
+                           for src, r in zip(states, (r_c - delta, r_c, r_c + delta),
+                                             strict=True))
             w_fd = (hi.v.values - lo.v.values) / (2 * delta)
             devs.append(np.abs(w_fd - mid.w.values).max())
         # centered differences converge at second order to the chain-rule w
         assert devs[1] <= devs[0] / 3.0
         assert devs[1] <= 2e-6
 
-    def test_out_of_range_rho(self):
-        cfg, snaps_r = build_ansatz()
+    def test_snapshot_off_eps3_r_rejected(self):
+        states, snaps_r = build_ansatz()
+        make_ansatz_state(states[1], 0.1, snaps_r[1])
         with pytest.raises(ValueError):
-            make_ansatz_state(cfg, snaps_r[-1] * 2.0)
+            make_ansatz_state(states[1], 0.1, snaps_r[0])
+        with pytest.raises(ValueError):
+            make_ansatz_state(states[0], 0.1, snaps_r[0] * (1 + 1e-8))
 
-    def test_r0_consistency_enforced(self):
-        cfg, _ = build_ansatz()
-        with pytest.raises(ValueError):
-            AnsatzConfig(eps=cfg.eps, ckdv_source=cfg.ckdv_source, r0=cfg.r0 * 1.5)
+    def test_eps_outside_range_rejected(self):
+        states, _ = build_ansatz()
+        # states[0] is at rho = 1 = eps^3 r, so only the eps range can fail
+        with pytest.raises(ValueError, match="eps must lie"):
+            make_ansatz_state(states[0], 0.4, 1.0 / 0.4 ** 3)
 
 
 class TestApproximationError:
     def test_error_at_initialization(self):
         # starting exactly on the ansatz, the u-error at r0 is the
         # change-of-variables defect |v_to_u(eps^2 psi) - eps^2 psi| = O(eps^4)
-        cfg, snaps_r = build_ansatz()
-        init = make_ansatz_state(cfg, snaps_r[0])
-        row = approximation_error([init], [init], cfg.eps)
+        states, snaps_r = build_ansatz()
+        init = make_ansatz_state(states[0], 0.1, snaps_r[0])
+        row = approximation_error([init], [init])
         psi = init.v.values
         expected = np.abs(v_to_u(psi) - psi).max()
         assert row.err_u == pytest.approx(expected, rel=1e-12)
@@ -498,20 +499,19 @@ class TestApproximationError:
         assert row.err_v == 0.0
 
     def test_lists_of_different_lengths_rejected(self):
-        cfg, snaps_r = build_ansatz()
-        init = make_ansatz_state(cfg, snaps_r[0])
+        states, snaps_r = build_ansatz()
+        init = make_ansatz_state(states[0], 0.1, snaps_r[0])
         with pytest.raises(ValueError):
-            approximation_error([init, init], [init], cfg.eps)
+            approximation_error([init, init], [init])
         with pytest.raises(ValueError):
-            approximation_error([init], [init, init], cfg.eps)
+            approximation_error([init], [init, init])
 
     def test_zero_source_error(self):
         g = make_grid(64, 40.0)
         zero = RealField(grid=g, values=np.zeros(g.n))
         from ckdvlab.ckdv import make_state
         st = make_state(zero, 1.0)
-        cfg = AnsatzConfig(eps=0.1, ckdv_source=[st], r0=1000.0)
-        init = make_ansatz_state(cfg, 1000.0)
-        row = approximation_error([init], [init], cfg.eps)
+        init = make_ansatz_state(st, 0.1, 1000.0)
+        row = approximation_error([init], [init])
         assert row.err_u == 0.0
         assert row.err_v == 0.0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ckdvlab.airy import SolitonSpec
-from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
+from ckdvlab.ckdv import (CkdvRunConfig, _schedule, ckdv_evolve, ckdv_linear_propagator,
+                         make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.soliton import soliton_amplitude
@@ -28,6 +29,30 @@ class TestPropagator:
     def test_rejects_backwards(self):
         with pytest.raises(ValueError):
             ckdv_linear_propagator(1.0, 2.0, 1.0)
+
+
+def landings(schedule) -> list[float]:
+    emit_start, steps = schedule
+    return ([steps[0][0]] if emit_start else []) + [
+        landing for _, _, landing in steps if landing is not None]
+
+
+class TestSchedule:
+    def test_radii_within_tolerance_land_once(self):
+        late = 1.5 * (1 + 1e-14)
+        sched = _schedule(1.0, 2.0, [1.5, late], 0.1)
+        assert landings(sched) == [late, 2.0]
+        assert min(h for _, h, _ in sched[1]) > 0.01
+
+    def test_ckdv_and_radial_runs_land_alike(self):
+        # eps^3 (rho1 / eps^3) is one ulp below rho1 here
+        eps, rho0, rho1 = 0.07, 1.025, 1.525
+        r0, r1 = rho0 / eps ** 3, rho1 / eps ** 3
+        snaps_r = np.linspace(r0, r1, 12)
+        radial = landings(_schedule(r0, r1, list(snaps_r), 0.2))
+        ckdv = landings(_schedule(rho0, rho1, [eps ** 3 * r for r in snaps_r], 0.02))
+        assert len(radial) == len(ckdv) == 12
+        assert ckdv[-1] == rho1
 
 
 class TestStepAndEvolve:

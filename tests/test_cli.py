@@ -189,6 +189,20 @@ class TestDeterminism:
         for name in ("ckdv_snapshots.csv", "ckdv_evolution.svg", "manifest.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("command, overrides", [
+        (cmd_theorem1, dict(n=128, eps_list=(0.2,), rho0=1.0, rho1=1.05, dr=0.25,
+                            snapshots=3, dt_target=3.0)),
+        (cmd_boussinesq, dict(n=128, eps_list=(0.15,), dr=0.25)),
+    ])
+    def test_byte_identical_radial_outputs(self, tmp_path, command, overrides):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        names = [[f.name for f in command(small_cfg(out, **overrides))]
+                 for out in (out_a, out_b)]
+        assert names[0] == names[1]
+        for name in names[0]:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
     def test_manifest_header_present(self, tmp_path):
         files = cmd_ckdv(small_cfg(tmp_path, n=128))
         csv = next(f for f in files if f.name == "ckdv_snapshots.csv")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ckdvlab.boussinesq import AnsatzConfig, boussinesq_evolve, make_ansatz_state
+from ckdvlab.boussinesq import boussinesq_evolve, make_ansatz_state
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
@@ -86,6 +86,20 @@ class TestResidualField:
         # the sup norm carries no measure stretch: one half power above L2
         assert abs(slope_sup - 8.0) <= 0.5
 
+    def test_sweep_report_is_the_max_over_rows(self, trajectory):
+        rows = [residual_report(st, 0.1) for st in trajectory]
+        rep = sweep_report(trajectory, 0.1)
+        assert rep.res_l2 == max(r.res_l2 for r in rows)
+        assert rep.res_sup == max(r.res_sup for r in rows)
+        assert rep.antires_l2 == max(r.antires_l2 for r in rows)
+        top = int(np.argmax([r.res_sup for r in rows]))
+        assert rep.rho_at_sup == trajectory[top].rho
+        # among equal res_sup the first snapshot gives rho_at_sup
+        g = make_grid(64, 40.0)
+        zero = RealField(grid=g, values=np.zeros(g.n))
+        ties = [make_state(zero, rho) for rho in (1.2, 1.0, 1.4)]
+        assert sweep_report(ties, 0.1).rho_at_sup == 1.2
+
     def test_radial_block_fd_crosscheck(self):
         # the eliminated -eps^8 (drho^2 + rho^{-1} drho) A block alone, against
         # centered differences of the numerically evolved trajectory
@@ -148,8 +162,7 @@ class TestGronwall:
         zero = RealField(grid=g, values=np.zeros(g.n))
         st = make_state(zero, 1.0)
         eps = 0.1
-        cfg = AnsatzConfig(eps=eps, ckdv_source=[st], r0=1.0 / eps ** 3)
-        init = make_ansatz_state(cfg, cfg.r0)
+        init = make_ansatz_state(st, eps, 1.0 / eps ** 3)
         traj = [init]
         rep = gronwall_growth_check(traj, [init], eps)
         assert rep.max_e == 0.0
@@ -167,10 +180,10 @@ class TestGronwall:
         snaps_r = list(np.linspace(r0, r0 + 60.0, 4))
         cfg = CkdvRunConfig(rho0=1.0, rho1=eps ** 3 * snaps_r[-1], d_rho=0.02, grid=g)
         states = ckdv_evolve(a0, cfg, output_rhos=[eps ** 3 * r for r in snaps_r])
-        ans = AnsatzConfig(eps=eps, ckdv_source=states, r0=r0)
-        init = make_ansatz_state(ans, r0)
+        init = make_ansatz_state(states[0], eps, r0)
         traj = boussinesq_evolve(init, snaps_r[-1], 0.2, output_radii=snaps_r)
-        rep = gronwall_growth_check(traj, [make_ansatz_state(ans, st.r) for st in traj], eps)
+        ans = [make_ansatz_state(src, eps, st.r) for src, st in zip(states, traj, strict=True)]
+        rep = gronwall_growth_check(traj, ans, eps)
         assert rep.energies[0] <= 1e-12
         assert np.all(np.diff(rep.energies) >= -1e-9)
         assert rep.max_e <= 1e3
