@@ -14,9 +14,11 @@ the coefficients collapse to
     v - v^2 + N(v) = u = (s - 1)/2,   -2v + N'(v) = 1/s - 1,
     -2 + N''(v) = -2/s^3,
 
-which is how the solver evaluates them.  With g = -2v + N'(v) and the
-pointwise source src = (s - 1)/2 - 2 w^2/s^3, the resolvent term h solves
-h = B^2(src + g h) and is found by the fixed-point iteration
+which is how the solver evaluates them, with (s - 1)/2 written as
+2v/(1 + s) and 1/s - 1 as -4v/(s (1 + s)) so that neither cancels at small
+v.  With g = -2v + N'(v) and the pointwise source
+src = (s - 1)/2 - 2 w^2/s^3, the resolvent term h solves h = B^2(src + g h)
+and is found by the fixed-point iteration
 
     h_{k+1} = B^2(src + g h_k),
 
@@ -28,10 +30,26 @@ iterate satisfies the residual identity
 and B^2 has multiplier norm below one, so for sup|g| < 1 the residual is at
 most sup|g| * ||h_{k+1} - h_k|| from any start h_0.  The iteration stops once
 that increment is at most tol/2; only when sup|g| >= 1, where the bound does
-not hold, is the residual checked a posteriori.  Because any start is
-allowed, each stage of one ``boussinesq_evolve`` call starts from the
-previous stage's h (the first stage of a step from the last stage of the
-step before, at the same radius); ``spatial_rhs`` and ``resolvent_solve``
+not hold, is the residual checked a posteriori.
+
+Because any start is allowed, each RK4 stage of one ``boussinesq_evolve``
+call starts from an extrapolated h.  Stage k of the step from r with size
+dr first guesses from this step's earlier stages hk (and the previous
+step's, marked _prev):
+
+    k1 (at r):        h4_prev
+    k2 (at r + dr/2): 2 h1 - h3_prev
+    k3 (at r + dr/2): h2
+    k4 (at r + dr):   2 h3 - h1
+
+and keeps the error e(n) = h(n) - guess(n) of its guess at each step n.
+Its start is the guess plus e(n) extrapolated by the polynomial of degree
+five through the last six steps,
+
+    6 e(n-1) - 15 e(n-2) + 20 e(n-3) - 15 e(n-4) + 6 e(n-5) - e(n-6).
+
+The first step starts k1 cold and k2 from h1, and the error term is left
+out until six errors are known.  ``spatial_rhs`` and ``resolvent_solve``
 start cold.
 
 The RK4 loop runs on bare arrays through the grid's spectral core;
@@ -43,6 +61,7 @@ injects a faulty operator.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -60,6 +79,15 @@ B2Operator = Callable[[np.ndarray], np.ndarray]
 V_MIN = -3.0 / 16.0
 RHS_TOL_DEFAULT = 1e-12
 RESOLVENT_MAX_ITER = 200
+
+#: past errors of a stage guess that its resolvent start extrapolates
+_HISTORY = 6
+#: weights of e(n-1), ..., e(n-_HISTORY) in the extrapolation to e(n):
+#: (-1)^j C(_HISTORY, j + 1), exact on polynomials of degree _HISTORY - 1
+_EXTRAPOLATE = np.array([(-1) ** j * math.comb(_HISTORY, j + 1) for j in range(_HISTORY)],
+                        dtype=float)
+#: the same weights for a ring of the last _HISTORY errors whose oldest is row p
+_RING_WEIGHTS = [np.roll(_EXTRAPOLATE[::-1], p) for p in range(_HISTORY)]
 
 
 def u_to_v(u):
@@ -161,6 +189,20 @@ def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT) 
     return RealField(grid=grid, values=rhs.values + y)
 
 
+def _coefficients(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g, src) of the resolvent equation h = B^2(src + g h), pointwise.
+
+    g = 1/s - 1 and src = (s - 1)/2 - 2 w^2/s^3 with s = sqrt(1 + 4v),
+    evaluated without cancellation at small v: (s - 1)/2 = 2v/(1 + s) and
+    1/s - 1 = -2/s * (s - 1)/2.
+    """
+    _check_branch(v)
+    s = np.sqrt(1.0 + 4.0 * v)
+    q = 1.0 / s
+    u = 2.0 * v / (1.0 + s)
+    return -2.0 * q * u, u - 2.0 * q * q * q * w * w
+
+
 def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
          h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dv/dr, dw/dr) on bare arrays, and the resolvent term h they used.
@@ -169,11 +211,7 @@ def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
     sweep is made here, so that a non-finite stage is told apart from a
     resolvent that fails to converge.
     """
-    _check_branch(v)
-    s = np.sqrt(1.0 + 4.0 * v)
-    q = 1.0 / s
-    g = q - 1.0
-    src = 0.5 * (s - 1.0) - 2.0 * q * q * q * w * w
+    g, src = _coefficients(v, w)
     first = b2(src + g * h)
     if not np.isfinite(first).all():
         raise StepUnstable(f"non-finite stage at r={r:.6g}")
@@ -190,6 +228,31 @@ def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
     _, f, _ = _rhs(grid.core.b2, grid.dx, state.r, v, state.w.values,
                    np.zeros_like(v), rhs_tol)
     return state.w, RealField(grid=grid, values=f)
+
+
+class _StageStart:
+    """Start of one RK4 stage's resolvent solve, step after step.
+
+    The caller's guess from this step's earlier stages, plus the guess's
+    error e(n) = h(n) - guess(n) extrapolated by the polynomial of degree
+    _HISTORY - 1 through the last _HISTORY steps; the guess alone until
+    that many errors are known.
+    """
+
+    def __init__(self, size: int):
+        self.errors = np.zeros((_HISTORY, size))
+        self.count = 0
+        self.guess = None
+
+    def start(self, guess: np.ndarray) -> np.ndarray:
+        self.guess = guess
+        if self.count < _HISTORY:
+            return guess
+        return guess + _RING_WEIGHTS[self.count % _HISTORY] @ self.errors
+
+    def record(self, h: np.ndarray):
+        self.errors[self.count % _HISTORY] = h - self.guess
+        self.count += 1
 
 
 def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
@@ -219,21 +282,23 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
     v = init.v.values.copy()
     w = init.w.values.copy()
 
-    # each stage's resolvent solve starts from the previous stage's solution
-    res = np.zeros_like(v)
+    starts = [_StageStart(v.size) for _ in range(4)]
 
-    def rhs(rr, vv, ww):
-        nonlocal res
-        dv, dw, res = _rhs(b2, dx, rr, vv, ww, res, rhs_tol)
-        return dv, dw
+    def rhs(k, guess, rr, vv, ww):
+        dv, dw, res = _rhs(b2, dx, rr, vv, ww, starts[k].start(guess), rhs_tol)
+        starts[k].record(res)
+        return dv, dw, res
 
     out = [init] if emit_start else []
     guard = _GrowthGuard("sup|v|", float(np.abs(v).max()))
+    # the first step has no previous one: k1 starts cold and k2 from h1
+    h3 = h4 = None
     for r, h, landing in steps:
-        k1v, k1w = rhs(r, v, w)
-        k2v, k2w = rhs(r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
-        k3v, k3w = rhs(r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
-        k4v, k4w = rhs(r + h, v + h * k3v, w + h * k3w)
+        k1v, k1w, h1 = rhs(0, np.zeros_like(v) if h4 is None else h4, r, v, w)
+        k2v, k2w, h2 = rhs(1, h1 if h3 is None else 2.0 * h1 - h3,
+                           r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
+        k3v, k3w, h3 = rhs(2, h2, r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
+        k4v, k4w, h4 = rhs(3, 2.0 * h3 - h1, r + h, v + h * k3v, w + h * k3w)
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
         sup_new = float(np.abs(v).max())

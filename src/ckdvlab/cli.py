@@ -27,7 +27,7 @@ from . import __version__
 from .airy import SolitonSpec, airy_eval
 from .boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
                          make_ansatz_state, resolvent_solve, u_to_v, v_to_u)
-from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator
+from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .report import ScalingReport, config_hash, fit_loglog, write_csv, write_manifest
@@ -241,14 +241,19 @@ def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
 # --------------------------------------------------------- residual sweep
 
 
-def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
-    grid_tau = make_grid(n, cfg.l_tau, 0.0)
-    a0 = _gaussian_derivative(grid_tau)
+def _initial_pulse(cfg: ExperimentConfig, n: int) -> RealField:
+    """The cKdV initial data at rho0 on the n-node tau-grid."""
+    a0 = _gaussian_derivative(make_grid(n, cfg.l_tau, 0.0))
     _check_pulse_fits(a0)
+    return a0
+
+
+def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
+    a0 = _initial_pulse(cfg, n)
     # 0.02 converges the residual slopes to grid-independence on [1, 1.5]
-    d_rho = cfg.d_rho if cfg.d_rho is not None else min(0.02, 0.5 * grid_tau.dx)
+    d_rho = cfg.d_rho if cfg.d_rho is not None else min(0.02, 0.5 * a0.grid.dx)
     run = CkdvRunConfig(rho0=cfg.rho0, rho1=cfg.rho1, d_rho=d_rho,
-                        grid=grid_tau, dealias=cfg.dealias)
+                        grid=a0.grid, dealias=cfg.dealias)
     return ckdv_evolve(a0, run, output_rhos=sample_rhos)
 
 
@@ -309,27 +314,20 @@ def next_pow2(x: float) -> int:
     return int(2 ** np.ceil(np.log2(max(8.0, x))))
 
 
-def _radial_run(cfg: ExperimentConfig, eps: float, n: int, snaps_r, r1: float):
-    """cKdV source, then the radial run from the ansatz at snaps_r[0] to r1.
+def run_theorem1_case(cfg: ExperimentConfig, eps: float):
+    """One eps case: cKdV source, ansatz init, radial run, error + energy.
 
-    Returns (states, traj): the cKdV snapshots at rho = eps^3 r and then at
-    rho1, and the radial states at each r and then at r1.  states[i] is the
-    source of the ansatz at traj[i].r, the last pair included when
-    r1 = rho1 / eps^3.
+    The cKdV snapshots sit at rho = eps^3 r of the radial snapshots, so
+    states[i] is the source of the ansatz at traj[i].r, the last pair
+    included (r1 = rho1 / eps^3).
     """
+    n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
+    r1 = cfg.rho1 / eps ** 3
+    snaps_r = np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots)
     states = _ckdv_trajectory(cfg, n, [eps ** 3 * r for r in snaps_r])
     init = make_ansatz_state(states[0], eps, snaps_r[0])
     traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol,
                              output_radii=list(snaps_r))
-    return states, traj
-
-
-def run_theorem1_case(cfg: ExperimentConfig, eps: float):
-    """One eps case: cKdV source, ansatz init, radial run, error + energy."""
-    n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
-    r1 = cfg.rho1 / eps ** 3
-    snaps_r = np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots)
-    states, traj = _radial_run(cfg, eps, n, snaps_r, r1)
     # the first snapshot radius is the start: traj[0] is the ansatz start itself
     ans = [traj[0]] + [make_ansatz_state(src, eps, st.r)
                        for src, st in zip(states[1:], traj[1:], strict=True)]
@@ -401,13 +399,18 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
+    if not 0 < cfg.rho0 < cfg.rho1:
+        raise ConfigError(f"boussinesq needs 0 < rho0 < rho1, got ({cfg.rho0}, {cfg.rho1})")
     out = _outdir(cfg)
     manifest = cfg.manifest()
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
     r0 = cfg.rho0 / eps ** 3
     span = min(20.0, (cfg.rho1 - cfg.rho0) / eps ** 3)
     snaps_r = np.linspace(r0, r0 + span, 5)
-    _, traj = _radial_run(cfg, eps, cfg.n, snaps_r, snaps_r[-1])
+    # the ansatz start needs only the cKdV initial data at rho0 = eps^3 r0
+    init = make_ansatz_state(make_state(_initial_pulse(cfg, cfg.n), cfg.rho0), eps, r0)
+    traj = boussinesq_evolve(init, snaps_r[-1], cfg.dr, rhs_tol=cfg.rhs_tol,
+                             output_radii=list(snaps_r))
     rows = []
     for st in traj:
         u = v_to_u(st.v.values)

@@ -31,7 +31,6 @@ BETA_EXPONENT = 3.5
 class ResidualReport:
     """Norms of the residual and its time-antiderivative at one (eps, rho)."""
 
-    eps: float
     res_l2: float
     res_sup: float
     antires_l2: float
@@ -181,7 +180,7 @@ def residual_report(state: CkdvState, eps: float) -> ResidualReport:
     ws = _Elimination(state, eps)
     res = residual_field(state, eps, workspace=ws)
     anti = antiderivative_residual(state, eps, workspace=ws)
-    return ResidualReport(eps=eps, res_l2=res.l2(), res_sup=res.sup(),
+    return ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
                           antires_l2=anti.l2(), rho_at_sup=state.rho)
 
 
@@ -191,7 +190,7 @@ def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
     rho_at_sup is the radius of the first snapshot with the largest res_sup.
     """
     rows = [residual_report(st, eps) for st in states]
-    return ResidualReport(eps=eps, res_l2=max(row.res_l2 for row in rows),
+    return ResidualReport(res_l2=max(row.res_l2 for row in rows),
                           res_sup=max(row.res_sup for row in rows),
                           antires_l2=max(row.antires_l2 for row in rows),
                           rho_at_sup=max(rows, key=lambda row: row.res_sup).rho_at_sup)

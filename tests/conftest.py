@@ -4,8 +4,8 @@ import pytest
 from scipy.integrate import quad
 
 from ckdvlab.airy import SolitonSpec, airy_eval, profile_pack
-from ckdvlab.boussinesq import _t_grid_of, n_forms
-from ckdvlab.ckdv import CkdvState
+from ckdvlab.boussinesq import BoussinesqState, _t_grid_of, n_forms, spatial_rhs
+from ckdvlab.ckdv import CkdvState, _schedule
 from ckdvlab.grid import RealField, make_grid
 
 _TAIL_Z = 8.0          # quadrature/tail split for the profile integral
@@ -195,3 +195,33 @@ def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvSt
     radial_u = ddr2(um, u0, up) + ddr(um, u0, up) / r0
     res = -radial_v + dt2(u0 + radial_u)
     return RealField(grid=_t_grid_of(grid, eps), values=res)
+
+
+def cold_rk4(init: BoussinesqState, r1: float, dr: float, output_radii=None, stage=None):
+    """Classical RK4 of the radial system with every resolvent solve started cold.
+
+    stage(r, v, w) gives (dv/dr, dw/dr) on bare arrays; by default it is
+    spatial_rhs, which starts each resolvent solve from zero.  Steps follow
+    the landing schedule of boussinesq_evolve.  Returns (r, v, w) at each
+    landing radius, the start included when it is an output radius.
+    """
+    grid = init.v.grid
+    if stage is None:
+        def stage(r, v, w):
+            fv, fw = spatial_rhs(BoussinesqState(r=r, v=RealField(grid=grid, values=v),
+                                                 w=RealField(grid=grid, values=w)))
+            return fv.values, fw.values
+
+    emit_start, steps = _schedule(init.r, r1, output_radii, dr)
+    v, w = init.v.values, init.w.values
+    out = [(init.r, v, w)] if emit_start else []
+    for r, h, landing in steps:
+        k1v, k1w = stage(r, v, w)
+        k2v, k2w = stage(r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
+        k3v, k3w = stage(r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
+        k4v, k4w = stage(r + h, v + h * k3v, w + h * k3w)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        if landing is not None:
+            out.append((landing, v, w))
+    return out

@@ -9,10 +9,11 @@ from ckdvlab.boussinesq import (BoussinesqState, approximation_error, boussinesq
                                 make_ansatz_state, n_forms, resolvent_solve, spatial_rhs,
                                 u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
+from ckdvlab.cli import _b2_sign_fault
 from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
 from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
 
-from conftest import random_zero_mean_field
+from conftest import cold_rk4, random_zero_mean_field
 
 
 #: deterministic property runs: the tier-1 suite must not depend on a random draw
@@ -111,6 +112,17 @@ class TestRemainder:
             n_forms(bad)
         with pytest.raises(BranchError):
             n_forms(np.array(good + [bad]))
+
+
+class TestCoefficients:
+    def test_series_at_small_v(self):
+        # g = 1/s - 1 = -2v + 6v^2 - 20v^3 + ... and, at w = 0, the source
+        # (s - 1)/2 = v - v^2 + 2v^3 - ...; written as 1/s - 1 and (s - 1)/2
+        # they cancel to about 1e-16 absolute, 5e-8 relative at v = 1e-9
+        v = np.array([1e-9, -1e-9])
+        g, src = boussinesq._coefficients(v, np.zeros_like(v))
+        assert np.abs(g - (-2 * v + 6 * v ** 2 - 20 * v ** 3)).max() <= 1e-13 * 2e-9
+        assert np.abs(src - (v - v ** 2 + 2 * v ** 3)).max() <= 1e-13 * 1e-9
 
 
 class TestResolvent:
@@ -234,6 +246,25 @@ def stage_resolvent_residual(grid, v, w, h):
                                    RealField(grid=grid, values=h), b2_src)
 
 
+def bessel_oracle_case():
+    """The selftest's Bessel mode: its state at r = 50 and its exact v at r = 100."""
+    n, length = 128, 40.0
+    g = make_grid(n, length)
+    m = 3
+    k = 2 * np.pi * m / length
+    kappa = k / np.sqrt(1 + k ** 2)
+    amp = 1e-8
+    r0, r1 = 50.0, 100.0
+    c1, c2 = 0.7, 0.4
+    profile = np.cos(k * g.nodes)
+    v0 = amp * (c1 * special.j0(kappa * r0) + c2 * special.y0(kappa * r0)) * profile
+    w0 = -amp * kappa * (c1 * special.j1(kappa * r0) + c2 * special.y1(kappa * r0)) * profile
+    init = BoussinesqState(r=r0, v=RealField(grid=g, values=v0),
+                           w=RealField(grid=g, values=w0))
+    v_exact = amp * (c1 * special.j0(kappa * r1) + c2 * special.y0(kappa * r1)) * profile
+    return init, v_exact
+
+
 class TestWarmStart:
     def test_consecutive_warm_stages_meet_tol(self, grid256):
         b2 = grid256.core.b2
@@ -248,13 +279,15 @@ class TestWarmStart:
     def test_warm_start_saves_a_b2_call_per_rhs(self):
         # 40 RK4 steps, 160 RHS evaluations.  Solving each stage cold after
         # a separate source application took 842 B^2 calls on this run
-        # (5.2625 per RHS); the count is deterministic.
+        # (5.2625 per RHS), starting each stage from the previous stage's h
+        # took 668 (4.175), and the extrapolated stage starts take 328
+        # (2.05); the count is deterministic.
         grid = make_grid(64, 40.0)
         v0 = RealField(grid=grid, values=0.01 * np.cos(2 * np.pi * 2 * grid.nodes / 40.0))
         init = BoussinesqState(r=20.0, v=v0, w=RealField(grid=grid, values=np.zeros(grid.n)))
         op = RecordingB2(grid)
         boussinesq_evolve(init, 30.0, 0.25, b2=op)
-        assert len(op.args) / 160 <= 842 / 160 - 1.0
+        assert len(op.args) <= 328
 
     def test_restart_from_own_solution_stops_at_first_sweep(self, grid256):
         r, v, w = pulse_stage(grid256, 0)
@@ -285,6 +318,53 @@ class TestWarmStart:
         incrs = [np.linalg.norm(b - a) for a, b in zip(outs, outs[1:])]
         assert max(incrs) > 1e6 * np.linalg.norm(outs[0] - start)
         assert np.linalg.norm(y - m @ (src + g * y)) <= 1e-12
+
+
+class TestExtrapolatedStart:
+    def test_agrees_with_cold_start_rk4_across_landings(self):
+        # output radii off the dr = 0.25 lattice shorten the steps of each
+        # segment, so the stage guesses and their error histories see the
+        # step size change at every landing
+        grid = make_grid(128, 40.0)
+        x = grid.nodes - grid.center
+        init = BoussinesqState(r=20.0, v=RealField(grid=grid, values=0.05 * np.exp(-x ** 2)),
+                               w=RealField(grid=grid, values=-0.1 * x * np.exp(-x ** 2)))
+        radii = [21.1, 23.37, 26.0, 28.93, 30.0]
+        got = boussinesq_evolve(init, 30.0, 0.25, output_radii=radii)
+        want = cold_rk4(init, 30.0, 0.25, output_radii=radii)
+        assert [st.r for st in got] == [r for r, _, _ in want] == radii
+        for st, (_, v, w) in zip(got, want, strict=True):
+            assert np.abs(st.v.values - v).max() <= 1e-10 * np.abs(v).max()
+            assert np.abs(st.w.values - w).max() <= 1e-10 * np.abs(w).max()
+
+    def test_sign_fault_fails_at_the_cold_start_stage(self, monkeypatch):
+        # the selftest's b2-sign fault makes the Bessel run grow until a
+        # stage leaves the contraction region (sup|g| >= 1) and its
+        # resolvent stops converging; cold starts fail at that same stage
+        init, _ = bessel_oracle_case()
+        fault = _b2_sign_fault(init.v.grid)
+        dx = init.v.grid.dx
+        rhs = boussinesq._rhs
+        message = (r"^resolvent iteration did not reach tol=1\.0e-12 in 200 sweeps "
+                   r"\(sup\|g\|=1\.\d{3}\)$")
+        cold = []
+
+        def cold_stage(r, v, w):
+            cold.append(r)
+            return rhs(fault, dx, r, v, w, np.zeros_like(v), 1e-12)[:2]
+
+        with pytest.raises(NoConvergence, match=message):
+            cold_rk4(init, 100.0, 0.1, stage=cold_stage)
+        warm = []
+
+        def recording(b2, dx, r, *args):
+            warm.append(r)
+            return rhs(b2, dx, r, *args)
+
+        monkeypatch.setattr(boussinesq, "_rhs", recording)
+        with pytest.raises(NoConvergence, match=message):
+            boussinesq_evolve(init, 100.0, 0.1, b2=fault)
+        assert warm == cold
 
 
 class TestSpatialRhs:
@@ -353,21 +433,8 @@ class TestEvolve:
         assert final.v.sup() == 0.0
 
     def test_bessel_oracle(self):
-        n, length = 128, 40.0
-        g = make_grid(n, length)
-        m = 3
-        k = 2 * np.pi * m / length
-        kappa = k / np.sqrt(1 + k ** 2)
-        amp = 1e-8
-        r0, r1 = 50.0, 100.0
-        c1, c2 = 0.7, 0.4
-        profile = np.cos(k * g.nodes)
-        v0 = amp * (c1 * special.j0(kappa * r0) + c2 * special.y0(kappa * r0)) * profile
-        w0 = -amp * kappa * (c1 * special.j1(kappa * r0) + c2 * special.y1(kappa * r0)) * profile
-        init = BoussinesqState(r=r0, v=RealField(grid=g, values=v0),
-                               w=RealField(grid=g, values=w0))
-        final = boussinesq_evolve(init, r1, 0.1)[-1]
-        v_exact = amp * (c1 * special.j0(kappa * r1) + c2 * special.y0(kappa * r1)) * profile
+        init, v_exact = bessel_oracle_case()
+        final = boussinesq_evolve(init, 100.0, 0.1)[-1]
         rel = np.abs(final.v.values - v_exact).max() / np.abs(v_exact).max()
         assert rel <= 1e-6
 

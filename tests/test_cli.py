@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import ckdvlab
+from ckdvlab import cli
+from ckdvlab.boussinesq import make_ansatz_state
 from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckdv,
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
@@ -178,6 +180,34 @@ class TestSnapshotCommands:
         header = [ln for ln in csv.read_text().splitlines()
                   if not ln.startswith("#")][0]
         assert header == "r,t,u,v,w"
+
+    def test_boussinesq_rho_window_checked(self, tmp_path):
+        for rho0, rho1 in ((1.5, 1.0), (1.0, 1.0), (0.0, 1.0)):
+            cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), rho0=rho0, rho1=rho1)
+            with pytest.raises(ConfigError, match="0 < rho0 < rho1"):
+                cmd_boussinesq(cfg)
+
+    def test_boussinesq_start_needs_no_ckdv_step(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), dr=0.25)
+        r0 = cfg.rho0 / 0.15 ** 3
+        src = cli._ckdv_trajectory(cfg, cfg.n, [cfg.rho0, cfg.rho1])[0]
+        want = make_ansatz_state(src, 0.15, r0)
+
+        def no_ckdv_run(*args, **kwargs):
+            raise AssertionError("the boussinesq command ran the cKdV source")
+
+        monkeypatch.setattr(cli, "ckdv_evolve", no_ckdv_run)
+        files = cmd_boussinesq(cfg)
+        csv = next(f for f in files if f.name == "boussinesq_snapshots.csv")
+        rows = np.array([[float(x) for x in ln.split(",")]
+                         for ln in csv.read_text().splitlines()
+                         if not ln.startswith(("#", "r,"))])
+        # floats are written as their full-precision repr, so the first
+        # snapshot reads back bit for bit
+        start = rows[rows[:, 0] == r0]
+        assert np.array_equal(start[:, 1], want.v.grid.nodes)
+        assert np.array_equal(start[:, 3], want.v.values)
+        assert np.array_equal(start[:, 4], want.w.values)
 
 
 class TestDeterminism:
