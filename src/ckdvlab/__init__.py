@@ -22,6 +22,5 @@ from .grid import (RealField, SpectralGrid, apply_b2, dispersion_omega_squared,
                    make_grid, spectral_antiderivative, spectral_derivative)
 from .residual import (EnergyReport, ResidualReport, antiderivative_residual, energy,
                        gronwall_growth_check, residual_field)
-from .soliton import (SelfSimilarPoint, bilinear_residual, physical_wave,
-                      self_similar_point, soliton_amplitude, window_l2_growth,
-                      zero_mean_defect)
+from .soliton import (bilinear_residual, physical_wave, soliton_amplitude,
+                      window_l2_growth, zero_mean_defect)

@@ -30,7 +30,7 @@ from .boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
-from .report import ScalingReport, config_hash, fit_loglog, write_csv, write_manifest
+from .report import config_hash, fit_loglog, write_csv, write_manifest
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
@@ -168,10 +168,41 @@ def _say(cfg: ExperimentConfig, msg: str):
         print(msg)
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
+def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
+    """Check the config, then create out_dir; returns it and the run manifest."""
+    eps_ok = cfg.eps_list is None or (len(cfg.eps_list) > 0 and min(cfg.eps_list) > 0)
+    checks = (
+        (0 < cfg.rho0 < cfg.rho1, f"need 0 < rho0 < rho1, got ({cfg.rho0}, {cfg.rho1})"),
+        (cfg.n >= 8 and cfg.n % 2 == 0, f"n must be even and >= 8, got {cfg.n}"),
+        (cfg.l_tau > 0, f"l_tau must be positive, got {cfg.l_tau}"),
+        (cfg.dr > 0, f"dr must be positive, got {cfg.dr}"),
+        (cfg.dt_target > 0, f"dt_target must be positive, got {cfg.dt_target}"),
+        (cfg.d_rho is None or cfg.d_rho > 0, f"d_rho must be positive, got {cfg.d_rho}"),
+        (cfg.snapshots >= 1, f"snapshots must be >= 1, got {cfg.snapshots}"),
+        (eps_ok, f"eps list must be non-empty and positive, got {cfg.eps_list}"),
+        (all(rho > 0 for rho in cfg.rho_profiles),
+         f"rho_profiles must be positive, got {cfg.rho_profiles}"),
+    )
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return out, cfg.manifest()
+
+
+def _finish(cfg: ExperimentConfig, out: Path, manifest: dict, files: list[Path],
+            summary: tuple[str, list[str]] | None = None) -> list[Path]:
+    """Write the (file name, lines) slope summary if given and manifest.txt; report."""
+    if summary is not None:
+        name, lines = summary
+        (out / name).write_text("\n".join(lines) + "\n")
+        files.append(out / name)
+        for ln in lines:
+            _say(cfg, ln)
+    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
+    _say(cfg, f"{cfg.command}: wrote {len(files)} files to {out}")
+    return files
 
 
 def _gaussian_derivative(grid_tau) -> RealField:
@@ -191,8 +222,7 @@ def _check_pulse_fits(a0: RealField):
 
 
 def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
-    out = _outdir(cfg)
-    manifest = cfg.manifest()
+    out, manifest = _prepare(cfg)
     spec = SolitonSpec(alpha=cfg.alpha, beta=cfg.beta, offset=cfg.offset)
     files = []
 
@@ -232,10 +262,7 @@ def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
                            ["rho", "zero_mean_defect_T1000", "window_l2_coeff",
                             "coeff_target"],
                            diag_rows, manifest))
-    files.append(write_manifest(out / "manifest.txt", manifest,
-                                [f.name for f in files]))
-    _say(cfg, f"soliton: wrote {len(files)} files to {out}")
-    return files
+    return _finish(cfg, out, manifest, files)
 
 
 # --------------------------------------------------------- residual sweep
@@ -258,53 +285,39 @@ def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
 
 
 def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
-    eps_list = cfg.eps_list if cfg.eps_list is not None else (0.2, 0.14, 0.1, 0.07)
-    if not eps_list:
-        raise ConfigError("residual sweep needs a non-empty eps list")
-    out = _outdir(cfg)
-    manifest = cfg.manifest()
-
+    out, manifest = _prepare(cfg)
+    eps_list = cfg.eps_list or (0.2, 0.14, 0.1, 0.07)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 5))
     # the amplitude trajectory lives on the eps-independent (rho, tau) chart;
     # only the prefactors of the residual expansion depend on eps
     states = _ckdv_trajectory(cfg, cfg.n, sample_rhos)
-    report = ScalingReport()
+    rows = []
     for eps in eps_list:
-        row = sweep_report(states, eps)
-        report.add(eps, "res_l2", row.res_l2)
-        report.add(eps, "res_sup", row.res_sup)
-        report.add(eps, "antires_l2", row.antires_l2)
-        _say(cfg, f"eps={eps}: |Res|_L2={row.res_l2:.4e} sup={row.res_sup:.4e} "
-                  f"|dt^-1 Res|_L2={row.antires_l2:.4e}")
+        rep = sweep_report(states, eps)
+        rows += [(eps, "res_l2", rep.res_l2), (eps, "res_sup", rep.res_sup),
+                 (eps, "antires_l2", rep.antires_l2)]
+        _say(cfg, f"eps={eps}: |Res|_L2={rep.res_l2:.4e} sup={rep.res_sup:.4e} "
+                  f"|dt^-1 Res|_L2={rep.antires_l2:.4e}")
 
-    slopes = report.fit() if len(eps_list) >= 3 else {}
-    files = [write_csv(out / "residual_scaling.csv",
-                       ["eps", "norm_kind", "value", "fitted_slope"],
-                       [(r.eps, r.norm_kind, r.value, slopes.get(r.norm_kind, ""))
-                        for r in report.rows], manifest)]
-
-    lines = []
+    slopes, summary = {}, None
     if len(eps_list) >= 3:
+        for kind in ("res_l2", "res_sup", "antires_l2"):
+            points = sorted((eps, value) for eps, k, value in rows if k == kind)
+            slopes[kind], _ = fit_loglog(*zip(*points))
         ok_res = abs(slopes["res_l2"] - RES_SLOPE_TARGET) <= SLOPE_TOL
         ok_anti = abs(slopes["antires_l2"] - ANTIRES_SLOPE_TARGET) <= SLOPE_TOL
-        lines.append(f"res_l2 slope: {slopes['res_l2']:.4f} "
-                     f"(target {RES_SLOPE_TARGET} +/- {SLOPE_TOL}) "
-                     f"{'PASS' if ok_res else 'FAIL'}")
-        lines.append(f"antires_l2 slope: {slopes['antires_l2']:.4f} "
-                     f"(target {ANTIRES_SLOPE_TARGET} +/- {SLOPE_TOL}) "
-                     f"{'PASS' if ok_anti else 'FAIL'}")
-        lines.append(f"res_sup slope: {slopes['res_sup']:.4f} "
-                     "(sup-norm convention, expected near 8)")
-        summary = out / "residual_summary.txt"
-        summary.write_text("\n".join(lines) + "\n")
-        files.append(summary)
-        for ln in lines:
-            _say(cfg, ln)
+        summary = ("residual_summary.txt", [
+            f"res_l2 slope: {slopes['res_l2']:.4f} "
+            f"(target {RES_SLOPE_TARGET} +/- {SLOPE_TOL}) {'PASS' if ok_res else 'FAIL'}",
+            f"antires_l2 slope: {slopes['antires_l2']:.4f} "
+            f"(target {ANTIRES_SLOPE_TARGET} +/- {SLOPE_TOL}) {'PASS' if ok_anti else 'FAIL'}",
+            f"res_sup slope: {slopes['res_sup']:.4f} (sup-norm convention, expected near 8)"])
     else:
         _say(cfg, "residual sweep: fewer than 3 eps values, slope fit skipped")
-
-    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
-    return files
+    files = [write_csv(out / "residual_scaling.csv",
+                       ["eps", "norm_kind", "value", "fitted_slope"],
+                       [(*row, slopes.get(row[1], "")) for row in rows], manifest)]
+    return _finish(cfg, out, manifest, files, summary)
 
 
 # --------------------------------------------------------------- theorem1
@@ -337,16 +350,9 @@ def run_theorem1_case(cfg: ExperimentConfig, eps: float):
 
 
 def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
-    eps_list = cfg.eps_list if cfg.eps_list is not None else (0.12, 0.1, 0.08)
-    if not eps_list:
-        raise ConfigError("theorem1 sweep needs a non-empty eps list")
-    if cfg.snapshots < 1:
-        raise ConfigError(f"theorem1 needs snapshots >= 1, got {cfg.snapshots}")
-    out = _outdir(cfg)
-    manifest = cfg.manifest()
-
-    rows = []
-    files = []
+    out, manifest = _prepare(cfg)
+    eps_list = cfg.eps_list or (0.12, 0.1, 0.08)
+    rows, files = [], []
     for eps in eps_list:
         err, gron = run_theorem1_case(cfg, eps)
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))
@@ -360,27 +366,20 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     files.insert(0, write_csv(out / "theorem1_errors.csv",
                               ["eps", "err_u", "err_v", "r_at_sup", "max_energy"],
                               rows, manifest))
-    lines = []
+    summary = None
     if len(eps_list) >= 3:
         slope, _ = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
         ok = slope >= THEOREM1_SLOPE_FLOOR
-        lines.append(f"approximation-error slope: {slope:.4f} "
-                     f"(floor {THEOREM1_SLOPE_FLOOR}) {'PASS' if ok else 'FAIL'}")
-        summary = out / "theorem1_summary.txt"
-        summary.write_text("\n".join(lines) + "\n")
-        files.append(summary)
-        for ln in lines:
-            _say(cfg, ln)
-    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
-    return files
+        summary = ("theorem1_summary.txt", [f"approximation-error slope: {slope:.4f} "
+                   f"(floor {THEOREM1_SLOPE_FLOOR}) {'PASS' if ok else 'FAIL'}"])
+    return _finish(cfg, out, manifest, files, summary)
 
 
 # ------------------------------------------------------------ ckdv / bous
 
 
 def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
-    out = _outdir(cfg)
-    manifest = cfg.manifest()
+    out, manifest = _prepare(cfg)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 6))
     states = _ckdv_trajectory(cfg, cfg.n, sample_rhos)
     rows = []
@@ -393,16 +392,11 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
     files.append(line_plot(out / "ckdv_evolution.svg", curves,
                            title="cKdV amplitude", xlabel="tau", ylabel="A",
                            manifest=manifest))
-    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
-    _say(cfg, f"ckdv: wrote {len(files)} files to {out}")
-    return files
+    return _finish(cfg, out, manifest, files)
 
 
 def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
-    if not 0 < cfg.rho0 < cfg.rho1:
-        raise ConfigError(f"boussinesq needs 0 < rho0 < rho1, got ({cfg.rho0}, {cfg.rho1})")
-    out = _outdir(cfg)
-    manifest = cfg.manifest()
+    out, manifest = _prepare(cfg)
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
     r0 = cfg.rho0 / eps ** 3
     span = min(20.0, (cfg.rho1 - cfg.rho0) / eps ** 3)
@@ -418,9 +412,7 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
             rows.append((st.r, t, uu, vv, ww))
     files = [write_csv(out / "boussinesq_snapshots.csv",
                        ["r", "t", "u", "v", "w"], rows, manifest)]
-    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
-    _say(cfg, f"boussinesq: wrote {len(files)} files to {out}")
-    return files
+    return _finish(cfg, out, manifest, files)
 
 
 # ---------------------------------------------------------------- selftest
@@ -543,14 +535,22 @@ def cmd_selftest(cfg: ExperimentConfig, inject_fault: str | None = None) -> int:
 
 # -------------------------------------------------------------------- main
 
+# the file-writing commands; selftest returns an exit status instead
+COMMANDS = {
+    "soliton": cmd_soliton,
+    "residual-sweep": cmd_residual_sweep,
+    "theorem1": cmd_theorem1,
+    "ckdv": cmd_ckdv,
+    "boussinesq": cmd_boussinesq,
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ckdvlab",
         description="Long-wave cKdV laboratory for the radial Boussinesq equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("soliton", "residual-sweep", "theorem1", "ckdv", "boussinesq",
-                 "selftest"):
+    for name in (*COMMANDS, "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
@@ -589,18 +589,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-        if args.command == "soliton":
-            cmd_soliton(cfg)
-        elif args.command == "residual-sweep":
-            cmd_residual_sweep(cfg)
-        elif args.command == "theorem1":
-            cmd_theorem1(cfg)
-        elif args.command == "ckdv":
-            cmd_ckdv(cfg)
-        elif args.command == "boussinesq":
-            cmd_boussinesq(cfg)
-        elif args.command == "selftest":
-            return cmd_selftest(cfg, inject_fault=getattr(args, "inject_fault", None))
+        if args.command == "selftest":
+            return cmd_selftest(cfg, inject_fault=args.inject_fault)
+        COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,12 +9,12 @@ header row.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+
 
 def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope and intercept of log y against log x.
@@ -30,34 +30,6 @@ def fit_loglog(x, y) -> tuple[float, float]:
         raise ValueError("log-log fit needs positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
-
-
-@dataclass
-class ScalingRow:
-    eps: float
-    norm_kind: str
-    value: float
-
-
-@dataclass
-class ScalingReport:
-    """Per-eps norms plus fitted slopes for each norm kind."""
-
-    rows: list[ScalingRow] = field(default_factory=list)
-    slopes: dict[str, float] = field(default_factory=dict)
-
-    def add(self, eps: float, norm_kind: str, value: float):
-        self.rows.append(ScalingRow(eps=eps, norm_kind=norm_kind, value=value))
-
-    def fit(self):
-        kinds = sorted({r.norm_kind for r in self.rows})
-        for kind in kinds:
-            sel = sorted((r.eps, r.value) for r in self.rows if r.norm_kind == kind)
-            eps = [e for e, _ in sel]
-            val = [v for _, v in sel]
-            slope, _ = fit_loglog(eps, val)
-            self.slopes[kind] = slope
-        return self.slopes
 
 
 def _fmt(value) -> str:

@@ -55,7 +55,6 @@ class _Elimination:
     """
 
     def __init__(self, state: CkdvState, eps: float):
-        self.state = state
         self.eps = eps
         self.grid = state.A.grid
         self.rho = rho = state.rho
@@ -98,14 +97,6 @@ def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
     return nn, n_rho, n_rho2
 
 
-def _workspace(state: CkdvState, eps: float, workspace: _Elimination | None) -> _Elimination:
-    if workspace is None:
-        return _Elimination(state, eps)
-    if workspace.state is not state or workspace.eps != eps:
-        raise ValueError("workspace was built for another snapshot or eps")
-    return workspace
-
-
 # The tau-derivative terms of the residual expansion, summed left to right:
 # (signed coefficient, eps power, field, tau order, divided by rho) stands
 # for coefficient * eps^power * dtau^order field [/ rho].  Each term is a
@@ -137,49 +128,52 @@ def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
     return acc
 
 
-def residual_field(state: CkdvState, eps: float,
-                   workspace: _Elimination | None = None) -> RealField:
+def _residual_values(ws: _Elimination) -> np.ndarray:
+    f = ws.fields
+    e8 = ws.eps ** 8
+    # the radial block -(drho^2 + rho^{-1} drho) A
+    return _sum_terms(-e8 * f["D2"] - e8 * f["D"] / ws.rho, ws, 0)
+
+
+def _antiderivative_values(ws: _Elimination) -> np.ndarray:
+    f = ws.fields
+    a, sq, D = f["a"], f["sq"], f["D"]
+    eps, rho = ws.eps, ws.rho
+    b = ws.grid.core.antiderivative(a)
+    # the radial block -(drho^2 + rho^{-1} drho) A after integration:
+    # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
+    radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
+                         - 0.25 * b / rho ** 2)
+    return _sum_terms(radial, ws, 1) / eps
+
+
+def residual_field(state: CkdvState, eps: float) -> RealField:
     """Residual of the ansatz at one radius, sampled on the t-grid.
 
     All eps-power prefactors are included; the leading block is O(eps^8).
-    A workspace built for the same state and eps may be passed to share its
-    transforms with :func:`antiderivative_residual`.
     """
-    ws = _workspace(state, eps, workspace)
-    f = ws.fields
-    e8 = eps ** 8
-    # the radial block -(drho^2 + rho^{-1} drho) A
-    res = _sum_terms(-e8 * f["D2"] - e8 * f["D"] / ws.rho, ws, 0)
-    return RealField(grid=_t_grid_of(ws.grid, eps), values=res)
+    ws = _Elimination(state, eps)
+    return RealField(grid=_t_grid_of(ws.grid, eps), values=_residual_values(ws))
 
 
-def antiderivative_residual(state: CkdvState, eps: float,
-                            workspace: _Elimination | None = None) -> RealField:
+def antiderivative_residual(state: CkdvState, eps: float) -> RealField:
     """dt^{-1} of the residual, on the t-grid.
 
     Every block of the expansion is a perfect tau-derivative except the
     -(4 rho^2)^{-1} A piece left by eliminating the radial block, which is
     integrated spectrally and requires the zero mean of A.  The overall
     dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
-    A workspace is shared as in :func:`residual_field`.
     """
-    ws = _workspace(state, eps, workspace)
-    f = ws.fields
-    a, sq, D = f["a"], f["sq"], f["D"]
-    rho = ws.rho
-    b = ws.grid.core.antiderivative(a)
-    # the radial block -(drho^2 + rho^{-1} drho) A after integration:
-    # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
-    radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
-                         - 0.25 * b / rho ** 2)
-    anti = _sum_terms(radial, ws, 1)
-    return RealField(grid=_t_grid_of(ws.grid, eps), values=anti / eps)
+    ws = _Elimination(state, eps)
+    return RealField(grid=_t_grid_of(ws.grid, eps), values=_antiderivative_values(ws))
 
 
 def residual_report(state: CkdvState, eps: float) -> ResidualReport:
+    """Norms of both fields, which share one elimination and its transforms."""
     ws = _Elimination(state, eps)
-    res = residual_field(state, eps, workspace=ws)
-    anti = antiderivative_residual(state, eps, workspace=ws)
+    t_grid = _t_grid_of(ws.grid, eps)
+    res = RealField(grid=t_grid, values=_residual_values(ws))
+    anti = RealField(grid=t_grid, values=_antiderivative_values(ws))
     return ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
                           antires_l2=anti.l2(), rho_at_sup=state.rho)
 

@@ -9,30 +9,11 @@ amplitude parameters as large as 1e8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .airy import SolitonSpec, profile_pack
 from .errors import DenominatorSignError
 from .grid import SpectralGrid
-
-
-@dataclass(frozen=True)
-class SelfSimilarPoint:
-    """A physical point (rho, tau) with its similarity coordinates."""
-
-    rho: float
-    tau: float
-    z: float
-    s: float
-
-
-def self_similar_point(rho: float, tau: float) -> SelfSimilarPoint:
-    if not rho > 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    s = (6.0 * rho) ** (1.0 / 3.0)
-    return SelfSimilarPoint(rho=float(rho), tau=float(tau), z=tau / s, s=s)
 
 
 def _amplitude_terms(rho: float, tau, spec: SolitonSpec):

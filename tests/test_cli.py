@@ -76,6 +76,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        for text in ("[model]\nrho1 = 0.5\n", "[grid]\nn = 7\n", "[grid]\nl_tau = -5\n",
+                     "[solver]\ndr = 0\n", "[solver]\nd_rho = -1\n",
+                     "[solver]\ndt_target = 0\n", "[solver]\nsnapshots = 0\n",
+                     "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n"):
+            path = tmp_path / "bad.ini"
+            path.write_text(text)
+            rc = main([command, "--config", str(path), "--out", str(out)])
+            assert rc == 2, text
+            assert capsys.readouterr().err.startswith("error: ")
+            assert not out.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["selftest", "--config", str(tmp_path / "nope.ini")])
         assert rc == 2
@@ -182,10 +196,15 @@ class TestSnapshotCommands:
         assert header == "r,t,u,v,w"
 
     def test_boussinesq_rho_window_checked(self, tmp_path):
-        for rho0, rho1 in ((1.5, 1.0), (1.0, 1.0), (0.0, 1.0)):
-            cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), rho0=rho0, rho1=rho1)
-            with pytest.raises(ConfigError, match="0 < rho0 < rho1"):
-                cmd_boussinesq(cfg)
+        # every file-writing command checks the window before making out_dir
+        out = tmp_path / "out"
+        for command in (cmd_soliton, cmd_residual_sweep, cmd_theorem1, cmd_ckdv,
+                        cmd_boussinesq):
+            for rho0, rho1 in ((1.5, 1.0), (1.0, 1.0), (0.0, 1.0)):
+                cfg = small_cfg(out, n=128, eps_list=(0.15,), rho0=rho0, rho1=rho1)
+                with pytest.raises(ConfigError, match="0 < rho0 < rho1"):
+                    command(cfg)
+                assert not out.exists()
 
     def test_boussinesq_start_needs_no_ckdv_step(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), dr=0.25)

@@ -5,9 +5,8 @@ from ckdvlab.boussinesq import boussinesq_evolve, make_ansatz_state
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
-from ckdvlab.residual import (_Elimination, antiderivative_residual, energy,
-                              gronwall_growth_check, residual_field, residual_report,
-                              sweep_report)
+from ckdvlab.residual import (antiderivative_residual, energy, gronwall_growth_check,
+                              residual_field, residual_report, sweep_report)
 
 from conftest import random_zero_mean_field, unexpanded_residual_fd
 
@@ -66,13 +65,6 @@ class TestResidualField:
         assert rep.res_l2 == res.l2()
         assert rep.res_sup == res.sup()
         assert rep.antires_l2 == antiderivative_residual(st, eps).l2()
-
-    def test_workspace_of_other_snapshot_rejected(self, trajectory):
-        ws = _Elimination(trajectory[1], 0.1)
-        with pytest.raises(ValueError):
-            residual_field(trajectory[2], 0.1, workspace=ws)
-        with pytest.raises(ValueError):
-            antiderivative_residual(trajectory[1], 0.2, workspace=ws)
 
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
