@@ -79,6 +79,8 @@ B2Operator = Callable[[np.ndarray], np.ndarray]
 V_MIN = -3.0 / 16.0
 RHS_TOL_DEFAULT = 1e-12
 RESOLVENT_MAX_ITER = 200
+#: largest eps for which make_ansatz_state builds the long-wave ansatz
+ANSATZ_EPS_MAX = 0.3
 
 #: past errors of a stage guess that its resolvent start extrapolates
 _HISTORY = 6
@@ -341,8 +343,8 @@ def make_ansatz_state(src: CkdvState, eps: float, r: float) -> BoussinesqState:
         ValueError: eps outside (0, 0.3], or src.rho differs from eps^3 r
             by more than 1e-9 max(1, src.rho).
     """
-    if not (0 < eps <= 0.3):
-        raise ValueError(f"eps must lie in (0, 0.3], got {eps}")
+    if not (0 < eps <= ANSATZ_EPS_MAX):
+        raise ValueError(f"eps must lie in (0, {ANSATZ_EPS_MAX}], got {eps}")
     if abs(src.rho - eps ** 3 * r) > 1e-9 * max(1.0, src.rho):
         raise ValueError(f"cKdV snapshot at rho={src.rho!r} is not at eps^3 r={eps ** 3 * r!r}")
     tau_grid = src.A.grid

@@ -7,11 +7,10 @@ solution sqrt(rho0/rho) exp(i k^3 (rho-rho0)/2), so only the quadratic term
 is stepped explicitly and the third-derivative stiffness never enters the
 stability limit.
 
-The antiderivative B = dtau^{-1} A rides along: its once-integrated
-equation 2 dB/drho + B/rho + d^3B/dtau^3 = A^2 shares the same propagator
-(with the quadratic forcing projected to zero mean, which pins the B gauge),
-so the consistency dB/dtau = A is a genuine accuracy check rather than a
-definition.
+Every snapshot carries B = dtau^{-1} A, the zero-mean antiderivative of
+its A.  B is not integrated: every operator of the step is diagonal in k
+and B's stage terms would be A's divided by ik, so a second integration
+of B would only reproduce dtau^{-1} A to round-off.
 """
 
 from __future__ import annotations
@@ -141,9 +140,9 @@ class _Stepper:
         core = cfg.grid.core
         self.n = cfg.grid.n
         self.k = core.rfft_k
-        self.ik = core.rfft_ik
-        self.inv_ik = core.rfft_inv_ik
         self.mask = core.dealias_mask if cfg.dealias else 1.0
+        # the 0/1 mask folds into the stage symbol exactly
+        self.sym = 0.5 * core.rfft_ik * self.mask
         self._h = None
 
     def phase(self, h: float) -> tuple:
@@ -154,27 +153,19 @@ class _Stepper:
             self._h = h
         return self._phase
 
-    def rhs_pair(self, a_hat: np.ndarray, rho: float, forcing_hat) -> tuple:
-        """Stage terms beyond the exact linear flow, for (A, B).
-
-        A:  (1/2) dtau (A^2) + forcing
-        B:  (1/2) (A^2 - mean) + dtau^{-1} forcing
+    def rhs(self, a_hat: np.ndarray, rho: float, forcing_hat) -> tuple:
+        """Stage term (1/2) dtau (A^2) + forcing beyond the exact linear flow.
 
         Also returns sup|A| of the (dealiased) stage field as a cheap
         blow-up monitor.
         """
         a = np.fft.irfft(a_hat * self.mask, self.n)
-        sq = np.fft.rfft(a * a) * self.mask
-        na = 0.5 * self.ik * sq
-        nb = 0.5 * sq
-        nb[0] = 0.0  # zero-mean gauge of B
+        na = self.sym * np.fft.rfft(a * a)
         if forcing_hat is not None:
-            fh = forcing_hat(rho)
-            na = na + fh
-            nb = nb + self.inv_ik * fh
-        return na, nb, float(np.abs(a).max())
+            na = na + forcing_hat(rho)
+        return na, float(np.abs(a).max())
 
-    def step(self, a_hat, b_hat, rho: float, h: float, forcing_hat):
+    def step(self, a_hat, rho: float, h: float, forcing_hat):
         """One integrating-factor RK4 step from rho to rho + h."""
         p, p2 = self.phase(h)
         amp = np.sqrt(rho / (rho + h / 2))
@@ -182,17 +173,13 @@ class _Stepper:
         e_half = amp * p
         e_half_b = amp_b * p
         e_full = (amp * amp_b) * p2
+        ea = e_full * a_hat
 
-        ka1, kb1, sup1 = self.rhs_pair(a_hat, rho, forcing_hat)
-        ka2, kb2, _ = self.rhs_pair(e_half * (a_hat + h / 2 * ka1), rho + h / 2, forcing_hat)
-        ka3, kb3, _ = self.rhs_pair(e_half * a_hat + h / 2 * ka2, rho + h / 2, forcing_hat)
-        ka4, kb4, _ = self.rhs_pair(e_full * a_hat + h * e_half_b * ka3, rho + h, forcing_hat)
-
-        a_new = e_full * a_hat + h / 6 * (e_full * ka1 + 2 * e_half_b * (ka2 + ka3) + ka4)
-        # B shares the propagator; its stages reuse the A stage fields, so the
-        # two integrations track each other only to integrator accuracy.
-        b_new = e_full * b_hat + h / 6 * (e_full * kb1 + 2 * e_half_b * (kb2 + kb3) + kb4)
-        return a_new, b_new, sup1
+        k1, sup1 = self.rhs(a_hat, rho, forcing_hat)
+        k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2, forcing_hat)
+        k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2, forcing_hat)
+        k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h, forcing_hat)
+        return ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4), sup1
 
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:
@@ -218,11 +205,10 @@ def _forcing_hat_fn(forcing, grid: SpectralGrid):
     return fh
 
 
-def _wrap_state(a_hat, b_hat, rho: float, grid: SpectralGrid) -> CkdvState:
+def _snapshot(a_hat, rho: float, grid: SpectralGrid) -> CkdvState:
     a = np.fft.irfft(a_hat, grid.n)
-    b = np.fft.irfft(b_hat, grid.n)
     return CkdvState(rho=rho, A=RealField(grid=grid, values=a),
-                     B=RealField(grid=grid, values=b))
+                     B=RealField(grid=grid, values=grid.core.antiderivative(a)))
 
 
 def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
@@ -239,18 +225,17 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     stepper = _Stepper(cfg)
     fh = _forcing_hat_fn(forcing, cfg.grid)
     a_hat = np.fft.rfft(state.A.values)
-    b_hat = np.fft.rfft(state.B.values)
 
     out = [state] if emit_start else []
     guard = _GrowthGuard("sup", state.A.sup())
     for rho, h, landing in steps:
-        a_hat, b_hat, sup_stage = stepper.step(a_hat, b_hat, rho, h, fh)
-        if not (np.isfinite(a_hat).all() and np.isfinite(b_hat).all()):
+        a_hat, sup_stage = stepper.step(a_hat, rho, h, fh)
+        if not np.isfinite(a_hat).all():
             raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
         # sup_stage is the field entering this step
         guard.advance(sup_stage, "rho", rho)
         if landing is not None:
-            snap = _wrap_state(a_hat, b_hat, landing, cfg.grid)
+            snap = _snapshot(a_hat, landing, cfg.grid)
             # the field leaving the last step enters no further stage check
             guard.check(snap.A.sup(), "rho", landing)
             out.append(snap)

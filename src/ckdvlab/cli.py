@@ -25,8 +25,9 @@ import numpy as np
 
 from . import __version__
 from .airy import SolitonSpec, airy_eval
-from .boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
-                         make_ansatz_state, resolvent_solve, u_to_v, v_to_u)
+from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
+                         boussinesq_evolve, make_ansatz_state, resolvent_solve,
+                         u_to_v, v_to_u)
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
@@ -98,9 +99,13 @@ _SECTION_OF = {
 }
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_float_list(text: str, where: str) -> tuple[float, ...]:
+    """Comma- or semicolon-separated floats; where names the key or flag in errors."""
     items = [s for s in text.replace(";", ",").split(",") if s.strip()]
-    return tuple(float(s) for s in items)
+    try:
+        return tuple(float(s) for s in items)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {where}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -126,7 +131,7 @@ def load_config(path) -> ExperimentConfig:
             if f.name in ("eps_list", "d_rho") and raw.strip().lower() in ("", "none", "auto"):
                 value = None
             elif f.name in ("eps_list", "rho_profiles", "t_values"):
-                value = _parse_float_list(raw)
+                value = _parse_float_list(raw, f"[{section}] {f.name}")
             elif isinstance(current, bool):
                 value = parser.getboolean(section, f.name)
             elif isinstance(current, int):
@@ -170,7 +175,11 @@ def _say(cfg: ExperimentConfig, msg: str):
 
 def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
     """Check the config, then create out_dir; returns it and the run manifest."""
-    eps_ok = cfg.eps_list is None or (len(cfg.eps_list) > 0 and min(cfg.eps_list) > 0)
+    eps = cfg.eps_list
+    eps_ok = eps is None or (len(eps) > 0 and all(0 < e < np.inf for e in eps))
+    # theorem1 and boussinesq build the long-wave ansatz at every eps
+    ansatz_ok = (cfg.command not in ("theorem1", "boussinesq") or eps is None
+                 or all(e <= ANSATZ_EPS_MAX for e in eps))
     checks = (
         (0 < cfg.rho0 < cfg.rho1, f"need 0 < rho0 < rho1, got ({cfg.rho0}, {cfg.rho1})"),
         (cfg.n >= 8 and cfg.n % 2 == 0, f"n must be even and >= 8, got {cfg.n}"),
@@ -179,7 +188,8 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
         (cfg.dt_target > 0, f"dt_target must be positive, got {cfg.dt_target}"),
         (cfg.d_rho is None or cfg.d_rho > 0, f"d_rho must be positive, got {cfg.d_rho}"),
         (cfg.snapshots >= 1, f"snapshots must be >= 1, got {cfg.snapshots}"),
-        (eps_ok, f"eps list must be non-empty and positive, got {cfg.eps_list}"),
+        (eps_ok, f"eps list must be non-empty, positive and finite, got {eps}"),
+        (ansatz_ok, f"{cfg.command} needs every eps <= {ANSATZ_EPS_MAX}, got {eps}"),
         (all(rho > 0 for rho in cfg.rho_profiles),
          f"rho_profiles must be positive, got {cfg.rho_profiles}"),
     )
@@ -555,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--eps", type=str, default=None, help="comma-separated eps list")
-        p.add_argument("--n", type=int, default=None, help="grid size (power of two)")
+        p.add_argument("--n", type=int, default=None, help="grid size (even, >= 8)")
         p.add_argument("--quiet", action="store_true")
         if name == "soliton":
             p.add_argument("--rho-list", type=str, default=None)
@@ -572,13 +582,13 @@ def config_from_args(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     if args.eps is not None:
-        cfg.eps_list = _parse_float_list(args.eps)
+        cfg.eps_list = _parse_float_list(args.eps, "--eps")
     if args.n is not None:
         cfg.n = args.n
     if args.quiet:
         cfg.quiet = True
     if getattr(args, "rho_list", None):
-        cfg.rho_profiles = _parse_float_list(args.rho_list)
+        cfg.rho_profiles = _parse_float_list(args.rho_list, "--rho-list")
     if getattr(args, "alpha", None) is not None:
         cfg.alpha = args.alpha
     return cfg

@@ -142,10 +142,8 @@ class SpectralCore:
         self.rfft_k = kr.copy()
         self.rfft_k[n // 2] = 0.0
         self.rfft_ik = 1j * self.rfft_k
-        self.rfft_inv_ik = np.zeros(n // 2 + 1, dtype=complex)
-        self.rfft_inv_ik[1: n // 2] = 1.0 / (1j * kr[1: n // 2])
         for arr in (self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
-                    self.rfft_ik, self.rfft_inv_ik, *self._deriv.values()):
+                    self.rfft_ik, *self._deriv.values()):
             arr.setflags(write=False)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:

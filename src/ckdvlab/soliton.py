@@ -15,6 +15,9 @@ from .airy import SolitonSpec, profile_pack
 from .errors import DenominatorSignError
 from .grid import SpectralGrid
 
+#: quadrature nodes per radian of the tail phase (4/3)|z|^{3/2}
+PTS_PER_RAD = 12.0
+
 
 def _amplitude_terms(rho: float, tau, spec: SolitonSpec):
     """Returns (ratio1, ratio2, s) with A = -(6/s^2) (ratio1 - ratio2^2)."""
@@ -78,11 +81,11 @@ def bilinear_scale(rho: float, grid: SpectralGrid, spec: SolitonSpec) -> float:
     return float(sum(np.abs(p) for p in parts).max())
 
 
-def _oscillation_nodes(rho: float, T: float, pts_per_rad: float, floor: int = 20001) -> int:
+def _oscillation_nodes(rho: float, T: float, floor: int = 20001) -> int:
     """Odd Simpson node count resolving the tail phase (4/3)|z|^{3/2}."""
     s = (6.0 * rho) ** (1.0 / 3.0)
     zmax = T / s
-    n = int(max(floor, pts_per_rad * (4.0 / 3.0) * zmax ** 1.5))
+    n = int(max(floor, PTS_PER_RAD * (4.0 / 3.0) * zmax ** 1.5))
     return n | 1
 
 
@@ -93,19 +96,17 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return h / 3.0 * float(np.dot(w, values))
 
 
-def soliton_integral(rho: float, spec: SolitonSpec, half_width: float,
-                     pts_per_rad: float = 12.0) -> float:
+def soliton_integral(rho: float, spec: SolitonSpec, half_width: float) -> float:
     """Plain Simpson quadrature of A over [-T, T] (no tail correction)."""
     if spec.alpha == 0.0 and spec.beta == 0.0:
         return 0.0
-    n = _oscillation_nodes(rho, half_width, pts_per_rad)
+    n = _oscillation_nodes(rho, half_width)
     tau = np.linspace(-half_width, half_width, n)
     a = soliton_amplitude(rho, tau, spec)
     return _simpson(a, tau[1] - tau[0])
 
 
-def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float,
-                     pts_per_rad: float = 12.0) -> float:
+def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float) -> float:
     """Quadrature of A over [-T, T] plus the analytic correction for |tau|>T.
 
     The full integral vanishes; the truncated integral equals the boundary
@@ -114,7 +115,7 @@ def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float,
     """
     if spec.alpha == 0.0 and spec.beta == 0.0:
         return 0.0
-    quad_val = soliton_integral(rho, spec, half_width, pts_per_rad)
+    quad_val = soliton_integral(rho, spec, half_width)
     s = (6.0 * rho) ** (1.0 / 3.0)
     zb = np.array([-half_width, half_width]) / s
     f0, f1, _, _, _ = profile_pack(zb, spec)
@@ -123,8 +124,7 @@ def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float,
     return quad_val + (0.0 - truncated_exact)
 
 
-def window_l2_growth(rho: float, spec: SolitonSpec, T_list,
-                     pts_per_rad: float = 12.0):
+def window_l2_growth(rho: float, spec: SolitonSpec, T_list):
     """I(T) = integral of A^2 over [-T, 0] and the coefficient of its ln T fit.
 
     The slowly decaying oscillatory tail makes I(T) grow like (3/rho) ln T,
@@ -139,7 +139,7 @@ def window_l2_growth(rho: float, spec: SolitonSpec, T_list,
         return np.zeros_like(T_arr), 0.0
     vals = []
     for T in T_arr:
-        n = _oscillation_nodes(rho, T, pts_per_rad, floor=10001)
+        n = _oscillation_nodes(rho, T, floor=10001)
         tau = np.linspace(-T, 0.0, n)
         a = soliton_amplitude(rho, tau, spec)
         vals.append(_simpson(a * a, tau[1] - tau[0]))

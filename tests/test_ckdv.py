@@ -104,7 +104,11 @@ class TestStepAndEvolve:
     def test_b_consistency_along_run(self, grid256):
         a0 = gaussian_pulse(grid256)
         cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.01, grid=grid256)
-        for st in ckdv_evolve(a0, cfg, output_rhos=[1.25, 1.5, 2.0]):
+        states = ckdv_evolve(a0, cfg, output_rhos=[1.0, 1.25, 1.5, 2.0])
+        assert len(states) == 4
+        for st in states:
+            # B is the zero-mean antiderivative of each snapshot's A, start included
+            assert np.array_equal(st.B.values, grid256.core.antiderivative(st.A.values))
             db = spectral_derivative(st.B, 1)
             assert np.abs(db.values - st.A.values).max() <= 1e-8 * st.A.sup()
 

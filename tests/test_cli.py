@@ -89,6 +89,18 @@ class TestConfigFile:
             assert rc == 2, text
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
+        # (flag, value, what the message names)
+        flags = [("--eps", "abc", "--eps"), ("--eps", "inf", "eps")]
+        if command == "soliton":
+            flags.append(("--rho-list", "1,x", "--rho-list"))
+        if command in ("theorem1", "boussinesq"):
+            flags.append(("--eps", "0.5", "eps <= 0.3"))
+        for flag, value, named in flags:
+            rc = main([command, flag, value, "--out", str(out)])
+            assert rc == 2, (flag, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err, err
+            assert not out.exists()
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["selftest", "--config", str(tmp_path / "nope.ini")])
