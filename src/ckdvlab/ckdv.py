@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeanValueError, StepUnstable
-from .grid import RealField, SpectralGrid, mean_tolerance
+from .errors import StepUnstable
+from .grid import RealField, SpectralGrid, check_zero_mean
 
 GROWTH_LIMIT = 10.0
 
@@ -184,10 +184,7 @@ class _Stepper:
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:
     """Initial snapshot with B = dtau^{-1} A0 (zero-mean antiderivative)."""
-    tol = mean_tolerance(A0, mean_tol)
-    if abs(A0.mean()) > tol:
-        raise MeanValueError(
-            f"initial data must have zero mean: |mean|={abs(A0.mean()):.3e} > {tol:.3e}")
+    check_zero_mean(A0, "initial data", mean_tol)
     B0 = RealField(grid=A0.grid, values=A0.grid.core.antiderivative(A0.values))
     return CkdvState(rho=float(rho0), A=A0, B=B0)
 

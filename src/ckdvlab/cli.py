@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,41 +44,42 @@ ANTIRES_SLOPE_TARGET = 6.5
 THEOREM1_SLOPE_FLOOR = 3.2
 
 
+def _key(default, section, flag=None, help=None, only=None, hashed=True):
+    """A field read from [section] of a config file and from flag, if given, of
+    every command or of command `only`; hashed=False keeps it out of flat()."""
+    return field(default=default, metadata=dict(section=section, flag=flag, help=help,
+                                                only=only, hashed=hashed))
+
+
 @dataclass
 class ExperimentConfig:
     command: str = ""
-    n: int = 256
-    l_tau: float = 40.0
-    eps_list: tuple[float, ...] | None = None
-    rho0: float = 1.0
-    rho1: float = 1.5
-    alpha: float = 1e8
-    beta: float = 0.0
-    offset: float = 1.0
-    d_rho: float | None = None
-    dr: float = 0.2
-    dt_target: float = 1.2
-    rhs_tol: float = 1e-12
-    dealias: bool = True
-    rho_profiles: tuple[float, ...] = (1.0, 20.0, 100.0, 500.0)
-    t_values: tuple[float, ...] = (50.0, 100.0)
-    snapshots: int = 12
-    out_dir: str = "out"
-    seed: int = 1234
-    quiet: bool = False
+    n: int = _key(256, "grid", "--n", "grid size (even, >= 8)")
+    l_tau: float = _key(40.0, "grid")
+    eps_list: tuple[float, ...] | None = _key(None, "model", "--eps", "comma-separated eps list")
+    rho0: float = _key(1.0, "model")
+    rho1: float = _key(1.5, "model")
+    alpha: float = _key(1e8, "model", "--alpha", only="soliton")
+    beta: float = _key(0.0, "model")
+    offset: float = _key(1.0, "model")
+    d_rho: float | None = _key(None, "solver")
+    dr: float = _key(0.2, "solver")
+    dt_target: float = _key(1.2, "solver")
+    rhs_tol: float = _key(1e-12, "solver")
+    dealias: bool = _key(True, "solver")
+    rho_profiles: tuple[float, ...] = _key((1.0, 20.0, 100.0, 500.0), "model", "--rho-list",
+                                           only="soliton")
+    t_values: tuple[float, ...] = _key((50.0, 100.0), "model")
+    snapshots: int = _key(12, "solver")
+    # out_dir and quiet are presentation-only: identical experiments in
+    # different directories must hash (and serialize) identically
+    out_dir: str = _key("out", "output", "--out", "output directory", hashed=False)
+    seed: int = _key(1234, "output")
+    quiet: bool = _key(False, "output", hashed=False)
 
     def flat(self) -> dict:
-        # out_dir and quiet are presentation-only: identical experiments in
-        # different directories must hash (and serialize) identically
-        d = {}
-        for f in fields(self):
-            if f.name in ("out_dir", "quiet"):
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                v = ",".join(repr(x) for x in v)
-            d[f.name] = v
-        return d
+        return {f.name: _flat_value(getattr(self, f.name))
+                for f in fields(self) if f.metadata.get("hashed", True)}
 
     def manifest(self) -> dict:
         return {
@@ -89,81 +91,66 @@ class ExperimentConfig:
         }
 
 
-_SECTION_OF = {
-    "n": "grid", "l_tau": "grid",
-    "eps_list": "model", "rho0": "model", "rho1": "model", "alpha": "model",
-    "beta": "model", "offset": "model", "rho_profiles": "model", "t_values": "model",
-    "d_rho": "solver", "dr": "solver", "dt_target": "solver", "rhs_tol": "solver",
-    "dealias": "solver", "snapshots": "solver",
-    "out_dir": "output", "seed": "output", "quiet": "output",
-}
+#: the fields read from config files and flags (all but command), by (section, key)
+_KEYS = {(f.metadata["section"], f.name): f for f in fields(ExperimentConfig) if f.metadata}
+_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
-def _parse_float_list(text: str, where: str) -> tuple[float, ...]:
-    """Comma- or semicolon-separated floats; where names the key or flag in errors."""
-    items = [s for s in text.replace(";", ",").split(",") if s.strip()]
+def _flat_value(v):
+    """v, or for a tuple its items' reprs joined by commas."""
+    return ",".join(repr(x) for x in v) if isinstance(v, tuple) else v
+
+
+def _parse(f: Field, text: str, where: str):
+    """text as the annotated type of field f; where names the key or flag in errors.
+
+    ``auto`` or ``none`` is None where the type allows None.  List items are
+    split at commas or semicolons, so an empty list is (); an empty scalar is
+    an error.
+    """
+    kind, word = _TYPES[f.name], text.strip().lower()
+    if type(None) in typing.get_args(kind):
+        if word in ("auto", "none"):
+            return None
+        kind = typing.get_args(kind)[0]
     try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(s) for s in text.replace(";", ",").split(",") if s.strip())
+        if not word:
+            raise ValueError("empty value")
+        return configparser.ConfigParser.BOOLEAN_STATES[word] if kind is bool else kind(text)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {where}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read(path)
+        found = parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+    # read() skips a file it cannot open: a missing file, a directory
+    if not found:
+        raise ConfigError(f"config file not found or not readable: {path}")
     cfg = ExperimentConfig()
-    for f in fields(cfg):
-        if f.name == "command":
-            continue
-        section = _SECTION_OF.get(f.name)
-        if section is None or not parser.has_option(section, f.name):
-            continue
-        current = getattr(cfg, f.name)
-        try:
-            raw = parser.get(section, f.name)
-            # save_config writes None as "auto"
-            if f.name in ("eps_list", "d_rho") and raw.strip().lower() in ("", "none", "auto"):
-                value = None
-            elif f.name in ("eps_list", "rho_profiles", "t_values"):
-                value = _parse_float_list(raw, f"[{section}] {f.name}")
-            elif isinstance(current, bool):
-                value = parser.getboolean(section, f.name)
-            elif isinstance(current, int):
-                value = parser.getint(section, f.name)
-            elif isinstance(current, float) or f.name == "d_rho":
-                value = parser.getfloat(section, f.name)
-            else:
-                value = raw
-        except (ValueError, configparser.Error) as exc:
-            raise ConfigError(f"bad value for [{section}] {f.name}: {exc}") from exc
-        setattr(cfg, f.name, value)
     for section in parser.sections():
         for key in parser.options(section):
-            if _SECTION_OF.get(key) != section:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown config key [{section}] {key}")
+            setattr(cfg, key, _parse(_KEYS[section, key], parser.get(section, key),
+                                     f"[{section}] {key}"))
     return cfg
 
 
 def save_config(cfg: ExperimentConfig, path):
+    sections = {}
+    for section, key in _KEYS:
+        v = _flat_value(getattr(cfg, key))
+        # None is written as "auto", which _parse reads back as None
+        sections.setdefault(section, {})[key] = "auto" if v is None else v
     parser = configparser.ConfigParser(interpolation=None)
-    for f in fields(cfg):
-        if f.name == "command":
-            continue
-        section = _SECTION_OF[f.name]
-        if not parser.has_section(section):
-            parser.add_section(section)
-        v = getattr(cfg, f.name)
-        if v is None:
-            v = "auto"
-        elif isinstance(v, tuple):
-            v = ",".join(repr(x) for x in v)
-        parser.set(section, f.name, str(v))
+    parser.read_dict(sections)
     with open(path, "w") as fh:
         parser.write(fh)
 
@@ -190,8 +177,9 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
         (cfg.snapshots >= 1, f"snapshots must be >= 1, got {cfg.snapshots}"),
         (eps_ok, f"eps list must be non-empty, positive and finite, got {eps}"),
         (ansatz_ok, f"{cfg.command} needs every eps <= {ANSATZ_EPS_MAX}, got {eps}"),
-        (all(rho > 0 for rho in cfg.rho_profiles),
-         f"rho_profiles must be positive, got {cfg.rho_profiles}"),
+        (len(cfg.rho_profiles) > 0 and all(rho > 0 for rho in cfg.rho_profiles),
+         f"rho_profiles must be non-empty and positive, got {cfg.rho_profiles}"),
+        (len(cfg.t_values) > 0, "t_values must be non-empty"),
     )
     for ok, message in checks:
         if not ok:
@@ -213,19 +201,6 @@ def _finish(cfg: ExperimentConfig, out: Path, manifest: dict, files: list[Path],
     files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
     _say(cfg, f"{cfg.command}: wrote {len(files)} files to {out}")
     return files
-
-
-def _gaussian_derivative(grid_tau) -> RealField:
-    tau = grid_tau.nodes - grid_tau.center
-    return RealField(grid=grid_tau, values=-2.0 * tau * np.exp(-tau * tau))
-
-
-def _check_pulse_fits(a0: RealField):
-    edge = max(abs(a0.values[0]), abs(a0.values[-1]))
-    if edge > 1e-8 * max(a0.sup(), 1e-300):
-        raise ConfigError(
-            f"initial pulse does not decay on the domain (edge/sup = "
-            f"{edge / a0.sup():.2e} > 1e-8); enlarge l_tau")
 
 
 # ----------------------------------------------------------------- soliton
@@ -279,9 +254,15 @@ def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _initial_pulse(cfg: ExperimentConfig, n: int) -> RealField:
-    """The cKdV initial data at rho0 on the n-node tau-grid."""
-    a0 = _gaussian_derivative(make_grid(n, cfg.l_tau, 0.0))
-    _check_pulse_fits(a0)
+    """The cKdV initial data -2 tau exp(-tau^2) at rho0 on the n-node tau-grid."""
+    grid = make_grid(n, cfg.l_tau)
+    tau = grid.nodes  # the grid is centred at tau = 0
+    a0 = RealField(grid=grid, values=-2.0 * tau * np.exp(-tau * tau))
+    edge = max(abs(a0.values[0]), abs(a0.values[-1]))
+    if edge > 1e-8 * max(a0.sup(), 1e-300):
+        raise ConfigError(
+            f"initial pulse does not decay on the domain (edge/sup = "
+            f"{edge / a0.sup():.2e} > 1e-8); enlarge l_tau")
     return a0
 
 
@@ -563,13 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in (*COMMANDS, "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="INI config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--eps", type=str, default=None, help="comma-separated eps list")
-        p.add_argument("--n", type=int, default=None, help="grid size (even, >= 8)")
+        for f in _KEYS.values():
+            if f.metadata["flag"] and f.metadata["only"] in (None, name):
+                p.add_argument(f.metadata["flag"], dest=f.name, default=None,
+                               help=f.metadata["help"])
         p.add_argument("--quiet", action="store_true")
-        if name == "soliton":
-            p.add_argument("--rho-list", type=str, default=None)
-            p.add_argument("--alpha", type=float, default=None)
         if name == "selftest":
             p.add_argument("--inject-fault", type=str, default=None,
                            choices=["b2-sign"])
@@ -577,20 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> ExperimentConfig:
+    """The config file's values (or the defaults), overridden by the flags given."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg.command = args.command
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.eps is not None:
-        cfg.eps_list = _parse_float_list(args.eps, "--eps")
-    if args.n is not None:
-        cfg.n = args.n
+    for f in _KEYS.values():
+        text = getattr(args, f.name, None) if f.metadata["flag"] else None
+        if text is not None:
+            setattr(cfg, f.name, _parse(f, text, f.metadata["flag"]))
     if args.quiet:
         cfg.quiet = True
-    if getattr(args, "rho_list", None):
-        cfg.rho_profiles = _parse_float_list(args.rho_list, "--rho-list")
-    if getattr(args, "alpha", None) is not None:
-        cfg.alpha = args.alpha
     return cfg
 
 

@@ -184,10 +184,15 @@ def spectral_derivative(f: RealField, order: int = 1) -> RealField:
     return RealField(grid=f.grid, values=f.grid.core.derivative(f.values, order))
 
 
-def mean_tolerance(f: RealField, mean_tol: float | None = None) -> float:
-    if mean_tol is not None:
-        return mean_tol
-    return MEAN_TOL_FACTOR * max(f.sup(), 1e-300)
+def check_zero_mean(f: RealField, what: str, mean_tol: float | None = None):
+    """Raise MeanValueError naming what needs it unless |mean(f)| <= mean_tol.
+
+    The tolerance defaults to 1e-10 * sup|f|.
+    """
+    tol = mean_tol if mean_tol is not None else MEAN_TOL_FACTOR * max(f.sup(), 1e-300)
+    if abs(f.mean()) > tol:
+        raise MeanValueError(
+            f"{what} needs zero mean: |mean|={abs(f.mean()):.3e} > tol={tol:.3e}")
 
 
 def spectral_antiderivative(f: RealField, mean_tol: float | None = None) -> RealField:
@@ -197,10 +202,7 @@ def spectral_antiderivative(f: RealField, mean_tol: float | None = None) -> Real
         MeanValueError: |mean(f)| exceeds the tolerance (default
             1e-10 * sup|f|), i.e. the zero-mean constraint is violated.
     """
-    tol = mean_tolerance(f, mean_tol)
-    if abs(f.mean()) > tol:
-        raise MeanValueError(
-            f"antiderivative needs zero mean: |mean|={abs(f.mean()):.3e} > tol={tol:.3e}")
+    check_zero_mean(f, "antiderivative", mean_tol)
     return RealField(grid=f.grid, values=f.grid.core.antiderivative(f.values))
 
 

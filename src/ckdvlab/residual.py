@@ -21,8 +21,7 @@ import numpy as np
 
 from .boussinesq import BoussinesqState, _t_grid_of, n_forms
 from .ckdv import CkdvState
-from .errors import MeanValueError
-from .grid import RealField, mean_tolerance, spectral_antiderivative, spectral_derivative
+from .grid import RealField, check_zero_mean, spectral_antiderivative, spectral_derivative
 
 BETA_EXPONENT = 3.5
 
@@ -50,18 +49,17 @@ class _Elimination:
     """Workspace of one residual evaluation at a snapshot and eps.
 
     Builds A, A^2, the eliminated D = drho A and D2 = drho^2 A, and the
-    nonlinear terms once.  The complex FFT of each field the expansion
-    differentiates is taken once, and every derivative is kept once taken.
+    nonlinear terms once.  B = dtau^{-1} A is the snapshot's own, as
+    make_state and ckdv_evolve build it.  The complex FFT of each field the
+    expansion differentiates is taken once, and every derivative is kept
+    once taken.
     """
 
     def __init__(self, state: CkdvState, eps: float):
         self.eps = eps
         self.grid = state.A.grid
         self.rho = rho = state.rho
-        tol = mean_tolerance(state.A)
-        if abs(state.A.mean()) > tol:
-            raise MeanValueError(
-                f"residual expansion needs zero-mean A: |mean|={abs(state.A.mean()):.3e}")
+        check_zero_mean(state.A, "residual expansion")
         self._core = self.grid.core
         self._spectra = {}
         self._derivs = {}
@@ -69,7 +67,7 @@ class _Elimination:
         a = state.A.values
         # drho A eliminated through the cKdV equation
         D = self._core.ckdv_drho(a, rho)
-        self.fields = {"a": a, "sq": a * a, "D": D, "2aD": 2.0 * a * D}
+        self.fields = {"a": a, "b": state.B.values, "sq": a * a, "D": D, "2aD": 2.0 * a * D}
         # drho^2 A: differentiate the elimination once more
         D2 = -0.5 * (-a / rho ** 2 + D / rho + self.d("D", 3) - self.d("2aD", 1))
         nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
@@ -137,9 +135,8 @@ def _residual_values(ws: _Elimination) -> np.ndarray:
 
 def _antiderivative_values(ws: _Elimination) -> np.ndarray:
     f = ws.fields
-    a, sq, D = f["a"], f["sq"], f["D"]
+    a, b, sq, D = f["a"], f["b"], f["sq"], f["D"]
     eps, rho = ws.eps, ws.rho
-    b = ws.grid.core.antiderivative(a)
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
     radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
@@ -160,8 +157,8 @@ def antiderivative_residual(state: CkdvState, eps: float) -> RealField:
     """dt^{-1} of the residual, on the t-grid.
 
     Every block of the expansion is a perfect tau-derivative except the
-    -(4 rho^2)^{-1} A piece left by eliminating the radial block, which is
-    integrated spectrally and requires the zero mean of A.  The overall
+    -(4 rho^2)^{-1} A piece left by eliminating the radial block, which
+    integrates to the snapshot's B = dtau^{-1} A (A has zero mean).  The overall
     dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
     """
     ws = _Elimination(state, eps)

@@ -67,8 +67,10 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(tmp_path / "nope.ini")
+        # a directory cannot be read as a file either
+        for path in (tmp_path / "nope.ini", tmp_path):
+            with pytest.raises(ConfigError):
+                load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -82,7 +84,8 @@ class TestConfigFile:
         for text in ("[model]\nrho1 = 0.5\n", "[grid]\nn = 7\n", "[grid]\nl_tau = -5\n",
                      "[solver]\ndr = 0\n", "[solver]\nd_rho = -1\n",
                      "[solver]\ndt_target = 0\n", "[solver]\nsnapshots = 0\n",
-                     "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n"):
+                     "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n",
+                     "[model]\nt_values =\n", "[model]\neps_list =\n"):
             path = tmp_path / "bad.ini"
             path.write_text(text)
             rc = main([command, "--config", str(path), "--out", str(out)])
@@ -90,9 +93,10 @@ class TestConfigFile:
             assert capsys.readouterr().err.startswith("error: ")
             assert not out.exists()
         # (flag, value, what the message names)
-        flags = [("--eps", "abc", "--eps"), ("--eps", "inf", "eps")]
+        flags = [("--eps", "abc", "--eps"), ("--eps", "inf", "eps"), ("--eps", "", "eps")]
         if command == "soliton":
-            flags.append(("--rho-list", "1,x", "--rho-list"))
+            flags += [("--rho-list", "1,x", "--rho-list"), ("--rho-list", ",,", "rho_profiles"),
+                      ("--rho-list", "", "rho_profiles")]
         if command in ("theorem1", "boussinesq"):
             flags.append(("--eps", "0.5", "eps <= 0.3"))
         for flag, value, named in flags:
