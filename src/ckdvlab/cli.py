@@ -29,9 +29,11 @@ from .airy import SolitonSpec, airy_eval
 from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, resolvent_solve,
                          u_to_v, v_to_u)
-from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
+from .ckdv import (CkdvRunConfig, _schedule, ckdv_evolve, ckdv_linear_propagator,
+                   make_state)
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
+from .parallel import map_forked
 from .report import config_hash, fit_loglog, write_csv, write_manifest
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
@@ -133,6 +135,11 @@ def load_config(path) -> ExperimentConfig:
     # read() skips a file it cannot open: a missing file, a directory
     if not found:
         raise ConfigError(f"config file not found or not readable: {path}")
+    # configparser copies [DEFAULT] keys into every section, and ignores them
+    # when there is no other section
+    if parser.defaults():
+        raise ConfigError(f"[DEFAULT] section not supported, it holds "
+                          f"{', '.join(parser.defaults())}")
     cfg = ExperimentConfig()
     for section in parser.sections():
         for key in parser.options(section):
@@ -162,6 +169,12 @@ def _say(cfg: ExperimentConfig, msg: str):
 
 def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
     """Check the config, then create out_dir; returns it and the run manifest."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        # no experiment has a use for a nan or an infinite value
+        if not all(np.isfinite(x) for x in (v if isinstance(v, tuple) else (v,))
+                   if isinstance(x, float)):
+            raise ConfigError(f"{f.name} must be finite, got {_flat_value(v)}")
     eps = cfg.eps_list
     eps_ok = eps is None or (len(eps) > 0 and all(0 < e < np.inf for e in eps))
     # theorem1 and boussinesq build the long-wave ansatz at every eps
@@ -174,6 +187,7 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
         (cfg.dr > 0, f"dr must be positive, got {cfg.dr}"),
         (cfg.dt_target > 0, f"dt_target must be positive, got {cfg.dt_target}"),
         (cfg.d_rho is None or cfg.d_rho > 0, f"d_rho must be positive, got {cfg.d_rho}"),
+        (cfg.rhs_tol > 0, f"rhs_tol must be positive, got {cfg.rhs_tol}"),
         (cfg.snapshots >= 1, f"snapshots must be >= 1, got {cfg.snapshots}"),
         (eps_ok, f"eps list must be non-empty, positive and finite, got {eps}"),
         (ansatz_ok, f"{cfg.command} needs every eps <= {ANSATZ_EPS_MAX}, got {eps}"),
@@ -319,33 +333,67 @@ def next_pow2(x: float) -> int:
 
 
 def run_theorem1_case(cfg: ExperimentConfig, eps: float):
-    """One eps case: cKdV source, ansatz init, radial run, error + energy.
+    """One eps case of run_theorem1_cases: (ApproxErrorRow, GronwallReport)."""
+    return run_theorem1_cases(cfg, [eps])[0]
+
+
+def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
+    """Each eps case's cKdV source, ansatz start, radial run, error and energy.
 
     The cKdV snapshots sit at rho = eps^3 r of the radial snapshots, so
     states[i] is the source of the ansatz at traj[i].r, the last pair
-    included (r1 = rho1 / eps^3).
+    included (r1 = rho1 / eps^3).  The radial runs are independent, so
+    map_forked runs the costliest of them (steps times n) in forked
+    children.  All else happens in this process in eps order, and a failure
+    raises as in a serial loop: that of the first failing case in list
+    order, at its first failing stage.
     """
-    n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
-    r1 = cfg.rho1 / eps ** 3
-    snaps_r = np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots)
-    states = _ckdv_trajectory(cfg, n, [eps ** 3 * r for r in snaps_r])
-    init = make_ansatz_state(states[0], eps, snaps_r[0])
-    traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol,
-                             output_radii=list(snaps_r))
-    # the first snapshot radius is the start: traj[0] is the ansatz start itself
-    ans = [traj[0]] + [make_ansatz_state(src, eps, st.r)
-                       for src, st in zip(states[1:], traj[1:], strict=True)]
-    err = approximation_error(traj, ans)
-    gron = gronwall_growth_check(traj, ans, eps)
-    return err, gron
+    cases, failure = [], None
+    for eps in eps_list:
+        n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
+        r1 = cfg.rho1 / eps ** 3
+        snaps_r = list(np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots))
+        try:
+            states = _ckdv_trajectory(cfg, n, [eps ** 3 * r for r in snaps_r])
+            init = make_ansatz_state(states[0], eps, snaps_r[0])
+        except Exception as exc:  # the cases before it may still fail first
+            failure = exc
+            break
+        cases.append((eps, states, init, r1, snaps_r))
+
+    def radial(case):
+        """The radial run's snapshots after the start, as (r, v, w) arrays."""
+        _, _, init, r1, snaps_r = case
+        traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol, output_radii=snaps_r)
+        return [(st.r, st.v.values, st.w.values) for st in traj[1:]]
+
+    def cost(case):
+        _, _, init, r1, snaps_r = case
+        return len(_schedule(init.r, r1, snaps_r, cfg.dr)[1]) * init.v.grid.n
+
+    runs, radial_failure = map_forked(radial, cases, cost, lambda case: f"eps={case[0]}")
+    results = []
+    for (eps, states, init, _, _), snapshots in zip(cases, runs):
+        grid = init.v.grid
+        # the first snapshot radius is the start: traj[0] is the ansatz start itself
+        traj = [init] + [BoussinesqState(r=r, v=RealField(grid=grid, values=v),
+                                         w=RealField(grid=grid, values=w))
+                         for r, v, w in snapshots]
+        ans = [init] + [make_ansatz_state(src, eps, st.r)
+                        for src, st in zip(states[1:], traj[1:], strict=True)]
+        results.append((approximation_error(traj, ans), gronwall_growth_check(traj, ans, eps)))
+    # a radial run fails only in a case before the one whose start failed
+    failure = radial_failure or failure
+    if failure is not None:
+        raise failure
+    return results
 
 
 def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     out, manifest = _prepare(cfg)
     eps_list = cfg.eps_list or (0.12, 0.1, 0.08)
     rows, files = [], []
-    for eps in eps_list:
-        err, gron = run_theorem1_case(cfg, eps)
+    for eps, (err, gron) in zip(eps_list, run_theorem1_cases(cfg, eps_list), strict=True):
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))
         tag = f"eps{eps:g}".replace(".", "p")
         files.append(write_csv(out / f"theorem1_energy_{tag}.csv",

@@ -35,3 +35,7 @@ class NoConvergence(CkdvLabError):
 
 class ConfigError(CkdvLabError):
     """An experiment configuration is inconsistent or incomplete."""
+
+
+class ChildDied(CkdvLabError):
+    """A forked child process ended without sending back its result."""

@@ -12,8 +12,15 @@ from ckdvlab.boussinesq import make_ansatz_state
 from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckdv,
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
-                         save_config)
+                         run_theorem1_case, save_config)
 from ckdvlab.errors import ConfigError
+
+
+def read_columns(path) -> dict[str, list[float]]:
+    """Columns of a CSV the CLI wrote; its floats read back bit for bit."""
+    lines = [ln for ln in Path(path).read_text().splitlines() if not ln.startswith("#")]
+    header, rows = lines[0].split(","), [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 def small_cfg(tmp_path, **overrides) -> ExperimentConfig:
@@ -55,8 +62,11 @@ class TestConfigFile:
         assert load_config(path).out_dir == "a%%b"
 
     @pytest.mark.parametrize("text", ["[grid]\nn = abc\n", "[model]\neps_list = 0.1,x\n",
-                                      "[solver]\ndealias = maybe\n", "n = 128\n"],
-                             ids=["int", "float-list", "bool", "no-section"])
+                                      "[solver]\ndealias = maybe\n", "n = 128\n",
+                                      "[DEFAULT]\nbogus = 1\nn = 7\n",
+                                      "[DEFAULT]\nn = 128\n[grid]\nl_tau = 30\n"],
+                             ids=["int", "float-list", "bool", "no-section", "default-only",
+                                  "default-and-section"])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
         path.write_text(text)
@@ -85,7 +95,11 @@ class TestConfigFile:
                      "[solver]\ndr = 0\n", "[solver]\nd_rho = -1\n",
                      "[solver]\ndt_target = 0\n", "[solver]\nsnapshots = 0\n",
                      "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n",
-                     "[model]\nt_values =\n", "[model]\neps_list =\n"):
+                     "[model]\nt_values =\n", "[model]\neps_list =\n",
+                     "[model]\nt_values = nan\n", "[model]\nrho_profiles = inf\n",
+                     "[grid]\nl_tau = inf\n", "[solver]\ndr = nan\n",
+                     "[solver]\ndt_target = inf\n", "[solver]\nd_rho = inf\n",
+                     "[solver]\nrhs_tol = 0\n"):
             path = tmp_path / "bad.ini"
             path.write_text(text)
             rc = main([command, "--config", str(path), "--out", str(out)])
@@ -188,6 +202,25 @@ class TestTheorem1:
         rows = next(f for f in files if f.name == "theorem1_errors.csv").read_text()
         assert "nan" not in rows.lower()
 
+    def test_sweep_equals_single_cases(self, tmp_path):
+        # with more than one usable CPU some cases run in forked children
+        eps_list = (0.2, 0.15, 0.12)
+        cfg = small_cfg(tmp_path, n=128, eps_list=eps_list, rho0=1.0, rho1=1.05,
+                        dr=0.25, snapshots=3, dt_target=3.0)
+        cmd_theorem1(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        errors = read_columns(tmp_path / "theorem1_errors.csv")
+        assert errors["eps"] == list(eps_list)
+        for i, eps in enumerate(eps_list):
+            err, gron = run_theorem1_case(cfg, eps)
+            assert (errors["err_u"][i], errors["err_v"][i], errors["r_at_sup"][i]) == (
+                err.err_u, err.err_v, err.r_at_sup)
+            tag = f"{eps:g}".replace(".", "p")
+            energy = read_columns(tmp_path / f"theorem1_energy_eps{tag}.csv")
+            assert energy["r"] == list(gron.radii)
+            assert energy["energy"] == list(gron.energies)
+
     def test_pulse_must_fit_domain(self, tmp_path):
         cfg = small_cfg(tmp_path, n=64, l_tau=6.0, eps_list=(0.2,), rho1=1.05,
                         snapshots=2, dt_target=3.0)
@@ -258,6 +291,8 @@ class TestDeterminism:
         (cmd_theorem1, dict(n=128, eps_list=(0.2,), rho0=1.0, rho1=1.05, dr=0.25,
                             snapshots=3, dt_target=3.0)),
         (cmd_boussinesq, dict(n=128, eps_list=(0.15,), dr=0.25)),
+        (cmd_theorem1, dict(n=128, eps_list=(0.2, 0.15, 0.12), rho0=1.0, rho1=1.05,
+                            dr=0.25, snapshots=3, dt_target=3.0)),
     ])
     def test_byte_identical_radial_outputs(self, tmp_path, command, overrides):
         out_a = tmp_path / "a"
