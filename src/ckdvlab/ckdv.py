@@ -156,17 +156,19 @@ class _Stepper:
     def rhs(self, a_hat: np.ndarray, rho: float, forcing_hat) -> tuple:
         """Stage term (1/2) dtau (A^2) + forcing beyond the exact linear flow.
 
-        Also returns sup|A| of the (dealiased) stage field as a cheap
-        blow-up monitor.
+        Also returns the (dealiased) stage field A.
         """
         a = np.fft.irfft(a_hat * self.mask, self.n)
         na = self.sym * np.fft.rfft(a * a)
         if forcing_hat is not None:
             na = na + forcing_hat(rho)
-        return na, float(np.abs(a).max())
+        return na, a
 
     def step(self, a_hat, rho: float, h: float, forcing_hat):
-        """One integrating-factor RK4 step from rho to rho + h."""
+        """One integrating-factor RK4 step from rho to rho + h.
+
+        Also returns sup|A| of the first stage field as a cheap blow-up monitor.
+        """
         p, p2 = self.phase(h)
         amp = np.sqrt(rho / (rho + h / 2))
         amp_b = np.sqrt((rho + h / 2) / (rho + h))
@@ -175,11 +177,12 @@ class _Stepper:
         e_full = (amp * amp_b) * p2
         ea = e_full * a_hat
 
-        k1, sup1 = self.rhs(a_hat, rho, forcing_hat)
+        k1, a1 = self.rhs(a_hat, rho, forcing_hat)
         k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2, forcing_hat)
         k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2, forcing_hat)
         k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h, forcing_hat)
-        return ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4), sup1
+        return (ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4),
+                float(np.abs(a1).max()))
 
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:

@@ -39,3 +39,7 @@ class ConfigError(CkdvLabError):
 
 class ChildDied(CkdvLabError):
     """A forked child process ended without sending back its result."""
+
+
+class ChildTraceback(CkdvLabError):
+    """The cause of an exception raised again from a forked child: its label and traceback."""

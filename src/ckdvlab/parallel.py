@@ -1,18 +1,23 @@
 """Calls run in forked child processes, their results sent back through pipes.
 
 ``Forked(fn, *args, label=...)`` forks.  The child runs ``fn(*args)``,
-pickles its return value, or the exception it raised, onto a pipe and
-leaves through ``os._exit``: it never flushes the parent's stdio buffers
-and never runs the parent's atexit handlers.  ``result()`` reads the pipe,
-reaps the child and returns the value or raises the exception again;
-``reap()`` kills a child that is still running and reaps it.  Only ``os``,
-``pickle`` and ``signal`` are used: a process pool costs about a megabyte
-of imports alone.  A forked child runs only this package and numpy, and the
-command-line program starts no thread of its own that could hold a lock
-across the fork.
+pickles its return value, or the exception it raised with its traceback
+as text, onto a pipe and leaves through ``os._exit``: it never flushes the
+parent's stdio buffers and never runs the parent's atexit handlers.
+``result()`` reads the pipe, reaps the child and returns the value or
+raises the exception again, caused by a ``ChildTraceback`` that names the
+label and holds the child's traceback; ``reap()`` kills a child that is
+still running and reaps it.  Only ``os``, ``pickle`` and ``signal`` are
+imported up front, and ``traceback`` in a failing child: a process pool
+costs about a megabyte of imports alone.  A forked child runs only this
+package and numpy, and the command-line program starts no thread of its
+own that could hold a lock across the fork; a library caller that forks
+through this module must hold no thread either.
 
 ``map_forked`` is a serial loop over independent calls whose costliest
-calls run in children, one per usable CPU but one.
+calls run in children, one per usable CPU but one.  ``cli`` maps the radial
+runs of a Theorem-1 sweep through it, and ``residual.sweep_report`` equal
+chunks of the snapshots of a residual sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import os
 import pickle
 import signal
 
-from .errors import ChildDied
+from .errors import ChildDied, ChildTraceback
 
 
 def usable_cpus() -> int:
@@ -40,13 +45,15 @@ def _exit_status(status: int) -> str:
 
 
 def _run_child(fn, args, fd: int):
-    """Run fn(*args) in the child, send (ok, value or exception) on fd and exit."""
+    """Run fn(*args) in the child, send (ok, value or exception, traceback) on fd and exit."""
     code = 1
     try:
         try:
-            payload = (True, fn(*args))
+            payload = (True, fn(*args), None)
         except Exception as exc:
-            payload = (False, exc)
+            import traceback  # only a failing child needs it
+
+            payload = (False, exc, traceback.format_exc())
         with open(fd, "wb") as fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -71,6 +78,9 @@ class Forked:
     def result(self):
         """Wait for the child; its return value, or its exception raised again.
 
+        The exception keeps its type and message; its cause is a
+        ChildTraceback with the label and the child's traceback.
+
         Raises:
             ChildDied: the child ended by a signal or an exit of its own
                 without sending a result.
@@ -82,10 +92,11 @@ class Forked:
         if not (os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0 and data):
             raise ChildDied(f"{self.label}: child ended by {_exit_status(status)} "
                             "without a result")
-        ok, value = pickle.loads(data)
+        ok, value, child_traceback = pickle.loads(data)
         if ok:
             return value
-        raise value
+        raise value from ChildTraceback(f"{self.label}: raised in a forked child\n"
+                                        f"{child_traceback.rstrip()}")
 
     def reap(self):
         """Kill the child if it has not been reaped yet, and reap it."""
@@ -104,8 +115,9 @@ def map_forked(fn, items, cost, label) -> tuple[list, Exception | None]:
     With c usable CPUs, each of the min(c, len(items)) - 1 items of highest
     cost(item) runs in a forked child labelled label(item), and this process
     runs the others in list order.  Returns the values of the items before
-    the first that raised, and that item's exception (None if none raised).
-    Every child is reaped before this returns or raises.
+    the first that raised, and that item's exception (None if none raised);
+    an empty list gives ([], None).  Every child is reaped before this
+    returns or raises.
     """
     forks = min(usable_cpus(), len(items)) - 1
     costs = [cost(item) for item in items] if forks > 0 else []

@@ -22,6 +22,7 @@ import numpy as np
 from .boussinesq import BoussinesqState, _t_grid_of, n_forms
 from .ckdv import CkdvState
 from .grid import RealField, check_zero_mean, spectral_antiderivative, spectral_derivative
+from .parallel import map_forked, usable_cpus
 
 BETA_EXPONENT = 3.5
 
@@ -179,8 +180,23 @@ def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
     """Sup over the sampled radii of the residual norms (the lemma statement).
 
     rho_at_sup is the radius of the first snapshot with the largest res_sup.
+    The snapshots are independent, so they are cut into equal contiguous
+    chunks, one per usable CPU, and map_forked runs all chunks but one in
+    forked children and hands the rows back in list order: the result, or
+    the failure of the first failing snapshot, is a serial loop's.  This
+    forks whenever two or more CPUs are usable, so the caller must hold no
+    thread.  An empty list raises ValueError.
     """
-    rows = [residual_report(st, eps) for st in states]
+    if not states:
+        raise ValueError("sweep_report needs at least one snapshot")
+    m = min(usable_cpus(), len(states))
+    cuts = [len(states) * k // m for k in range(m + 1)]
+    chunks = [states[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    runs, failure = map_forked(lambda chunk: [residual_report(st, eps) for st in chunk],
+                               chunks, len, lambda chunk: f"rho={chunk[0].rho} to {chunk[-1].rho}")
+    if failure is not None:
+        raise failure
+    rows = [row for run in runs for row in run]
     return ResidualReport(res_l2=max(row.res_l2 for row in rows),
                           res_sup=max(row.res_sup for row in rows),
                           antires_l2=max(row.antires_l2 for row in rows),

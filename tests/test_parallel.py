@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from ckdvlab.errors import ChildDied, StepUnstable
+from ckdvlab.errors import ChildDied, ChildTraceback, StepUnstable
 from ckdvlab.parallel import Forked, map_forked, usable_cpus
 
 
@@ -31,6 +31,12 @@ def test_exception_raised_again():
     with pytest.raises(StepUnstable) as info:
         child.result()
     assert str(info.value) == "sup|v| grew 12.0x in one step at r=578.7"
+    # caused by the child's traceback, which names the label and the raise
+    cause = info.value.__cause__
+    assert type(cause) is ChildTraceback
+    assert str(cause).startswith("eps=0.1: raised in a forked child\nTraceback")
+    assert "in unstable" in str(cause) and str(cause).endswith(
+        "StepUnstable: sup|v| grew 12.0x in one step at r=578.7")
     assert_no_child_left()
 
 
@@ -64,7 +70,7 @@ def fail_at(*bad):
     return fn
 
 
-@pytest.mark.parametrize("cost", [lambda x: x, lambda x: -x], ids=["last-costly", "first-costly"])
+@pytest.mark.parametrize("cost", [lambda x: x, lambda x: 1 / x], ids=["last-costly", "first-costly"])
 def test_map_forked_is_a_serial_loop(cost):
     # with two or more CPUs the item of highest cost runs in a child
     values, failure = map_forked(fail_at(), [1, 2, 3], cost, str)
@@ -79,10 +85,14 @@ def test_map_forked_is_a_serial_loop(cost):
     assert_no_child_left()
 
 
+def test_map_forked_of_nothing():
+    assert map_forked(unstable, [], len, str) == ([], None)
+
+
 @pytest.mark.skipif(usable_cpus() < 2, reason="map_forked forks only with two or more CPUs")
 def test_map_forked_child_death():
     values, failure = map_forked(lambda x: os._exit(5) if x == 1 else x, [1, 2, 3],
-                                 lambda x: -x, lambda x: f"item {x}")
+                                 lambda x: 1 / x, lambda x: f"item {x}")
     assert values == [] and type(failure) is ChildDied
     assert str(failure) == "item 1: child ended by exit status 5 without a result"
     assert_no_child_left()

@@ -1,12 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
+from ckdvlab import residual
 from ckdvlab.boussinesq import boussinesq_evolve, make_ansatz_state
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
-from ckdvlab.errors import MeanValueError
+from ckdvlab.errors import ChildDied, MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
-from ckdvlab.residual import (antiderivative_residual, energy, gronwall_growth_check,
-                              residual_field, residual_report, sweep_report)
+from ckdvlab.parallel import usable_cpus
+from ckdvlab.residual import (ResidualReport, antiderivative_residual, energy,
+                              gronwall_growth_check, residual_field, residual_report,
+                              sweep_report)
 
 from conftest import random_zero_mean_field, unexpanded_residual_fd
 
@@ -14,6 +19,13 @@ from conftest import random_zero_mean_field, unexpanded_residual_fd
 def gaussian_source(grid):
     tau = grid.nodes - grid.center
     return RealField(grid=grid, values=-2.0 * tau * np.exp(-tau ** 2))
+
+
+def zero_states(*rhos):
+    """cKdV states of zero amplitude on a small grid at the given radii."""
+    g = make_grid(64, 40.0)
+    zero = RealField(grid=g, values=np.zeros(g.n))
+    return [make_state(zero, rho) for rho in rhos]
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +92,58 @@ class TestResidualField:
 
     def test_sweep_report_is_the_max_over_rows(self, trajectory):
         rows = [residual_report(st, 0.1) for st in trajectory]
-        rep = sweep_report(trajectory, 0.1)
-        assert rep.res_l2 == max(r.res_l2 for r in rows)
-        assert rep.res_sup == max(r.res_sup for r in rows)
-        assert rep.antires_l2 == max(r.antires_l2 for r in rows)
         top = int(np.argmax([r.res_sup for r in rows]))
-        assert rep.rho_at_sup == trajectory[top].rho
-        # among equal res_sup the first snapshot gives rho_at_sup
-        g = make_grid(64, 40.0)
-        zero = RealField(grid=g, values=np.zeros(g.n))
-        ties = [make_state(zero, rho) for rho in (1.2, 1.0, 1.4)]
+        # equal to the serial loop's maxima, bit for bit, wherever the rows ran
+        assert sweep_report(trajectory, 0.1) == ResidualReport(
+            res_l2=max(r.res_l2 for r in rows), res_sup=max(r.res_sup for r in rows),
+            antires_l2=max(r.antires_l2 for r in rows), rho_at_sup=trajectory[top].rho)
+        # among equal res_sup the first snapshot gives rho_at_sup; all rows
+        # tie here, so the tie straddles every cut between the chunks
+        ties = zero_states(1.2, 1.0, 1.4)
         assert sweep_report(ties, 0.1).rho_at_sup == 1.2
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_sweep_report_of_no_snapshot(self):
+        with pytest.raises(ValueError, match="sweep_report"):
+            sweep_report([], 0.1)
+
+    def test_sweep_report_raises_the_first_failure(self):
+        # every snapshot is reported on, wherever its chunk ran: a
+        # nonzero-mean A at any one of them fails the sweep, and of two
+        # failing snapshots the first one's failure wins
+        states = zero_states(1.0, 1.1, 1.2, 1.3, 1.4)
+        g = states[0].A.grid
+
+        def bump(i, scale):
+            values = scale * np.exp(-(g.nodes - g.center) ** 2)
+            return type(states[i])(rho=states[i].rho, A=RealField(grid=g, values=values),
+                                   B=states[i].B)
+
+        for i in range(len(states)):
+            with pytest.raises(MeanValueError):
+                sweep_report(states[:i] + [bump(i, 1.0)] + states[i + 1:], 0.1)
+        with pytest.raises(MeanValueError) as first:
+            residual_report(bump(1, 1.0), 0.1)
+        with pytest.raises(MeanValueError) as info:
+            sweep_report([states[0], bump(1, 1.0), states[2], bump(3, 2.0), states[4]], 0.1)
+        assert str(info.value) == str(first.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="sweep_report forks only with two or more CPUs")
+    def test_sweep_report_names_the_chunk_of_a_dead_child(self, monkeypatch):
+        # every snapshot run in a child ends it; the first chunk is always one
+        parent, report = os.getpid(), residual_report
+        monkeypatch.setattr(residual, "residual_report",
+                            lambda st, eps: report(st, eps) if os.getpid() == parent else os._exit(5))
+        rhos = (1.0, 1.1, 1.2, 1.3)
+        with pytest.raises(ChildDied) as info:
+            sweep_report(zero_states(*rhos), 0.1)
+        last = rhos[len(rhos) // min(usable_cpus(), len(rhos)) - 1]
+        assert str(info.value) == f"rho=1.0 to {last}: child ended by exit status 5 without a result"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_radial_block_fd_crosscheck(self):
         # the eliminated -eps^8 (drho^2 + rho^{-1} drho) A block alone, against
