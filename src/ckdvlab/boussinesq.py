@@ -14,11 +14,11 @@ the coefficients collapse to
     v - v^2 + N(v) = u = (s - 1)/2,   -2v + N'(v) = 1/s - 1,
     -2 + N''(v) = -2/s^3,
 
-which is how the solver evaluates them, with (s - 1)/2 written as
-2v/(1 + s) and 1/s - 1 as -4v/(s (1 + s)) so that neither cancels at small
-v.  With g = -2v + N'(v) and the pointwise source
-src = (s - 1)/2 - 2 w^2/s^3, the resolvent term h solves h = B^2(src + g h)
-and is found by the fixed-point iteration
+which is how the solver evaluates them, with q = 1/s, (s - 1)/2 written as
+u = 2v/(1 + s) and 1/s - 1 as -2q u so that neither cancels at small v.
+With g = -2v + N'(v) = -2q u and the pointwise source
+src = (s - 1)/2 - 2 w^2/s^3 = u - 2 q^3 w^2, the resolvent term h solves
+h = B^2(src + g h) and is found by the fixed-point iteration
 
     h_{k+1} = B^2(src + g h_k),
 
@@ -30,7 +30,9 @@ iterate satisfies the residual identity
 and B^2 has multiplier norm below one, so for sup|g| < 1 the residual is at
 most sup|g| * ||h_{k+1} - h_k|| from any start h_0.  The iteration stops once
 that increment is at most tol/2; only when sup|g| >= 1, where the bound does
-not hold, is the residual checked a posteriori.
+not hold, is the residual checked a posteriori.  g decreases in v, so sup|g|
+is the larger of g(min v) and -g(max v), and the branch check v > -1/4 needs
+only min v: two reductions of v per RHS, none of g.
 
 Because any start is allowed, each RK4 stage of one ``boussinesq_evolve``
 call starts from an extrapolated h.  Stage k of the step from r with size
@@ -52,11 +54,17 @@ The first step starts k1 cold and k2 from h1, and the error term is left
 out until six errors are known.  ``spatial_rhs`` and ``resolvent_solve``
 start cold.
 
-The RK4 loop runs on bare arrays through the grid's spectral core;
-``spatial_rhs`` and ``resolvent_solve`` are RealField wrappers over the same
-array functions.  ``boussinesq_evolve`` takes an optional ``b2`` operator
-(array to array) in place of the grid's B^2, which is how the selftest
-injects a faulty operator.
+The RK4 loop runs on bare arrays through the grid's spectral core.  It
+holds the state (v, w) as one (2, n) array, so a stage argument or the step
+update is one array operation for both rows, and writes each stage's
+derivative (w, h - w/r) into one of four preallocated (2, n) arrays.  A
+stage's first resolvent sweep is not scanned for non-finite values: it
+would make the first increment non-finite, so only a failed solve looks at
+it, to tell a non-finite stage (StepUnstable) from a resolvent that does
+not converge (NoConvergence).  ``spatial_rhs`` and ``resolvent_solve`` are
+RealField wrappers over the same array functions.  ``boussinesq_evolve``
+takes an optional ``b2`` operator (array to array) in place of the grid's
+B^2, which is how the selftest injects a faulty operator.
 """
 
 from __future__ import annotations
@@ -136,29 +144,31 @@ class BoussinesqState:
 
 
 def _l2(values: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(dx * np.dot(values, values)))
+    return math.sqrt(dx * float(np.dot(values, values)))
 
 
-def _resolve(b2: B2Operator, g: np.ndarray, src: np.ndarray, prev: np.ndarray,
-             h: np.ndarray, dx: float, tol: float) -> np.ndarray:
-    """Fixed-point solve of h = B^2(src + g h) on bare arrays.
+def _resolve(b2: B2Operator, g: np.ndarray, src: np.ndarray, sup_g: float,
+             prev: np.ndarray, h: np.ndarray, dx: float, tol: float) -> np.ndarray:
+    """Fixed-point solve of h = B^2(src + g h) on bare arrays, sup_g = sup|g|.
 
     Continues the iteration h <- B^2(src + g h) whose first sweep, made by
     the caller, took the start prev to h; at most RESOLVENT_MAX_ITER more sweeps.
     """
-    sup_g = float(np.abs(g).max())
     incr = _l2(h - prev, dx)
-    # the divergence scale is the first iterate's size, never only a warm
-    # start's (possibly tiny) first increment
-    scale = max(_l2(h, dx), incr, 1e-300)
+    # divergence: an increment above 1e6 times the first iterate's size,
+    # never only a warm start's (possibly tiny) first increment; set before
+    # the second sweep, as a first increment cannot exceed it
+    limit = math.inf
     sweeps = 0
-    while np.isfinite(incr) and incr <= 1e6 * scale:
+    while math.isfinite(incr) and incr <= limit:
         if incr <= 0.5 * tol:
             # contraction: residual <= sup|g| * incr < tol; otherwise check it
             if sup_g < 1.0 or _l2(h - b2(src + g * h), dx) <= tol:
                 return h
         if sweeps == RESOLVENT_MAX_ITER:
             break
+        if sweeps == 0:
+            limit = 1e6 * max(_l2(h, dx), incr, 1e-300)
         prev, h = h, b2(src + g * h)
         incr = _l2(h - prev, dx)
         sweeps += 1
@@ -187,38 +197,71 @@ def resolvent_solve(g: RealField, rhs: RealField, tol: float = RHS_TOL_DEFAULT) 
     grid = rhs.grid
     b2 = grid.core.b2
     src = g.values * rhs.values
-    y = _resolve(b2, g.values, src, np.zeros_like(src), b2(src), grid.dx, tol)
+    y = _resolve(b2, g.values, src, float(np.abs(g.values).max()), np.zeros_like(src),
+                 b2(src), grid.dx, tol)
     return RealField(grid=grid, values=rhs.values + y)
 
 
-def _coefficients(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g, src) of the resolvent equation h = B^2(src + g h), pointwise.
+def _g_at(v: float) -> float:
+    """g at one value v, by the operations _coefficients applies to arrays."""
+    s = math.sqrt(1.0 + 4.0 * v)
+    return -2.0 * (1.0 / s) * (2.0 * v / (1.0 + s))
+
+
+def _coefficients(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(g, src, sup|g|) of the resolvent equation h = B^2(src + g h), pointwise.
 
     g = 1/s - 1 and src = (s - 1)/2 - 2 w^2/s^3 with s = sqrt(1 + 4v),
-    evaluated without cancellation at small v: (s - 1)/2 = 2v/(1 + s) and
-    1/s - 1 = -2/s * (s - 1)/2.
+    evaluated without cancellation at small v as g = m u and
+    src = u + m q^2 w^2, where q = 1/s, m = -2q and u = (s - 1)/2 = 2v/(1 + s).
+    g decreases in v, so the branch check and sup|g| = max(g(min v),
+    -g(max v)) need only the extremes of v.
     """
-    _check_branch(v)
-    s = np.sqrt(1.0 + 4.0 * v)
-    q = 1.0 / s
-    u = 2.0 * v / (1.0 + s)
-    return -2.0 * q * u, u - 2.0 * q * q * q * w * w
+    v_min = float(v.min())
+    if not v_min > -0.25:  # a branch violation, or a nan somewhere
+        _check_branch(v)
+    s = 4.0 * v
+    s += 1.0
+    np.sqrt(s, out=s)
+    q = np.divide(1.0, s)
+    u = 2.0 * v
+    s += 1.0
+    u /= s
+    m = -2.0 * q
+    src = m * q
+    src *= q
+    src *= w
+    src *= w
+    src += u
+    g = np.multiply(m, u, out=m)
+    g_lo, g_hi = _g_at(v_min), -_g_at(float(v.max()))
+    # the larger of the two, nan if either is
+    return g, src, g_lo if g_lo >= g_hi else g_hi
 
 
-def _rhs(b2: B2Operator, dx: float, r: float, v: np.ndarray, w: np.ndarray,
-         h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dv/dr, dw/dr) on bare arrays, and the resolvent term h they used.
+def _rhs(b2: B2Operator, dx: float, r: float, y: np.ndarray, h: np.ndarray, tol: float,
+         out: np.ndarray) -> np.ndarray:
+    """(dv/dr, dw/dr) at the state y = (v, w) into out, both (2, n) arrays.
 
-    The resolvent iteration starts from h (zeros for a cold start); its first
-    sweep is made here, so that a non-finite stage is told apart from a
-    resolvent that fails to converge.
+    Returns the resolvent term h they used.  The resolvent iteration starts
+    from h (zeros for a cold start); its first sweep is made here, so that a
+    non-finite stage is told apart from a resolvent that fails to converge.
+    A non-finite first sweep makes a non-finite first increment, so the
+    resolvent fails at once and the sweep itself is looked at only then.
     """
-    g, src = _coefficients(v, w)
+    v, w = y
+    g, src, sup_g = _coefficients(v, w)
     first = b2(src + g * h)
-    if not np.isfinite(first).all():
-        raise StepUnstable(f"non-finite stage at r={r:.6g}")
-    h = _resolve(b2, g, src, h, first, dx, tol)
-    return w, -w / r + h, h
+    try:
+        h = _resolve(b2, g, src, sup_g, h, first, dx, tol)
+    except NoConvergence:
+        if not np.isfinite(first).all():
+            raise StepUnstable(f"non-finite stage at r={r:.6g}") from None
+        raise
+    out[0] = w
+    np.divide(w, -r, out=out[1])
+    out[1] += h
+    return h
 
 
 def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
@@ -226,10 +269,10 @@ def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
     if not state.r > 0:
         raise ValueError(f"radius must be positive, got {state.r}")
     grid = state.v.grid
-    v = state.v.values
-    _, f, _ = _rhs(grid.core.b2, grid.dx, state.r, v, state.w.values,
-                   np.zeros_like(v), rhs_tol)
-    return state.w, RealField(grid=grid, values=f)
+    y = np.stack([state.v.values, state.w.values])
+    out = np.empty_like(y)
+    _rhs(grid.core.b2, grid.dx, state.r, y, np.zeros(grid.n), rhs_tol, out)
+    return state.w, RealField(grid=grid, values=out[1])
 
 
 class _StageStart:
@@ -253,7 +296,7 @@ class _StageStart:
         return guess + _RING_WEIGHTS[self.count % _HISTORY] @ self.errors
 
     def record(self, h: np.ndarray):
-        self.errors[self.count % _HISTORY] = h - self.guess
+        np.subtract(h, self.guess, out=self.errors[self.count % _HISTORY])
         self.count += 1
 
 
@@ -281,28 +324,38 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
     grid = init.v.grid
     b2 = b2 or grid.core.b2
     dx = grid.dx
-    v = init.v.values.copy()
-    w = init.w.values.copy()
+    # the state (v, w) and the stage arguments and derivatives as (2, n) arrays
+    y = np.stack([init.v.values, init.w.values])
+    arg = np.empty_like(y)
+    k1, k2, k3, k4 = np.empty((4, *y.shape))
+    starts = [_StageStart(grid.n) for _ in range(4)]
 
-    starts = [_StageStart(v.size) for _ in range(4)]
-
-    def rhs(k, guess, rr, vv, ww):
-        dv, dw, res = _rhs(b2, dx, rr, vv, ww, starts[k].start(guess), rhs_tol)
+    def rhs(k, guess, rr, yy, dy):
+        res = _rhs(b2, dx, rr, yy, starts[k].start(guess), rhs_tol, dy)
         starts[k].record(res)
-        return dv, dw, res
+        return res
+
+    def stage_arg(step, dy):
+        return np.add(np.multiply(dy, step, out=arg), y, out=arg)
 
     out = [init] if emit_start else []
-    guard = _GrowthGuard("sup|v|", float(np.abs(v).max()))
+    guard = _GrowthGuard("sup|v|", float(np.abs(y[0]).max()))
     # the first step has no previous one: k1 starts cold and k2 from h1
     h3 = h4 = None
     for r, h, landing in steps:
-        k1v, k1w, h1 = rhs(0, np.zeros_like(v) if h4 is None else h4, r, v, w)
-        k2v, k2w, h2 = rhs(1, h1 if h3 is None else 2.0 * h1 - h3,
-                           r + h / 2, v + h / 2 * k1v, w + h / 2 * k1w)
-        k3v, k3w, h3 = rhs(2, h2, r + h / 2, v + h / 2 * k2v, w + h / 2 * k2w)
-        k4v, k4w, h4 = rhs(3, 2.0 * h3 - h1, r + h, v + h * k3v, w + h * k3w)
-        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        h1 = rhs(0, np.zeros(grid.n) if h4 is None else h4, r, y, k1)
+        h2 = rhs(1, h1 if h3 is None else 2.0 * h1 - h3, r + h / 2, stage_arg(h / 2, k1), k2)
+        h3 = rhs(2, h2, r + h / 2, stage_arg(h / 2, k2), k3)
+        h4 = rhs(3, 2.0 * h3 - h1, r + h, stage_arg(h, k3), k4)
+        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= h / 6
+        y += k2
+        v, w = y
         sup_new = float(np.abs(v).max())
         if not (np.isfinite(sup_new) and np.isfinite(w).all()):
             raise StepUnstable(f"non-finite state after the step to r={r + h:.6g}")

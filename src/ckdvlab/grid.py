@@ -142,6 +142,8 @@ class SpectralCore:
         self.rfft_k = kr.copy()
         self.rfft_k[n // 2] = 0.0
         self.rfft_ik = 1j * self.rfft_k
+        # b2's spectrum, reused call after call
+        self._b2_spectrum = np.empty(n // 2 + 1, dtype=complex)
         for arr in (self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
                     self.rfft_ik, *self._deriv.values()):
             arr.setflags(write=False)
@@ -160,8 +162,14 @@ class SpectralCore:
         return np.fft.ifft(self.inv_ik * fhat).real
 
     def b2(self, values: np.ndarray) -> np.ndarray:
-        """B^2 values: the multiplier -k^2/(1+k^2) applied mode-wise."""
-        return np.fft.irfft(self.b2_symbol * np.fft.rfft(values), self.n)
+        """B^2 values: the multiplier -k^2/(1+k^2) applied mode-wise.
+
+        The spectrum goes through a scratch array of this core, so calls
+        must not overlap (no threads); the result is a fresh array.
+        """
+        spectrum = np.fft.rfft(values, out=self._b2_spectrum)
+        spectrum *= self.b2_symbol
+        return np.fft.irfft(spectrum, self.n)
 
     def ckdv_drho(self, a: np.ndarray, rho: float) -> np.ndarray:
         """dA/drho = -(A/rho + dtau^3 A - dtau (A^2)) / 2 from the cKdV equation."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -114,13 +116,67 @@ class TestRemainder:
             n_forms(np.array(good + [bad]))
 
 
+#: v on the branch v > -1/4, up to well past the solver's state region
+V_WIDE = st.floats(min_value=-0.25, max_value=10.0, exclude_min=True)
+
+#: entries the branch check must treat as an array scan would
+V_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, -0.25, -1.0])
+
+
 class TestCoefficients:
+    @PROPERTY
+    @given(st.lists(V_WIDE, min_size=1, max_size=16))
+    @example([-3.0 / 16.0, 0.1])
+    @example([np.nextafter(-3.0 / 16.0, 0.0), 10.0])
+    @example([np.nextafter(-3.0 / 16.0, -1.0), -0.1])
+    @example([1e-300, 5e-324, 0.0])
+    def test_sup_g_from_the_extremes(self, vs):
+        # g decreases in v, so sup|g| needs only min v and max v
+        v = np.array(vs)
+        g, _, sup_g = boussinesq._coefficients(v, np.ones_like(v))
+        want = float(np.abs(g).max())
+        assert abs(sup_g - want) <= 4 * np.spacing(want)
+        assert (sup_g < 1.0) == (want < 1.0)
+
+    @PROPERTY
+    @given(st.lists(st.tuples(V_WIDE, st.floats(min_value=-10.0, max_value=10.0)),
+                    min_size=1, max_size=16))
+    def test_in_place_forms_are_the_plain_expressions(self, pairs):
+        v, w = np.array(pairs).T
+        s = np.sqrt(1.0 + 4.0 * v)
+        q = 1.0 / s
+        u = 2.0 * v / (1.0 + s)
+        g, src, _ = boussinesq._coefficients(v, w)
+        assert np.array_equal(g, -2.0 * q * u)
+        assert np.array_equal(src, u - 2.0 * q * q * q * w * w)
+        # v and w are left as they were
+        assert np.array_equal(np.array(pairs).T, np.stack([v, w]))
+
+    @PROPERTY
+    @given(st.lists(st.one_of(V_WIDE, V_SPECIAL), min_size=1, max_size=16))
+    def test_branch_check_from_the_extremes(self, vs):
+        # as a scan of every entry: any v <= -1/4 is a BranchError naming
+        # min v (nan if there is one); nan and +inf entries give nan g and sup|g|
+        v = np.array(vs)
+        with np.errstate(all="ignore"):
+            if (v <= -0.25).any():
+                message = f"v must exceed -1/4, got min {np.min(v):.4f}"
+                with pytest.raises(BranchError, match=f"^{re.escape(message)}$"):
+                    boussinesq._coefficients(v, np.zeros_like(v))
+                return
+            g, _, sup_g = boussinesq._coefficients(v, np.zeros_like(v))
+        want = float(np.abs(g).max())
+        if np.isnan(want):
+            assert np.isnan(sup_g)
+        else:
+            assert abs(sup_g - want) <= 4 * np.spacing(want)
+
     def test_series_at_small_v(self):
         # g = 1/s - 1 = -2v + 6v^2 - 20v^3 + ... and, at w = 0, the source
         # (s - 1)/2 = v - v^2 + 2v^3 - ...; written as 1/s - 1 and (s - 1)/2
         # they cancel to about 1e-16 absolute, 5e-8 relative at v = 1e-9
         v = np.array([1e-9, -1e-9])
-        g, src = boussinesq._coefficients(v, np.zeros_like(v))
+        g, src, _ = boussinesq._coefficients(v, np.zeros_like(v))
         assert np.abs(g - (-2 * v + 6 * v ** 2 - 20 * v ** 3)).max() <= 1e-13 * 2e-9
         assert np.abs(src - (v - v ** 2 + 2 * v ** 3)).max() <= 1e-13 * 1e-9
 
@@ -178,7 +234,8 @@ def resolve_with(op, g, rhs, tol):
     y = B^2(src + g y), so that h = rhs + y solves h - B^2(g h) = rhs.
     """
     src = g.values * rhs.values
-    y = boussinesq._resolve(op, g.values, src, np.zeros_like(src), op(src), rhs.grid.dx, tol)
+    y = boussinesq._resolve(op, g.values, src, float(np.abs(g.values).max()),
+                            np.zeros_like(src), op(src), rhs.grid.dx, tol)
     return src, y
 
 
@@ -246,6 +303,13 @@ def stage_resolvent_residual(grid, v, w, h):
                                    RealField(grid=grid, values=h), b2_src)
 
 
+def rhs_arrays(b2, dx, r, v, w, h, tol):
+    """boussinesq._rhs on separate v and w arrays: (dv/dr, dw/dr, h)."""
+    out = np.empty((2, v.size))
+    h = boussinesq._rhs(b2, dx, r, np.stack([v, w]), h, tol, out)
+    return out[0], out[1], h
+
+
 def bessel_oracle_case():
     """The selftest's Bessel mode: its state at r = 50 and its exact v at r = 100."""
     n, length = 128, 40.0
@@ -272,7 +336,7 @@ class TestWarmStart:
             h = np.zeros(grid256.n)
             for j in range(6):
                 r, v, w = pulse_stage(grid256, j)
-                _, dw, h = boussinesq._rhs(b2, grid256.dx, r, v, w, h, tol)
+                _, dw, h = rhs_arrays(b2, grid256.dx, r, v, w, h, tol)
                 assert stage_resolvent_residual(grid256, v, w, h) <= tol
                 assert np.array_equal(dw, -w / r + h)
 
@@ -289,12 +353,19 @@ class TestWarmStart:
         boussinesq_evolve(init, 30.0, 0.25, b2=op)
         assert len(op.args) <= 328
 
+    def test_bessel_run_b2_calls_are_pinned(self):
+        # 500 steps, 2000 RHS evaluations: the count is deterministic, and
+        # was the same when the stages held v and w as separate arrays
+        init, _ = bessel_oracle_case()
+        op = RecordingB2(init.v.grid)
+        boussinesq_evolve(init, 100.0, 0.1, b2=op)
+        assert len(op.args) == 2004
+
     def test_restart_from_own_solution_stops_at_first_sweep(self, grid256):
         r, v, w = pulse_stage(grid256, 0)
-        _, _, h = boussinesq._rhs(grid256.core.b2, grid256.dx, r, v, w,
-                                  np.zeros(grid256.n), 1e-12)
+        _, _, h = rhs_arrays(grid256.core.b2, grid256.dx, r, v, w, np.zeros(grid256.n), 1e-12)
         op = RecordingB2(grid256)
-        _, _, again = boussinesq._rhs(op, grid256.dx, r, v, w, h, 1e-12)
+        _, _, again = rhs_arrays(op, grid256.dx, r, v, w, h, 1e-12)
         assert len(op.args) == 1
         assert stage_resolvent_residual(grid256, v, w, again) <= 1e-12
 
@@ -314,7 +385,7 @@ class TestWarmStart:
             outs.append(m @ values)
             return outs[-1]
 
-        y = boussinesq._resolve(op, g, src, start, op(start), 1.0, 1e-12)
+        y = boussinesq._resolve(op, g, src, 1.0, start, op(start), 1.0, 1e-12)
         incrs = [np.linalg.norm(b - a) for a, b in zip(outs, outs[1:])]
         assert max(incrs) > 1e6 * np.linalg.norm(outs[0] - start)
         assert np.linalg.norm(y - m @ (src + g * y)) <= 1e-12
@@ -351,7 +422,7 @@ class TestExtrapolatedStart:
 
         def cold_stage(r, v, w):
             cold.append(r)
-            return rhs(fault, dx, r, v, w, np.zeros_like(v), 1e-12)[:2]
+            return rhs_arrays(fault, dx, r, v, w, np.zeros_like(v), 1e-12)[:2]
 
         with pytest.raises(NoConvergence, match=message):
             cold_rk4(init, 100.0, 0.1, stage=cold_stage)
@@ -445,6 +516,15 @@ class TestEvolve:
         init = BoussinesqState(r=10.0, v=zero, w=w)
         with np.errstate(all="ignore"), pytest.raises(StepUnstable, match="r=10"):
             boussinesq_evolve(init, 20.0, 0.25)
+
+    def test_overflowing_increment_is_no_convergence(self, grid64):
+        # every sweep is finite but the L2 norm of the first increment
+        # overflows: the resolvent fails, the stage is not non-finite
+        v = RealField(grid=grid64, values=1e-3 * np.cos(grid64.nodes))
+        zero = RealField(grid=grid64, values=np.zeros(grid64.n))
+        init = BoussinesqState(r=10.0, v=v, w=zero)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="did not reach"):
+            boussinesq_evolve(init, 20.0, 0.25, b2=lambda values: np.full_like(values, 1e300))
 
     def test_non_finite_step_is_step_unstable(self, grid256):
         # with B^2 = 0 every stage stays finite but the RK4 sum overflows
