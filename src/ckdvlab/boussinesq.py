@@ -51,8 +51,7 @@ five through the last six steps,
     6 e(n-1) - 15 e(n-2) + 20 e(n-3) - 15 e(n-4) + 6 e(n-5) - e(n-6).
 
 The first step starts k1 cold and k2 from h1, and the error term is left
-out until six errors are known.  ``spatial_rhs`` and ``resolvent_solve``
-start cold.
+out until six errors are known.  ``resolvent_solve`` starts cold.
 
 The RK4 loop runs on bare arrays through the grid's spectral core.  It
 holds the state (v, w) as one (2, n) array, so a stage argument or the step
@@ -61,10 +60,12 @@ derivative (w, h - w/r) into one of four preallocated (2, n) arrays.  A
 stage's first resolvent sweep is not scanned for non-finite values: it
 would make the first increment non-finite, so only a failed solve looks at
 it, to tell a non-finite stage (StepUnstable) from a resolvent that does
-not converge (NoConvergence).  ``spatial_rhs`` and ``resolvent_solve`` are
-RealField wrappers over the same array functions.  ``boussinesq_evolve``
-takes an optional ``b2`` operator (array to array) in place of the grid's
-B^2, which is how the selftest injects a faulty operator.
+not converge (NoConvergence).  ``resolvent_solve`` is a RealField wrapper
+over the same resolvent.  ``boussinesq_evolve`` takes an optional ``b2``
+operator (array to array) in place of the grid's B^2, which is how the
+selftest injects a faulty operator.  Every transform, the ansatz's shift
+along t included, is made by the grid's spectral core: this module calls
+no FFT of its own.
 """
 
 from __future__ import annotations
@@ -264,17 +265,6 @@ def _rhs(b2: B2Operator, dx: float, r: float, y: np.ndarray, h: np.ndarray, tol:
     return h
 
 
-def spatial_rhs(state: BoussinesqState, rhs_tol: float = RHS_TOL_DEFAULT):
-    """(dv/dr, dw/dr) of the first-order system at the state's radius."""
-    if not state.r > 0:
-        raise ValueError(f"radius must be positive, got {state.r}")
-    grid = state.v.grid
-    y = np.stack([state.v.values, state.w.values])
-    out = np.empty_like(y)
-    _rhs(grid.core.b2, grid.dx, state.r, y, np.zeros(grid.n), rhs_tol, out)
-    return state.w, RealField(grid=grid, values=out[1])
-
-
 class _StageStart:
     """Start of one RK4 stage's resolvent solve, step after step.
 
@@ -375,12 +365,6 @@ def _t_grid_of(tau_grid: SpectralGrid, eps: float) -> SpectralGrid:
     return make_grid(tau_grid.n, tau_grid.length / eps, tau_grid.center / eps)
 
 
-def _twist(values: np.ndarray, grid: SpectralGrid, shift: float) -> np.ndarray:
-    """Sample values of x -> f(x - shift) on the same periodic grid."""
-    phase = np.exp(-1j * grid.wavenumbers * shift)
-    return np.fft.ifft(phase * np.fft.fft(values)).real
-
-
 def make_ansatz_state(src: CkdvState, eps: float, r: float) -> BoussinesqState:
     """Boussinesq state carrying v = eps^2 A and the chain-rule w at radius r.
 
@@ -406,8 +390,8 @@ def make_ansatz_state(src: CkdvState, eps: float, r: float) -> BoussinesqState:
     drho_a = core.ckdv_drho(src.A.values, src.rho)
 
     shift = eps * r
-    v_vals = eps ** 2 * _twist(src.A.values, tau_grid, shift)
-    w_vals = eps ** 2 * _twist(-eps * a_tau + eps ** 3 * drho_a, tau_grid, shift)
+    v_vals = eps ** 2 * core.shift(src.A.values, shift)
+    w_vals = eps ** 2 * core.shift(-eps * a_tau + eps ** 3 * drho_a, shift)
 
     t_grid = _t_grid_of(tau_grid, eps)
     return BoussinesqState(r=float(r),

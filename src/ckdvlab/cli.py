@@ -29,8 +29,7 @@ from .airy import SolitonSpec, airy_eval
 from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, resolvent_solve,
                          u_to_v, v_to_u)
-from .ckdv import (CkdvRunConfig, _schedule, ckdv_evolve, ckdv_linear_propagator,
-                   make_state)
+from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
 from .errors import ConfigError, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
@@ -343,7 +342,7 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
     The cKdV snapshots sit at rho = eps^3 r of the radial snapshots, so
     states[i] is the source of the ansatz at traj[i].r, the last pair
     included (r1 = rho1 / eps^3).  The radial runs are independent, so
-    map_forked runs the costliest of them (steps times n) in forked
+    map_forked runs the costliest of them (n times (r1 - r0) / dr) in forked
     children.  All else happens in this process in eps order, and a failure
     raises as in a serial loop: that of the first failing case in list
     order, at its first failing stage.
@@ -368,8 +367,8 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
         return [(st.r, st.v.values, st.w.values) for st in traj[1:]]
 
     def cost(case):
-        _, _, init, r1, snaps_r = case
-        return len(_schedule(init.r, r1, snaps_r, cfg.dr)[1]) * init.v.grid.n
+        _, _, init, r1, _ = case
+        return init.v.grid.n * (r1 - init.r) / cfg.dr
 
     runs, radial_failure = map_forked(radial, cases, cost, lambda case: f"eps={case[0]}")
     results = []

@@ -5,8 +5,9 @@ periodic grid.  Derivatives, the zero-mean antiderivative and the bounded
 multiplier k^2/(1+k^2) are exact on the resolved modes.
 
 Every grid layout (n, length) shares one cached :class:`SpectralCore` that
-holds the operator symbols and applies them to bare arrays; the
-``RealField`` functions below are thin wrappers over it.
+holds the FFT-order wavenumber array and the operator symbols and applies
+them to bare arrays; the ``RealField`` functions below are thin wrappers
+over it.  A grid itself holds only its nodes.
 """
 
 from __future__ import annotations
@@ -24,21 +25,19 @@ MEAN_TOL_FACTOR = 1e-10
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform periodic grid with the standard symmetric wavenumber layout.
+    """Uniform periodic grid; its FFT-order wavenumber array is ``core.k``.
 
     Attributes:
         n: number of nodes (even, >= 8)
         length: domain length L
         center: coordinate of the domain midpoint
         nodes: sample points center - L/2 + j*L/n
-        wavenumbers: 2*pi*m/L in FFT order; max |k| = pi*n/L
     """
 
     n: int
     length: float
     center: float
     nodes: np.ndarray = field(repr=False)
-    wavenumbers: np.ndarray = field(repr=False)
 
     @property
     def dx(self) -> float:
@@ -91,16 +90,8 @@ def make_grid(n: int, length: float, center: float = 0.0) -> SpectralGrid:
     if not length > 0:
         raise ValueError(f"domain length must be positive, got {length}")
     nodes = center - length / 2 + (length / n) * np.arange(n)
-    wavenumbers = _wavenumbers(n, length)
     nodes.setflags(write=False)
-    wavenumbers.setflags(write=False)
-    return SpectralGrid(n=n, length=float(length), center=float(center),
-                        nodes=nodes, wavenumbers=wavenumbers)
-
-
-def _wavenumbers(n: int, length: float) -> np.ndarray:
-    """2*pi*m/L in FFT order; the Nyquist entry n//2 is -pi*n/L."""
-    return 2 * np.pi * np.fft.fftfreq(n, d=length / n)
+    return SpectralGrid(n=n, length=float(length), center=float(center), nodes=nodes)
 
 
 def b2_multiplier(k: np.ndarray) -> np.ndarray:
@@ -111,25 +102,25 @@ def b2_multiplier(k: np.ndarray) -> np.ndarray:
 class SpectralCore:
     """Operator symbols of one periodic grid layout, applied to bare arrays.
 
-    The derivative and antiderivative symbols use the complex-FFT layout;
-    odd symbols zero the Nyquist mode so they stay odd and outputs stay
-    real.  B^2 has an even real symbol and runs on real FFTs.  The
-    ``rfft_*`` symbols and the 2/3 dealias mask are the real-FFT layout
-    (n//2 + 1 modes) used by the cKdV stepper; there the wavenumbers, too,
-    zero the Nyquist mode.  Build cores through :attr:`SpectralGrid.core`,
-    which caches one per (n, length).
+    ``k`` holds the wavenumber 2*pi*m/L of each mode in FFT order; its
+    Nyquist entry n//2 is -pi*n/L.  The derivative and antiderivative
+    symbols and the shift use the complex-FFT layout; odd symbols zero the
+    Nyquist mode so they stay odd and outputs stay real.  B^2 has an even
+    real symbol and runs on real FFTs.  The ``rfft_*`` symbols and the 2/3
+    dealias mask are the real-FFT layout (n//2 + 1 modes) used by the cKdV
+    stepper; there ``rfft_k``, too, zeroes the Nyquist mode.  Build cores
+    through :attr:`SpectralGrid.core`, which caches one per (n, length).
     """
 
     def __init__(self, n: int, length: float):
         self.n = n
-        k = _wavenumbers(n, length)
+        self.k = k = 2 * np.pi * np.fft.fftfreq(n, d=length / n)
         self._deriv = {}
         for order in (1, 2, 3, 4):
             sym = (1j * k) ** order
             if order % 2 == 1:
                 sym[n // 2] = 0.0
             self._deriv[order] = sym
-        self.ik = self._deriv[1]
         self.inv_ik = np.zeros(n, dtype=complex)
         nz = k != 0
         self.inv_ik[nz] = 1.0 / (1j * k[nz])
@@ -144,7 +135,7 @@ class SpectralCore:
         self.rfft_ik = 1j * self.rfft_k
         # b2's spectrum, reused call after call
         self._b2_spectrum = np.empty(n // 2 + 1, dtype=complex)
-        for arr in (self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
+        for arr in (self.k, self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
                     self.rfft_ik, *self._deriv.values()):
             arr.setflags(write=False)
 
@@ -154,6 +145,10 @@ class SpectralCore:
     def derivative_of_spectrum(self, fhat: np.ndarray, order: int) -> np.ndarray:
         """Derivative values from the complex FFT of a real field."""
         return np.fft.ifft(self._deriv[order] * fhat).real
+
+    def shift(self, values: np.ndarray, shift: float) -> np.ndarray:
+        """Values of x -> f(x - shift) on the same nodes, by an exact spectral phase."""
+        return np.fft.ifft(np.exp(-1j * self.k * shift) * np.fft.fft(values)).real
 
     def antiderivative(self, values: np.ndarray) -> np.ndarray:
         """Zero-mean antiderivative; the mean of values is dropped, not checked."""

@@ -67,7 +67,12 @@ class Forked:
     def __init__(self, fn, *args, label: str = "child"):
         self.label = label
         read, write = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # e.g. EAGAIN at a process limit: no child owns the pipe
+            os.close(read)
+            os.close(write)
+            raise
         if pid == 0:
             os.close(read)
             _run_child(fn, args, write)

@@ -128,6 +128,7 @@ def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
 
 
 def _residual_values(ws: _Elimination) -> np.ndarray:
+    """Residual of the ansatz, all eps powers included; its leading block is O(eps^8)."""
     f = ws.fields
     e8 = ws.eps ** 8
     # the radial block -(drho^2 + rho^{-1} drho) A
@@ -135,6 +136,13 @@ def _residual_values(ws: _Elimination) -> np.ndarray:
 
 
 def _antiderivative_values(ws: _Elimination) -> np.ndarray:
+    """dt^{-1} of the residual.
+
+    Every block of the expansion is a perfect tau-derivative except the
+    -(4 rho^2)^{-1} A piece left by eliminating the radial block, which
+    integrates to the snapshot's B = dtau^{-1} A (A has zero mean).  The overall
+    dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
+    """
     f = ws.fields
     a, b, sq, D = f["a"], f["b"], f["sq"], f["D"]
     eps, rho = ws.eps, ws.rho
@@ -145,33 +153,20 @@ def _antiderivative_values(ws: _Elimination) -> np.ndarray:
     return _sum_terms(radial, ws, 1) / eps
 
 
-def residual_field(state: CkdvState, eps: float) -> RealField:
-    """Residual of the ansatz at one radius, sampled on the t-grid.
+def _fields(state: CkdvState, eps: float) -> tuple[RealField, RealField]:
+    """The residual at the snapshot's radius and its dt^{-1}, on the t-grid.
 
-    All eps-power prefactors are included; the leading block is O(eps^8).
+    Both fields share one elimination and its transforms.
     """
     ws = _Elimination(state, eps)
-    return RealField(grid=_t_grid_of(ws.grid, eps), values=_residual_values(ws))
-
-
-def antiderivative_residual(state: CkdvState, eps: float) -> RealField:
-    """dt^{-1} of the residual, on the t-grid.
-
-    Every block of the expansion is a perfect tau-derivative except the
-    -(4 rho^2)^{-1} A piece left by eliminating the radial block, which
-    integrates to the snapshot's B = dtau^{-1} A (A has zero mean).  The overall
-    dt^{-1} = eps^{-1} dtau^{-1} conversion supplies one inverse power.
-    """
-    ws = _Elimination(state, eps)
-    return RealField(grid=_t_grid_of(ws.grid, eps), values=_antiderivative_values(ws))
+    t_grid = _t_grid_of(ws.grid, eps)
+    return (RealField(grid=t_grid, values=_residual_values(ws)),
+            RealField(grid=t_grid, values=_antiderivative_values(ws)))
 
 
 def residual_report(state: CkdvState, eps: float) -> ResidualReport:
-    """Norms of both fields, which share one elimination and its transforms."""
-    ws = _Elimination(state, eps)
-    t_grid = _t_grid_of(ws.grid, eps)
-    res = RealField(grid=t_grid, values=_residual_values(ws))
-    anti = RealField(grid=t_grid, values=_antiderivative_values(ws))
+    """Norms of the residual and its time-antiderivative at one snapshot."""
+    res, anti = _fields(state, eps)
     return ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
                           antires_l2=anti.l2(), rho_at_sup=state.rho)
 

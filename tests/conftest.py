@@ -1,10 +1,13 @@
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ckdvlab.airy import SolitonSpec, airy_eval, profile_pack
-from ckdvlab.boussinesq import BoussinesqState, _t_grid_of, n_forms, spatial_rhs
+from ckdvlab import boussinesq
+from ckdvlab.boussinesq import BoussinesqState, _t_grid_of, n_forms
 from ckdvlab.ckdv import CkdvState, _schedule
 from ckdvlab.grid import RealField, make_grid
 
@@ -24,6 +27,11 @@ def grid256():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def fft_wavenumbers(grid):
+    """2*pi*m/L in FFT order, built apart from the package's spectral core."""
+    return 2 * np.pi * np.fft.fftfreq(grid.n, d=grid.length / grid.n)
 
 
 def random_zero_mean_field(grid, rng, kmax=6, scale=1.0):
@@ -160,7 +168,7 @@ def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvSt
     """
     sm, s0, sp = states_minus_plus
     grid = s0.A.grid
-    k = grid.wavenumbers
+    k = fft_wavenumbers(grid)
     r0 = s0.rho / eps ** 3
 
     def v_at(state: CkdvState, r: float) -> np.ndarray:
@@ -197,20 +205,29 @@ def unexpanded_residual_fd(states_minus_plus: tuple[CkdvState, CkdvState, CkdvSt
     return RealField(grid=_t_grid_of(grid, eps), values=res)
 
 
+def rhs_arrays(b2, dx, r, v, w, h, tol):
+    """boussinesq._rhs on separate v and w arrays: (dv/dr, dw/dr, h)."""
+    out = np.empty((2, v.size))
+    h = boussinesq._rhs(b2, dx, r, np.stack([v, w]), h, tol, out)
+    return out[0], out[1], h
+
+
+def cold_rhs(grid, r, v, w):
+    """(dv/dr, dw/dr) of the package's RHS on bare arrays, the resolvent started from zero."""
+    return rhs_arrays(grid.core.b2, grid.dx, r, v, w, np.zeros(grid.n),
+                      boussinesq.RHS_TOL_DEFAULT)[:2]
+
+
 def cold_rk4(init: BoussinesqState, r1: float, dr: float, output_radii=None, stage=None):
     """Classical RK4 of the radial system with every resolvent solve started cold.
 
     stage(r, v, w) gives (dv/dr, dw/dr) on bare arrays; by default it is
-    spatial_rhs, which starts each resolvent solve from zero.  Steps follow
-    the landing schedule of boussinesq_evolve.  Returns (r, v, w) at each
-    landing radius, the start included when it is an output radius.
+    cold_rhs.  Steps follow the landing schedule of boussinesq_evolve.
+    Returns (r, v, w) at each landing radius, the start included when it is
+    an output radius.
     """
-    grid = init.v.grid
     if stage is None:
-        def stage(r, v, w):
-            fv, fw = spatial_rhs(BoussinesqState(r=r, v=RealField(grid=grid, values=v),
-                                                 w=RealField(grid=grid, values=w)))
-            return fv.values, fw.values
+        stage = functools.partial(cold_rhs, init.v.grid)
 
     emit_start, steps = _schedule(init.r, r1, output_radii, dr)
     v, w = init.v.values, init.w.values

@@ -8,14 +8,13 @@ from scipy import special
 
 from ckdvlab import boussinesq
 from ckdvlab.boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
-                                make_ansatz_state, n_forms, resolvent_solve, spatial_rhs,
-                                u_to_v, v_to_u)
+                                make_ansatz_state, n_forms, resolvent_solve, u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
 from ckdvlab.cli import _b2_sign_fault
 from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
 from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
 
-from conftest import cold_rk4, random_zero_mean_field
+from conftest import cold_rhs, cold_rk4, fft_wavenumbers, random_zero_mean_field, rhs_arrays
 
 
 #: deterministic property runs: the tier-1 suite must not depend on a random draw
@@ -205,7 +204,7 @@ class TestResolvent:
 
 def complex_fft_b2(values, grid):
     """B^2 applied through the complex FFT."""
-    return np.fft.ifft(b2_multiplier(grid.wavenumbers) * np.fft.fft(values)).real
+    return np.fft.ifft(b2_multiplier(fft_wavenumbers(grid)) * np.fft.fft(values)).real
 
 
 def complex_fft_residual_l2(g, h, rhs):
@@ -303,13 +302,6 @@ def stage_resolvent_residual(grid, v, w, h):
                                    RealField(grid=grid, values=h), b2_src)
 
 
-def rhs_arrays(b2, dx, r, v, w, h, tol):
-    """boussinesq._rhs on separate v and w arrays: (dv/dr, dw/dr, h)."""
-    out = np.empty((2, v.size))
-    h = boussinesq._rhs(b2, dx, r, np.stack([v, w]), h, tol, out)
-    return out[0], out[1], h
-
-
 def bessel_oracle_case():
     """The selftest's Bessel mode: its state at r = 50 and its exact v at r = 100."""
     n, length = 128, 40.0
@@ -390,6 +382,21 @@ class TestWarmStart:
         assert max(incrs) > 1e6 * np.linalg.norm(outs[0] - start)
         assert np.linalg.norm(y - m @ (src + g * y)) <= 1e-12
 
+    def test_divergence_stops_one_sweep_after_the_first(self):
+        # every sweep is 1e7 times the last: the limit, 1e6 times the first
+        # iterate, is set before the second sweep, which already exceeds it
+        start = np.array([1e-10, -2e-10])
+        calls = []
+
+        def op(values):
+            calls.append(1)
+            return 1e7 * values
+
+        g, src = np.ones(2), np.zeros(2)
+        with pytest.raises(NoConvergence):
+            boussinesq._resolve(op, g, src, 1.0, start, op(start), 1.0, 1e-12)
+        assert len(calls) == 2  # the caller's first sweep and one more
+
 
 class TestExtrapolatedStart:
     def test_agrees_with_cold_start_rk4_across_landings(self):
@@ -440,11 +447,10 @@ class TestExtrapolatedStart:
 
 class TestSpatialRhs:
     def test_rest_state(self, grid256):
-        zero = RealField(grid=grid256, values=np.zeros(grid256.n))
-        st = BoussinesqState(r=10.0, v=zero, w=zero)
-        fv, fw = spatial_rhs(st)
-        assert fv.sup() == 0.0
-        assert fw.sup() == 0.0
+        zero = np.zeros(grid256.n)
+        fv, fw = cold_rhs(grid256, 10.0, zero, zero)
+        assert np.abs(fv).max() == 0.0
+        assert np.abs(fw).max() == 0.0
 
     def test_linearization_multiplier(self):
         # infinitesimal single mode: f(v, 0) = -kappa^2 v with
@@ -454,22 +460,18 @@ class TestSpatialRhs:
         k = 2 * np.pi * m / 40.0
         kappa2 = k ** 2 / (1 + k ** 2)
         amp = 1e-9
-        v = RealField(grid=g, values=amp * np.cos(k * g.nodes))
-        w = RealField(grid=g, values=np.zeros(g.n))
-        st = BoussinesqState(r=30.0, v=v, w=w)
-        _, fw = spatial_rhs(st)
-        assert np.abs(fw.values + kappa2 * v.values).max() <= 1e-6 * amp
+        v = amp * np.cos(k * g.nodes)
+        _, fw = cold_rhs(g, 30.0, v, np.zeros(g.n))
+        assert np.abs(fw + kappa2 * v).max() <= 1e-6 * amp
 
     def test_constant_profile_killed(self):
         # k = 0 content is annihilated by the multiplier: f = -w/r for
         # constant-in-t data
         g = make_grid(64, 10.0)
-        v = RealField(grid=g, values=np.full(g.n, 0.01))
-        w = RealField(grid=g, values=np.full(g.n, 0.003))
-        st = BoussinesqState(r=7.0, v=v, w=w)
-        fv, fw = spatial_rhs(st)
-        assert np.array_equal(fv.values, w.values)
-        assert np.abs(fw.values + w.values / 7.0).max() <= 1e-15
+        w = np.full(g.n, 0.003)
+        fv, fw = cold_rhs(g, 7.0, np.full(g.n, 0.01), w)
+        assert np.array_equal(fv, w)
+        assert np.abs(fw + w / 7.0).max() <= 1e-15
 
 
 class TestStateRegion:

@@ -7,19 +7,19 @@ from ckdvlab.errors import MeanValueError, SingularDispersion
 from ckdvlab.grid import (RealField, apply_b2, b2_multiplier, dispersion_omega_squared,
                           make_grid, spectral_antiderivative, spectral_derivative)
 
-from conftest import l2_spectral, random_zero_mean_field
+from conftest import fft_wavenumbers, l2_spectral, random_zero_mean_field
 
 
 class TestMakeGrid:
     def test_standard_layout(self):
         g = make_grid(8, 2 * np.pi, 0.0)
         assert np.allclose(g.nodes, -np.pi + np.pi / 4 * np.arange(8))
-        assert np.allclose(g.wavenumbers, [0, 1, 2, 3, -4, -3, -2, -1])
+        assert np.allclose(g.core.k, [0, 1, 2, 3, -4, -3, -2, -1])
 
     def test_max_wavenumber(self):
         g = make_grid(8, 4 * np.pi, 0.0)
-        assert np.abs(g.wavenumbers).max() == pytest.approx(2.0)
-        assert np.abs(g.wavenumbers).max() == pytest.approx(np.pi * g.n / g.length)
+        assert np.abs(g.core.k).max() == pytest.approx(2.0)
+        assert np.abs(g.core.k).max() == pytest.approx(np.pi * g.n / g.length)
 
     def test_rejects_odd_small_or_bad_length(self):
         with pytest.raises(ValueError):
@@ -134,20 +134,27 @@ class TestSpectralCore:
     def test_real_fft_b2_matches_complex_formula(self, n, length, seed, scale):
         g = make_grid(n, length)
         f = scale * np.random.default_rng(seed).standard_normal(n)
-        want = np.fft.ifft(b2_multiplier(g.wavenumbers) * np.fft.fft(f)).real
+        want = np.fft.ifft(b2_multiplier(fft_wavenumbers(g)) * np.fft.fft(f)).real
         assert np.abs(g.core.b2(f) - want).max() <= 1e-14 * np.abs(f).max()
 
     @pytest.mark.parametrize("n", [8, 10, 64, 126])
     def test_real_fft_symbols_are_complex_layout_half(self, n):
         g = make_grid(n, 7.0)
         core, half = g.core, slice(0, n // 2 + 1)
-        assert np.array_equal(core.rfft_ik, core.ik[half])
-        assert np.array_equal(core.rfft_k[: n // 2], g.wavenumbers[: n // 2])
+        assert np.array_equal(core.rfft_ik, core._deriv[1][half])
+        assert np.array_equal(core.rfft_k[: n // 2], core.k[: n // 2])
         assert core.rfft_k[n // 2] == 0.0
         kmax = np.pi * n / g.length
-        mask = np.abs(g.wavenumbers) <= (2.0 / 3.0) * kmax
+        mask = np.abs(core.k) <= (2.0 / 3.0) * kmax
         assert np.array_equal(core.dealias_mask, mask[half].astype(float))
         assert core.dealias_mask[n // 2] == 0.0
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3, -2.9, 11.0])
+    def test_shift_moves_a_resolved_mode_exactly(self, grid64, shift):
+        k = 3.0  # 3 modes on 2*pi: the shift is exact to round-off
+        f = np.sin(k * grid64.nodes) + 0.5 * np.cos(2 * k * grid64.nodes)
+        want = np.sin(k * (grid64.nodes - shift)) + 0.5 * np.cos(2 * k * (grid64.nodes - shift))
+        assert np.abs(grid64.core.shift(f, shift) - want).max() <= 1e-13
 
 
 class TestDispersion:

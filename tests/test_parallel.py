@@ -61,6 +61,27 @@ def test_reap_kills_a_running_child():
     assert_no_child_left()
 
 
+def test_failed_fork_closes_both_pipe_ends(monkeypatch):
+    # os.fork is replaced, so no process starts
+    pipe, opened = os.pipe, []
+
+    def recording_pipe():
+        opened.extend(pipe())
+        return tuple(opened)
+
+    def failing_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    with pytest.raises(BlockingIOError):
+        Forked(time.sleep, 60.0)
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
 def fail_at(*bad):
     """x -> [x, x, x] as an array, raising StepUnstable for the items in bad."""
     def fn(x):

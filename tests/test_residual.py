@@ -9,9 +9,8 @@ from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import ChildDied, MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.parallel import usable_cpus
-from ckdvlab.residual import (ResidualReport, antiderivative_residual, energy,
-                              gronwall_growth_check, residual_field, residual_report,
-                              sweep_report)
+from ckdvlab.residual import (ResidualReport, _fields, energy, gronwall_growth_check,
+                              residual_report, sweep_report)
 
 from conftest import random_zero_mean_field, unexpanded_residual_fd
 
@@ -41,14 +40,15 @@ class TestResidualField:
     def test_zero_amplitude(self):
         g = make_grid(64, 40.0)
         st = make_state(RealField(grid=g, values=np.zeros(g.n)), 1.0)
-        assert residual_field(st, 0.1).sup() == 0.0
-        assert antiderivative_residual(st, 0.1).sup() == 0.0
+        res, anti = _fields(st, 0.1)
+        assert res.sup() == 0.0
+        assert anti.sup() == 0.0
 
     def test_lives_on_stretched_grid(self, trajectory):
-        res = residual_field(trajectory[0], 0.1)
         tau_grid = trajectory[0].A.grid
-        assert res.grid.length == pytest.approx(tau_grid.length / 0.1)
-        assert res.grid.n == tau_grid.n
+        for field in _fields(trajectory[0], 0.1):
+            assert field.grid.length == pytest.approx(tau_grid.length / 0.1)
+            assert field.grid.n == tau_grid.n
 
     def test_mean_value_guard(self):
         g = make_grid(64, 40.0)
@@ -58,13 +58,12 @@ class TestResidualField:
                           A=RealField(grid=g, values=bad_vals),
                           B=st_ok.B)
         with pytest.raises(MeanValueError):
-            residual_field(bad, 0.1)
+            _fields(bad, 0.1)
 
     def test_antiderivative_consistency(self, trajectory):
         # d/dt of the assembled antiderivative reproduces the residual field
         st = trajectory[2]
-        res = residual_field(st, 0.1)
-        anti = antiderivative_residual(st, 0.1)
+        res, anti = _fields(st, 0.1)
         danti = spectral_derivative(anti, 1)
         assert np.abs(danti.values - res.values).max() <= 1e-8 * res.sup()
 
@@ -73,10 +72,14 @@ class TestResidualField:
     def test_shared_workspace_changes_no_number(self, trajectory, index, eps):
         st = trajectory[index]
         rep = residual_report(st, eps)
-        res = residual_field(st, eps)
+        res, anti = _fields(st, eps)
         assert rep.res_l2 == res.l2()
         assert rep.res_sup == res.sup()
-        assert rep.antires_l2 == antiderivative_residual(st, eps).l2()
+        assert rep.antires_l2 == anti.l2()
+        # each field alone, from a workspace of its own
+        alone = residual._Elimination
+        assert np.array_equal(res.values, residual._residual_values(alone(st, eps)))
+        assert np.array_equal(anti.values, residual._antiderivative_values(alone(st, eps)))
 
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
@@ -158,9 +161,9 @@ class TestResidualField:
             cfg = CkdvRunConfig(rho0=rho_c - d, rho1=rho_c + d, d_rho=d / 8, grid=g)
             sm, s0, sp = ckdv_evolve(a0, cfg, output_rhos=[rho_c - d, rho_c, rho_c + d])
             fd = unexpanded_residual_fd((sm, s0, sp), eps, delta_r)
-            closed = residual_field(s0, eps)
+            closed, _ = _fields(s0, eps)
             devs.append(np.abs(fd.values - closed.values).max())
-        scale = residual_field(s0, eps).sup()
+        scale = closed.sup()
         # second-order convergence to the closed form, with a safety floor
         assert devs[1] <= devs[0] / 3.0
         assert devs[1] <= 0.01 * scale + 1e-8
@@ -169,7 +172,7 @@ class TestResidualField:
         # everything except the rho^{-2} piece is a perfect tau-derivative,
         # so the assembled residual mean reduces to that piece's (zero) mean
         st = trajectory[1]
-        res = residual_field(st, 0.1)
+        res, _ = _fields(st, 0.1)
         assert abs(res.mean()) <= 1e-12 * res.sup()
 
 
