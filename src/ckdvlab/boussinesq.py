@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ckdv import CkdvState, _GrowthGuard, _schedule
+from .ckdv import CkdvState, _GrowthGuard, _drho, _schedule
 from .errors import BranchError, NoConvergence, StepUnstable
 from .grid import RealField, SpectralGrid, make_grid
 
@@ -386,11 +386,12 @@ def make_ansatz_state(src: CkdvState, eps: float, r: float) -> BoussinesqState:
         raise ValueError(f"cKdV snapshot at rho={src.rho!r} is not at eps^3 r={eps ** 3 * r!r}")
     tau_grid = src.A.grid
     core = tau_grid.core
-    a_tau = core.derivative(src.A.values, 1)
-    drho_a = core.ckdv_drho(src.A.values, src.rho)
+    a = src.A.values
+    a_tau = core.derivative(a, 1)
+    drho_a = _drho(a, src.rho, core.derivative(a, 3), core.derivative(a * a, 1))
 
     shift = eps * r
-    v_vals = eps ** 2 * core.shift(src.A.values, shift)
+    v_vals = eps ** 2 * core.shift(a, shift)
     w_vals = eps ** 2 * core.shift(-eps * a_tau + eps ** 3 * drho_a, shift)
 
     t_grid = _t_grid_of(tau_grid, eps)

@@ -43,6 +43,7 @@ SLOPE_TOL = 0.3
 RES_SLOPE_TARGET = 7.5
 ANTIRES_SLOPE_TARGET = 6.5
 THEOREM1_SLOPE_FLOOR = 3.2
+THEOREM1_EPS = (0.12, 0.1, 0.08)
 
 
 def _key(default, section, flag=None, help=None, only=None, hashed=True):
@@ -129,7 +130,7 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         found = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     # read() skips a file it cannot open: a missing file, a directory
     if not found:
@@ -193,10 +194,19 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
         (len(cfg.rho_profiles) > 0 and all(rho > 0 for rho in cfg.rho_profiles),
          f"rho_profiles must be non-empty and positive, got {cfg.rho_profiles}"),
         (len(cfg.t_values) > 0, "t_values must be non-empty"),
+        (cfg.command != "soliton" or (cfg.offset > 0 and cfg.alpha * cfg.beta >= 0),
+         f"need offset > 0 and alpha*beta >= 0, got ({cfg.offset}, {cfg.alpha * cfg.beta})"),
     )
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    # every command but soliton starts from the cKdV pulse; a theorem1 case
+    # runs on more nodes the smaller its eps, and a pulse that fails to decay
+    # on the fewest fails that case
+    if cfg.command == "theorem1":
+        _initial_pulse(cfg, _theorem1_n(cfg, max(cfg.eps_list or THEOREM1_EPS)))
+    elif cfg.command in ("residual-sweep", "ckdv", "boussinesq"):
+        _initial_pulse(cfg, cfg.n)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out, cfg.manifest()
@@ -331,6 +341,11 @@ def next_pow2(x: float) -> int:
     return int(2 ** np.ceil(np.log2(max(8.0, x))))
 
 
+def _theorem1_n(cfg: ExperimentConfig, eps: float) -> int:
+    """Nodes of the theorem1 case eps: n, or more so that a t-step is at most dt_target."""
+    return max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
+
+
 def run_theorem1_case(cfg: ExperimentConfig, eps: float):
     """One eps case of run_theorem1_cases: (ApproxErrorRow, GronwallReport)."""
     return run_theorem1_cases(cfg, [eps])[0]
@@ -349,7 +364,7 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
     """
     cases, failure = [], None
     for eps in eps_list:
-        n = max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
+        n = _theorem1_n(cfg, eps)
         r1 = cfg.rho1 / eps ** 3
         snaps_r = list(np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots))
         try:
@@ -390,7 +405,7 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
 
 def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     out, manifest = _prepare(cfg)
-    eps_list = cfg.eps_list or (0.12, 0.1, 0.08)
+    eps_list = cfg.eps_list or THEOREM1_EPS
     rows, files = [], []
     for eps, (err, gron) in zip(eps_list, run_theorem1_cases(cfg, eps_list), strict=True):
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))

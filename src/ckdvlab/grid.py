@@ -5,8 +5,8 @@ periodic grid.  Derivatives, the zero-mean antiderivative and the bounded
 multiplier k^2/(1+k^2) are exact on the resolved modes.
 
 Every grid layout (n, length) shares one cached :class:`SpectralCore` that
-holds the FFT-order wavenumber array and the operator symbols and applies
-them to bare arrays; the ``RealField`` functions below are thin wrappers
+holds the real-FFT wavenumbers and the operator symbols and applies them
+to bare arrays; the ``RealField`` functions below are thin wrappers
 over it.  A grid itself holds only its nodes.
 """
 
@@ -25,7 +25,7 @@ MEAN_TOL_FACTOR = 1e-10
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform periodic grid; its FFT-order wavenumber array is ``core.k``.
+    """Uniform periodic grid; its real-FFT wavenumbers are ``core.k``.
 
     Attributes:
         n: number of nodes (even, >= 8)
@@ -99,62 +99,53 @@ def b2_multiplier(k: np.ndarray) -> np.ndarray:
     return -k ** 2 / (1.0 + k ** 2)
 
 
+def _derivative_symbols(k: np.ndarray, n: int) -> dict:
+    """(ik)^order for orders 1..4, read-only; odd orders zero the Nyquist mode n//2."""
+    symbols = {order: (1j * k) ** order for order in (1, 2, 3, 4)}
+    for order, sym in symbols.items():
+        if order % 2 == 1:
+            sym[n // 2] = 0.0
+        sym.setflags(write=False)
+    return symbols
+
+
 class SpectralCore:
     """Operator symbols of one periodic grid layout, applied to bare arrays.
 
-    ``k`` holds the wavenumber 2*pi*m/L of each mode in FFT order; its
-    Nyquist entry n//2 is -pi*n/L.  The derivative and antiderivative
-    symbols and the shift use the complex-FFT layout; odd symbols zero the
-    Nyquist mode so they stay odd and outputs stay real.  B^2 has an even
-    real symbol and runs on real FFTs.  The ``rfft_*`` symbols and the 2/3
-    dealias mask are the real-FFT layout (n//2 + 1 modes) used by the cKdV
-    stepper; there ``rfft_k``, too, zeroes the Nyquist mode.  Build cores
-    through :attr:`SpectralGrid.core`, which caches one per (n, length).
+    Every operator runs on real FFTs: ``k`` holds the wavenumbers 2*pi*m/L
+    of the real-FFT modes m = 0..n//2, the Nyquist one +pi*n/L last.  Odd
+    symbols zero the Nyquist mode, even ones keep it.  The 2/3 dealias mask
+    is the cKdV stepper's.  Build cores through :attr:`SpectralGrid.core`,
+    which caches one per (n, length).
     """
 
     def __init__(self, n: int, length: float):
         self.n = n
-        self.k = k = 2 * np.pi * np.fft.fftfreq(n, d=length / n)
-        self._deriv = {}
-        for order in (1, 2, 3, 4):
-            sym = (1j * k) ** order
-            if order % 2 == 1:
-                sym[n // 2] = 0.0
-            self._deriv[order] = sym
-        self.inv_ik = np.zeros(n, dtype=complex)
-        nz = k != 0
-        self.inv_ik[nz] = 1.0 / (1j * k[nz])
-        self.inv_ik[n // 2] = 0.0
-        # the symbol is even, so the first n//2 + 1 FFT-order modes are the
-        # real-FFT layout (the Nyquist sign does not matter)
-        self.b2_symbol = b2_multiplier(k[: n // 2 + 1])
-        kr = np.abs(k[: n // 2 + 1])
-        self.dealias_mask = (kr <= (2.0 / 3.0) * (np.pi * n / length)).astype(float)
-        self.rfft_k = kr.copy()
-        self.rfft_k[n // 2] = 0.0
-        self.rfft_ik = 1j * self.rfft_k
+        self.k = k = 2 * np.pi * np.fft.rfftfreq(n, d=length / n)
+        self._deriv = _derivative_symbols(k, n)
+        self.ik = self._deriv[1]
+        self.inv_ik = np.zeros(n // 2 + 1, dtype=complex)
+        self.inv_ik[1: n // 2] = 1.0 / (1j * k[1: n // 2])
+        self.b2_symbol = b2_multiplier(k)
+        self.dealias_mask = (k <= (2.0 / 3.0) * (np.pi * n / length)).astype(float)
         # b2's spectrum, reused call after call
         self._b2_spectrum = np.empty(n // 2 + 1, dtype=complex)
-        for arr in (self.k, self.inv_ik, self.b2_symbol, self.dealias_mask, self.rfft_k,
-                    self.rfft_ik, *self._deriv.values()):
+        for arr in (self.k, self.inv_ik, self.b2_symbol, self.dealias_mask):
             arr.setflags(write=False)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        return self.derivative_of_spectrum(np.fft.fft(values), order)
-
-    def derivative_of_spectrum(self, fhat: np.ndarray, order: int) -> np.ndarray:
-        """Derivative values from the complex FFT of a real field."""
-        return np.fft.ifft(self._deriv[order] * fhat).real
+        return np.fft.irfft(self._deriv[order] * np.fft.rfft(values), self.n)
 
     def shift(self, values: np.ndarray, shift: float) -> np.ndarray:
         """Values of x -> f(x - shift) on the same nodes, by an exact spectral phase."""
-        return np.fft.ifft(np.exp(-1j * self.k * shift) * np.fft.fft(values)).real
+        phase = np.exp(-1j * self.k * shift)
+        # the Nyquist mode of a real field is a real cosine: its factor is real
+        phase[-1] = np.cos(self.k[-1] * shift)
+        return np.fft.irfft(phase * np.fft.rfft(values), self.n)
 
     def antiderivative(self, values: np.ndarray) -> np.ndarray:
         """Zero-mean antiderivative; the mean of values is dropped, not checked."""
-        fhat = np.fft.fft(values)
-        fhat[0] = 0.0  # drop round-off mean
-        return np.fft.ifft(self.inv_ik * fhat).real
+        return np.fft.irfft(self.inv_ik * np.fft.rfft(values), self.n)
 
     def b2(self, values: np.ndarray) -> np.ndarray:
         """B^2 values: the multiplier -k^2/(1+k^2) applied mode-wise.
@@ -166,10 +157,6 @@ class SpectralCore:
         spectrum *= self.b2_symbol
         return np.fft.irfft(spectrum, self.n)
 
-    def ckdv_drho(self, a: np.ndarray, rho: float) -> np.ndarray:
-        """dA/drho = -(A/rho + dtau^3 A - dtau (A^2)) / 2 from the cKdV equation."""
-        return -0.5 * (a / rho + self.derivative(a, 3) - self.derivative(a * a, 1))
-
 
 @lru_cache(maxsize=64)
 def _spectral_core(n: int, length: float) -> SpectralCore:
@@ -177,11 +164,7 @@ def _spectral_core(n: int, length: float) -> SpectralCore:
 
 
 def spectral_derivative(f: RealField, order: int = 1) -> RealField:
-    """Exact spectral derivative of the given order (1..4).
-
-    Odd orders zero the Nyquist mode so the symbol stays odd and the
-    output stays real.
-    """
+    """Exact spectral derivative of the given order (1..4); odd orders zero the Nyquist mode."""
     if order not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be in 1..4, got {order}")
     return RealField(grid=f.grid, values=f.grid.core.derivative(f.values, order))

@@ -16,12 +16,14 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .boussinesq import BoussinesqState, _t_grid_of, n_forms
-from .ckdv import CkdvState
-from .grid import RealField, check_zero_mean, spectral_antiderivative, spectral_derivative
+from .ckdv import CkdvState, _drho
+from .grid import (RealField, _derivative_symbols, check_zero_mean, spectral_antiderivative,
+                   spectral_derivative)
 from .parallel import map_forked, usable_cpus
 
 BETA_EXPONENT = 3.5
@@ -46,6 +48,16 @@ class EnergyReport:
     e: float
 
 
+# The residual's complex-FFT symbols are the package's only ones.  They stay
+# because res_sup carries round-off at the 1e-6 level and the benchmark's
+# 1e-8 relative gate pins it to this layout.  Once the benchmark compares
+# res_sup against its measured round-off floor, the residual moves to the
+# grid's real-FFT core and these go.
+@lru_cache(maxsize=8)
+def _complex_symbols(n: int, length: float) -> dict:
+    return _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=length / n), n)
+
+
 class _Elimination:
     """Workspace of one residual evaluation at a snapshot and eps.
 
@@ -53,7 +65,7 @@ class _Elimination:
     nonlinear terms once.  B = dtau^{-1} A is the snapshot's own, as
     make_state and ckdv_evolve build it.  The complex FFT of each field the
     expansion differentiates is taken once, and every derivative is kept
-    once taken.
+    once taken, the two that eliminate D included.
     """
 
     def __init__(self, state: CkdvState, eps: float):
@@ -61,14 +73,15 @@ class _Elimination:
         self.grid = state.A.grid
         self.rho = rho = state.rho
         check_zero_mean(state.A, "residual expansion")
-        self._core = self.grid.core
+        self._symbols = _complex_symbols(self.grid.n, self.grid.length)
         self._spectra = {}
         self._derivs = {}
 
         a = state.A.values
+        self.fields = {"a": a, "b": state.B.values, "sq": a * a}
         # drho A eliminated through the cKdV equation
-        D = self._core.ckdv_drho(a, rho)
-        self.fields = {"a": a, "b": state.B.values, "sq": a * a, "D": D, "2aD": 2.0 * a * D}
+        D = _drho(a, rho, self.d("a", 3), self.d("sq", 1))
+        self.fields.update({"D": D, "2aD": 2.0 * a * D})
         # drho^2 A: differentiate the elimination once more
         D2 = -0.5 * (-a / rho ** 2 + D / rho + self.d("D", 3) - self.d("2aD", 1))
         nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
@@ -81,7 +94,7 @@ class _Elimination:
         if key not in self._derivs:
             if name not in self._spectra:
                 self._spectra[name] = np.fft.fft(self.fields[name])
-            out = self._core.derivative_of_spectrum(self._spectra[name], order)
+            out = np.fft.ifft(self._symbols[order] * self._spectra[name]).real
             out.setflags(write=False)
             self._derivs[key] = out
         return self._derivs[key]

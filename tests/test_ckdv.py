@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ckdvlab.airy import SolitonSpec
-from ckdvlab.ckdv import (CkdvRunConfig, _schedule, ckdv_evolve, ckdv_linear_propagator,
-                         make_state)
+from ckdvlab.ckdv import (CkdvRunConfig, _drho, _schedule, ckdv_evolve,
+                         ckdv_linear_propagator, make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.soliton import soliton_amplitude
@@ -200,15 +200,16 @@ class TestForcing:
 
     def test_constructed_fixed_point(self, grid256):
         a0 = gaussian_pulse(grid256)
-        state = make_state(a0, 1.0)
+        a, core = make_state(a0, 1.0).A.values, grid256.core
+
+        def drho_of(rho):
+            return _drho(a, rho, core.derivative(a, 3), core.derivative(a * a, 1))
 
         def forcing(rho):
-            rhs = grid256.core.ckdv_drho(state.A.values, rho)
-            return RealField(grid=grid256, values=-rhs)
+            return RealField(grid=grid256, values=-drho_of(rho))
 
         # the forced right-hand side vanishes identically ...
-        drho = grid256.core.ckdv_drho(state.A.values, 1.0)
-        assert np.abs(drho + forcing(1.0).values).max() == 0.0
+        assert np.abs(drho_of(1.0) + forcing(1.0).values).max() == 0.0
 
         # ... and the integrating-factor stepper holds the state to its
         # fourth-order step tolerance

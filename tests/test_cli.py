@@ -91,17 +91,25 @@ class TestConfigFile:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command):
         out = tmp_path / "out"
-        for text in ("[model]\nrho1 = 0.5\n", "[grid]\nn = 7\n", "[grid]\nl_tau = -5\n",
-                     "[solver]\ndr = 0\n", "[solver]\nd_rho = -1\n",
-                     "[solver]\ndt_target = 0\n", "[solver]\nsnapshots = 0\n",
-                     "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n",
-                     "[model]\nt_values =\n", "[model]\neps_list =\n",
-                     "[model]\nt_values = nan\n", "[model]\nrho_profiles = inf\n",
-                     "[grid]\nl_tau = inf\n", "[solver]\ndr = nan\n",
-                     "[solver]\ndt_target = inf\n", "[solver]\nd_rho = inf\n",
-                     "[solver]\nrhs_tol = 0\n"):
+        texts = ["[model]\nrho1 = 0.5\n", "[grid]\nn = 7\n", "[grid]\nl_tau = -5\n",
+                 "[solver]\ndr = 0\n", "[solver]\nd_rho = -1\n",
+                 "[solver]\ndt_target = 0\n", "[solver]\nsnapshots = 0\n",
+                 "[model]\neps_list = 0.1,-0.1\n", "[model]\nrho_profiles = 0,1\n",
+                 "[model]\nt_values =\n", "[model]\neps_list =\n",
+                 "[model]\nt_values = nan\n", "[model]\nrho_profiles = inf\n",
+                 "[grid]\nl_tau = inf\n", "[solver]\ndr = nan\n",
+                 "[solver]\ndt_target = inf\n", "[solver]\nd_rho = inf\n",
+                 "[solver]\nrhs_tol = 0\n", "[grid]\nn = 12\xff\n"]
+        if command == "soliton":
+            # alpha defaults to 1e8, so beta = -1 makes alpha*beta negative
+            texts += ["[model]\noffset = -1\n", "[model]\nbeta = -1\n"]
+        else:
+            # too short a domain for the initial pulse
+            texts.append("[grid]\nl_tau = 4\n")
+        for text in texts:
             path = tmp_path / "bad.ini"
-            path.write_text(text)
+            # "\xff" is written as the byte 0xff: not valid UTF-8
+            path.write_bytes(text.encode("latin-1"))
             rc = main([command, "--config", str(path), "--out", str(out)])
             assert rc == 2, text
             assert capsys.readouterr().err.startswith("error: ")
@@ -226,6 +234,17 @@ class TestTheorem1:
                         snapshots=2, dt_target=3.0)
         with pytest.raises(ConfigError):
             cmd_theorem1(cfg)
+
+    def test_pulse_checked_on_the_grid_of_each_case(self, tmp_path):
+        # the pulse decays on the 128 nodes the eps = 0.12 case runs on,
+        # though not on n = 32 nodes
+        cfg = small_cfg(tmp_path / "out", command="theorem1", n=32, l_tau=9.5,
+                        eps_list=(0.12,), rho1=1.05, snapshots=2)
+        assert cli._theorem1_n(cfg, 0.12) == 128
+        with pytest.raises(ConfigError):
+            cli._initial_pulse(cfg, 32)
+        cmd_theorem1(cfg)
+        assert (tmp_path / "out" / "theorem1_errors.csv").exists()
 
 
 class TestSnapshotCommands:

@@ -14,7 +14,8 @@ class TestMakeGrid:
     def test_standard_layout(self):
         g = make_grid(8, 2 * np.pi, 0.0)
         assert np.allclose(g.nodes, -np.pi + np.pi / 4 * np.arange(8))
-        assert np.allclose(g.core.k, [0, 1, 2, 3, -4, -3, -2, -1])
+        # the real-FFT modes m = 0..n/2; the Nyquist wavenumber is +pi n/L
+        assert np.array_equal(g.core.k, [0, 1, 2, 3, 4])
 
     def test_max_wavenumber(self):
         g = make_grid(8, 4 * np.pi, 0.0)
@@ -138,16 +139,43 @@ class TestSpectralCore:
         assert np.abs(g.core.b2(f) - want).max() <= 1e-14 * np.abs(f).max()
 
     @pytest.mark.parametrize("n", [8, 10, 64, 126])
-    def test_real_fft_symbols_are_complex_layout_half(self, n):
+    def test_real_fft_operators_match_complex_oracle(self, n):
         g = make_grid(n, 7.0)
-        core, half = g.core, slice(0, n // 2 + 1)
-        assert np.array_equal(core.rfft_ik, core._deriv[1][half])
-        assert np.array_equal(core.rfft_k[: n // 2], core.k[: n // 2])
-        assert core.rfft_k[n // 2] == 0.0
-        kmax = np.pi * n / g.length
-        mask = np.abs(core.k) <= (2.0 / 3.0) * kmax
-        assert np.array_equal(core.dealias_mask, mask[half].astype(float))
+        core, k = g.core, fft_wavenumbers(g)
+        assert np.array_equal(core.k, np.abs(k[: n // 2 + 1]))
+        mask = np.abs(k) <= (2.0 / 3.0) * (np.pi * n / g.length)
+        assert np.array_equal(core.dealias_mask, mask[: n // 2 + 1].astype(float))
         assert core.dealias_mask[n // 2] == 0.0
+
+        def oracle(sym, f):
+            return np.fft.ifft(sym * np.fft.fft(f)).real
+
+        inv_ik = np.zeros(n, dtype=complex)
+        inv_ik[k != 0] = 1.0 / (1j * k[k != 0])
+        inv_ik[n // 2] = 0.0
+        nyquist = (-1.0) ** np.arange(n)
+        f = np.random.default_rng(n).standard_normal(n)
+        f -= f.mean()
+        for order in (1, 2, 3, 4):
+            sym = (1j * k) ** order
+            if order % 2 == 1:
+                sym[n // 2] = 0.0
+            want = oracle(sym, f)
+            tol = 1e-14 * n * np.abs(sym).max() * np.abs(f).max()
+            assert np.abs(core.derivative(f, order) - want).max() <= tol, order
+            # an odd derivative zeroes the Nyquist mode; an even one scales it
+            nyq = core.derivative(nyquist, order)
+            assert np.abs(nyq - sym[n // 2].real * nyquist).max() <= tol, order
+        assert np.abs(core.antiderivative(f) - oracle(inv_ik, f)).max() <= 1e-14 * n
+        assert np.abs(core.antiderivative(nyquist)).max() <= 1e-14 * n
+        for shift in (0.3, -2.9):
+            phase = np.exp(-1j * k * shift)
+            assert np.abs(core.shift(f, shift) - oracle(phase, f)).max() <= 1e-14 * n
+            # the Nyquist mode moves by the real factor cos(k_N shift)
+            want = np.cos(np.pi * n / g.length * shift) * nyquist
+            assert np.abs(core.shift(nyquist, shift) - want).max() <= 1e-14 * n
+        want = oracle(b2_multiplier(k), f)
+        assert np.abs(core.b2(f) - want).max() <= 1e-14 * np.abs(f).max()
 
     @pytest.mark.parametrize("shift", [0.0, 0.3, -2.9, 11.0])
     def test_shift_moves_a_resolved_mode_exactly(self, grid64, shift):

@@ -81,6 +81,18 @@ class TestResidualField:
         assert np.array_equal(res.values, residual._residual_values(alone(st, eps)))
         assert np.array_equal(anti.values, residual._antiderivative_values(alone(st, eps)))
 
+    def test_one_evaluation_makes_34_transforms(self, trajectory, monkeypatch):
+        # 9 differentiated fields, each transformed once, and 25 distinct
+        # derivatives, the two of the elimination included
+        calls = []
+        for kind in ("fft", "ifft", "rfft", "irfft"):
+            def counted(*args, _fn=getattr(np.fft, kind), _kind=kind, **kwargs):
+                calls.append(_kind)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, kind, counted)
+        residual_report(trajectory[2], 0.1)
+        assert (calls.count("fft"), calls.count("ifft"), len(calls)) == (9, 25, 34)
+
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
         rows = [sweep_report(trajectory, eps) for eps in eps_list]
