@@ -246,6 +246,11 @@ def _airy(z, with_bi: bool):
         if sel.any():
             for dst, val in zip(out, branch(zarr[sel], with_bi)):
                 dst[sel] = val
+    # a nan argument lies in none of the ranges; filling the outputs with
+    # nan up front instead would touch every page before the branches run
+    nan = np.isnan(zarr)
+    for dst in out:
+        dst[nan] = np.nan
     if np.isscalar(z) or np.ndim(z) == 0:
         return [v[0] for v in out]
     return out

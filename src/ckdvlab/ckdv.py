@@ -68,7 +68,7 @@ def _schedule(start: float, end: float, output_radii, d: float):
     tol = 1e-12 * max(abs(start), abs(end))
     targets = []
     for r in sorted({float(r) for r in radii} | {float(end)}):
-        if r < start - tol or r > end + tol:
+        if not start - tol <= r <= end + tol:  # nan fails too
             raise ValueError(f"output radius {r} outside [{start}, {end}]")
         if targets and r - targets[-1] <= tol:
             targets.pop()

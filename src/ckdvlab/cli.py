@@ -356,48 +356,31 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
 
     The cKdV snapshots sit at rho = eps^3 r of the radial snapshots, so
     states[i] is the source of the ansatz at traj[i].r, the last pair
-    included (r1 = rho1 / eps^3).  The radial runs are independent, so
-    map_forked runs the costliest of them (n times (r1 - r0) / dr) in forked
-    children.  All else happens in this process in eps order, and a failure
-    raises as in a serial loop: that of the first failing case in list
-    order, at its first failing stage.
+    included (r1 = rho1 / eps^3).  The cases are independent, so map_forked
+    runs the costliest of them (n times (r1 - r0) / dr) in forked children,
+    which send back the radial and ansatz states.  Errors and energies are
+    taken in this process in eps order, and a failure raises as in a serial
+    loop: that of the first failing case in list order, at its first failing
+    stage.
     """
-    cases, failure = [], None
-    for eps in eps_list:
-        n = _theorem1_n(cfg, eps)
+    def case(eps):
+        """The radial states and the ansatz at each of them."""
         r1 = cfg.rho1 / eps ** 3
         snaps_r = list(np.linspace(cfg.rho0 / eps ** 3, r1, cfg.snapshots))
-        try:
-            states = _ckdv_trajectory(cfg, n, [eps ** 3 * r for r in snaps_r])
-            init = make_ansatz_state(states[0], eps, snaps_r[0])
-        except Exception as exc:  # the cases before it may still fail first
-            failure = exc
-            break
-        cases.append((eps, states, init, r1, snaps_r))
-
-    def radial(case):
-        """The radial run's snapshots after the start, as (r, v, w) arrays."""
-        _, _, init, r1, snaps_r = case
-        traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol, output_radii=snaps_r)
-        return [(st.r, st.v.values, st.w.values) for st in traj[1:]]
-
-    def cost(case):
-        _, _, init, r1, _ = case
-        return init.v.grid.n * (r1 - init.r) / cfg.dr
-
-    runs, radial_failure = map_forked(radial, cases, cost, lambda case: f"eps={case[0]}")
-    results = []
-    for (eps, states, init, _, _), snapshots in zip(cases, runs):
-        grid = init.v.grid
+        states = _ckdv_trajectory(cfg, _theorem1_n(cfg, eps), [eps ** 3 * r for r in snaps_r])
+        init = make_ansatz_state(states[0], eps, snaps_r[0])
         # the first snapshot radius is the start: traj[0] is the ansatz start itself
-        traj = [init] + [BoussinesqState(r=r, v=RealField(grid=grid, values=v),
-                                         w=RealField(grid=grid, values=w))
-                         for r, v, w in snapshots]
+        traj = boussinesq_evolve(init, r1, cfg.dr, rhs_tol=cfg.rhs_tol, output_radii=snaps_r)
         ans = [init] + [make_ansatz_state(src, eps, st.r)
                         for src, st in zip(states[1:], traj[1:], strict=True)]
-        results.append((approximation_error(traj, ans), gronwall_growth_check(traj, ans, eps)))
-    # a radial run fails only in a case before the one whose start failed
-    failure = radial_failure or failure
+        return traj, ans
+
+    def cost(eps):
+        return _theorem1_n(cfg, eps) * (cfg.rho1 - cfg.rho0) / eps ** 3 / cfg.dr
+
+    runs, failure = map_forked(case, eps_list, cost, lambda eps: f"eps={eps}")
+    results = [(approximation_error(traj, ans), gronwall_growth_check(traj, ans, eps))
+               for eps, (traj, ans) in zip(eps_list, runs)]
     if failure is not None:
         raise failure
     return results

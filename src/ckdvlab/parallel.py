@@ -15,8 +15,8 @@ own that could hold a lock across the fork; a library caller that forks
 through this module must hold no thread either.
 
 ``map_forked`` is a serial loop over independent calls whose costliest
-calls run in children, one per usable CPU but one.  ``cli`` maps the radial
-runs of a Theorem-1 sweep through it, and ``residual.sweep_report`` equal
+calls run in children, one per usable CPU but one.  ``cli`` maps the eps
+cases of a Theorem-1 sweep through it, and ``residual.sweep_report`` equal
 chunks of the snapshots of a residual sweep.
 """
 
@@ -41,7 +41,12 @@ def usable_cpus() -> int:
 
 def _exit_status(status: int) -> str:
     code = os.waitstatus_to_exitcode(status)
-    return f"signal {signal.Signals(-code).name}" if code < 0 else f"exit status {code}"
+    if code >= 0:
+        return f"exit status {code}"
+    try:
+        return f"signal {signal.Signals(-code).name}"
+    except ValueError:  # a signal with no name, e.g. SIGRTMIN+1 on Linux
+        return f"signal {-code}"
 
 
 def _run_child(fn, args, fd: int):

@@ -130,6 +130,22 @@ def test_ai_only_matches_full_and_underflows():
     assert np.all(big_ai == 0.0)
 
 
+def test_nan_argument_reads_nan():
+    # one finite argument in each of the four ranges, nan between them
+    finite = np.array([-30.0, 1.0, 5.0, 25.0])
+    z = np.insert(finite, [0, 1, 2, 3, 4], np.nan)
+    nan = np.isnan(z)
+    ai, aip = airy_ai_only(z)
+    assert np.isnan(ai[nan]).all() and np.isnan(aip[nan]).all()
+    assert np.array_equal(ai[~nan], airy_ai_only(finite)[0])
+    assert np.array_equal(aip[~nan], airy_ai_only(finite)[1])
+    full, ref, scalar = airy_eval(z), airy_eval(finite), airy_eval(np.nan)
+    for name in ("ai", "ai_prime", "bi", "bi_prime"):
+        got = getattr(full, name)
+        assert np.isnan(got[nan]).all() and np.array_equal(got[~nan], getattr(ref, name))
+        assert np.isnan(getattr(scalar, name))
+
+
 class TestSolitonSpec:
     def test_reality_constraint(self):
         with pytest.raises(ValueError):

@@ -555,9 +555,11 @@ class TestEvolve:
     def test_output_radius_outside_span_rejected(self, grid64):
         zero = RealField(grid=grid64, values=np.zeros(grid64.n))
         init = BoussinesqState(r=10.0, v=zero, w=zero)
-        for bad in (9.5, 12.5):
+        for bad in (9.5, 12.5, np.nan):
             with pytest.raises(ValueError, match="outside"):
                 boussinesq_evolve(init, 12.0, 0.25, output_radii=[bad])
+        with pytest.raises(ValueError, match="outside"):
+            boussinesq_evolve(init, np.nan, 0.25)
 
     def test_fourth_order_self_convergence(self):
         g = make_grid(64, 40.0)

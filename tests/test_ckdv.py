@@ -91,7 +91,7 @@ class TestStepAndEvolve:
         g = make_grid(64, 40.0)
         a0 = gaussian_pulse(g)
         cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=g)
-        for bad in (0.9, 1.6):
+        for bad in (0.9, 1.6, np.nan):
             with pytest.raises(ValueError, match="outside"):
                 ckdv_evolve(a0, cfg, output_rhos=[bad])
 

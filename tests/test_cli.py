@@ -13,7 +13,8 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
                          run_theorem1_case, save_config)
-from ckdvlab.errors import ConfigError
+from ckdvlab.errors import ChildTraceback, ConfigError
+from ckdvlab.parallel import usable_cpus
 
 
 def read_columns(path) -> dict[str, list[float]]:
@@ -185,7 +186,30 @@ class TestResidualSweep:
             cmd_residual_sweep(cfg)
 
 
+def inject_failures(monkeypatch, cfg, radial=None, ansatz=None):
+    """Make the radial run of the theorem1 case eps=radial, and the ansatz
+    after the start of the case eps=ansatz, raise a ValueError naming them."""
+    evolve, ansatz_state = cli.boussinesq_evolve, cli.make_ansatz_state
+
+    def failing_evolve(init, r1, *args, **kwargs):
+        if radial is not None and r1 == cfg.rho1 / radial ** 3:
+            raise ValueError(f"radial run failed at eps={radial}")
+        return evolve(init, r1, *args, **kwargs)
+
+    def failing_ansatz(src, eps, r):
+        if eps == ansatz and r > cfg.rho0 / eps ** 3:
+            raise ValueError(f"ansatz failed at eps={eps}")
+        return ansatz_state(src, eps, r)
+
+    monkeypatch.setattr(cli, "boussinesq_evolve", failing_evolve)
+    monkeypatch.setattr(cli, "make_ansatz_state", failing_ansatz)
+
+
 class TestTheorem1:
+    # eps = 0.12 is the costliest of these cases, so it runs in a forked
+    # child wherever two CPUs are usable, and in this process elsewhere
+    FAILING_SWEEP = (0.2, 0.15, 0.12)
+
     def test_small_case_runs(self, tmp_path):
         # single large eps on a short interval: cheap smoke of the pipeline
         cfg = small_cfg(tmp_path, n=128, eps_list=(0.2,), rho0=1.0, rho1=1.05,
@@ -228,6 +252,30 @@ class TestTheorem1:
             energy = read_columns(tmp_path / f"theorem1_energy_eps{tag}.csv")
             assert energy["r"] == list(gron.radii)
             assert energy["energy"] == list(gron.energies)
+
+    def test_first_failing_case_raises(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, n=128, rho0=1.0, rho1=1.05, dr=0.25, snapshots=3,
+                        dt_target=3.0)
+        inject_failures(monkeypatch, cfg, radial=0.15, ansatz=0.12)
+        with pytest.raises(ValueError, match=r"^radial run failed at eps=0\.15$"):
+            cli.run_theorem1_cases(cfg, self.FAILING_SWEEP)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_forked_case_failure_comes_back(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, n=128, rho0=1.0, rho1=1.05, dr=0.25, snapshots=3,
+                        dt_target=3.0)
+        inject_failures(monkeypatch, cfg, ansatz=0.12)
+        with pytest.raises(ValueError, match=r"^ansatz failed at eps=0\.12$") as info:
+            cli.run_theorem1_cases(cfg, self.FAILING_SWEEP)
+        cause = info.value.__cause__
+        if usable_cpus() >= 2:
+            assert type(cause) is ChildTraceback
+            assert str(cause).startswith("eps=0.12: raised in a forked child")
+        else:
+            assert cause is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_pulse_must_fit_domain(self, tmp_path):
         cfg = small_cfg(tmp_path, n=64, l_tau=6.0, eps_list=(0.2,), rho1=1.05,

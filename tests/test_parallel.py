@@ -43,6 +43,11 @@ def test_exception_raised_again():
 @pytest.mark.parametrize("end, status", [
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL"),
     (lambda: os._exit(3), "exit status 3"),
+    # a real-time signal past SIGRTMIN has no signal.Signals name
+    pytest.param(lambda: os.kill(os.getpid(), signal.SIGRTMIN + 1),
+                 f"signal {getattr(signal, 'SIGRTMIN', 0) + 1}",
+                 marks=pytest.mark.skipif(not hasattr(signal, "SIGRTMIN"),
+                                          reason="no real-time signals")),
 ])
 def test_child_that_dies_names_label_and_status(end, status):
     child = Forked(end, label="eps=0.08")
