@@ -16,6 +16,7 @@ against an independent high-precision series oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,28 +186,23 @@ def _taylor(z0: float, w, wp, h, nterms: int):
     return (val + a[1]) * h + a[0], der * h + a[1]
 
 
-_GAP_ANCHORS: dict[int, tuple[float, float]] | None = None
-
-
+@functools.cache
 def _gap_anchor_table():
     """(Ai, Ai') at 8.0, 7.75, ..., 4.0, marched down from the asymptotic seed.
 
     Marching toward smaller z is stable for Ai: the contaminating Bi
     component decays in that direction.
     """
-    global _GAP_ANCHORS
-    if _GAP_ANCHORS is None:
-        seed = _asym_pos(np.array([_MARCH_SEED]), False)
-        ai, aip = float(seed[0][0]), float(seed[1][0])
-        table = {0: (ai, aip)}
-        z0 = _MARCH_SEED
-        nsteps = int(round((_MARCH_SEED - 4.0) / _MARCH_STEP))
-        for j in range(1, nsteps + 1):
-            ai, aip = _taylor(z0, ai, aip, -_MARCH_STEP, 34)
-            z0 -= _MARCH_STEP
-            table[j] = (ai, aip)
-        _GAP_ANCHORS = table
-    return _GAP_ANCHORS
+    seed = _asym_pos(np.array([_MARCH_SEED]), False)
+    ai, aip = float(seed[0][0]), float(seed[1][0])
+    table = {0: (ai, aip)}
+    z0 = _MARCH_SEED
+    nsteps = int(round((_MARCH_SEED - 4.0) / _MARCH_STEP))
+    for j in range(1, nsteps + 1):
+        ai, aip = _taylor(z0, ai, aip, -_MARCH_STEP, 34)
+        z0 -= _MARCH_STEP
+        table[j] = (ai, aip)
+    return table
 
 
 def _gap(z: np.ndarray, with_bi: bool):
@@ -307,24 +303,20 @@ class SolitonSpec:
     def gamma(self) -> float:
         return self.branch * 2.0 * np.sqrt(self.alpha * self.beta)
 
-    @property
-    def canonical(self) -> bool:
-        return self.beta == 0.0 and self.alpha >= 0.0
-
 
 def _pair(x, xp, y, yp, z):
     """Product form of two solutions x, y of w'' = z w.
 
-    Returns (F, G, G', G'', G''') with G = x y and F = x'y' - z x y, so that
-    F' = -G; the derivatives of G follow from w'' = z w.
+    Returns F = x'y' - z x y and its first four derivatives, F' = -x y and
+    the higher ones from w'' = z w.
     """
     xy = x * y
     g1 = xp * y + x * yp
-    return xp * yp - z * xy, xy, g1, 2 * (xp * yp + z * xy), 2 * xy + 4 * z * g1
+    return xp * yp - z * xy, -xy, -g1, -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1)
 
 
 def _product_form(z, alpha: float, beta: float, gamma: float):
-    """(F, G, G', G'', G''') of G = alpha Ai^2 + beta Bi^2 + gamma Ai Bi."""
+    """F to F'''' of F' = -(alpha Ai^2 + beta Bi^2 + gamma Ai Bi)."""
     av = airy_eval(z)
     a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
     return tuple(alpha * p + beta * q + gamma * r for p, q, r in
@@ -344,10 +336,8 @@ def profile_pack(z, spec: SolitonSpec):
         z = np.asarray(z, dtype=float) if np.ndim(z) else z
         a, ap = airy_ai_only(z)
         with np.errstate(under="ignore"):
-            f0, g0, g1, g2, g3 = (al * t for t in _pair(a, ap, a, ap, z))
-    else:
-        f0, g0, g1, g2, g3 = _product_form(z, al, be, ga)
-    return f0, -g0, -g1, -g2, -g3
+            return tuple(al * t for t in _pair(a, ap, a, ap, z))
+    return _product_form(z, al, be, ga)
 
 
 def compatibility_residual(z, alpha: float, beta: float, gamma: float):
@@ -360,7 +350,5 @@ def compatibility_residual(z, alpha: float, beta: float, gamma: float):
     and cancel in double precision (relative error 3e-7 at z = 4, 5e-4 at
     z = 5).
     """
-    f0, g0, g1, _, _ = _product_form(z, alpha, beta, gamma)
-    f1 = -g0
-    f2 = -g1
+    f0, f1, f2, _, _ = _product_form(z, alpha, beta, gamma)
     return f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1

@@ -226,6 +226,8 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     MeanValueError for initial data with nonzero mean and propagates
     StepUnstable.
     """
+    if A0.grid != cfg.grid:
+        raise ValueError(f"initial data grid {A0.grid} does not match run grid {cfg.grid}")
     emit_start, steps = _schedule(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho)
     state = make_state(A0, cfg.rho0, cfg.mean_tol)
     stepper = _Stepper(cfg)

@@ -19,16 +19,21 @@ from .grid import SpectralGrid
 PTS_PER_RAD = 12.0
 
 
-def _amplitude_terms(rho: float, tau, spec: SolitonSpec):
-    """Returns (ratio1, ratio2, s) with A = -(6/s^2) (ratio1 - ratio2^2)."""
+def _similarity(rho, tau, spec: SolitonSpec):
+    """s = (6 rho)^{1/3}, z = tau/s and profile_pack at z."""
     s = (6.0 * rho) ** (1.0 / 3.0)
     z = np.asarray(tau, dtype=float) / s
-    f0, f1, f2, _, _ = profile_pack(z, spec)
-    den = spec.offset * s + f0
+    return s, z, profile_pack(z, spec)
+
+
+def _wave(s, c, pack):
+    """-(6/s^2) (F''/(c+F) - (F'/(c+F))^2), the closed form of A and of u."""
+    f0, f1, f2, _, _ = pack
+    den = c + f0
     if np.any(den <= 0.0):
         raise DenominatorSignError(
-            "offset*s + F changes sign; amplitude undefined (non-canonical profile)")
-    return f2 / den, f1 / den, s
+            "offset*s + F (offset*s*eps + F for u) changes sign; wave undefined")
+    return -(6.0 / s ** 2) * (f2 / den - (f1 / den) ** 2)
 
 
 def soliton_amplitude(rho: float, tau, spec: SolitonSpec):
@@ -41,15 +46,13 @@ def soliton_amplitude(rho: float, tau, spec: SolitonSpec):
         raise ValueError(f"rho must be positive, got {rho}")
     if spec.alpha == 0.0 and spec.beta == 0.0:
         return np.zeros_like(np.asarray(tau, dtype=float)) if np.ndim(tau) else 0.0
-    r1, r2, s = _amplitude_terms(rho, tau, spec)
-    return -(6.0 / s ** 2) * (r1 - r2 ** 2)
+    s, _, pack = _similarity(rho, tau, spec)
+    return _wave(s, spec.offset * s, pack)
 
 
 def _bilinear_parts(rho: float, tau, spec: SolitonSpec):
     """The five summands of the bilinear form for f = offset + s^{-1} F(z)."""
-    s = (6.0 * rho) ** (1.0 / 3.0)
-    z = np.asarray(tau, dtype=float) / s
-    f0, f1, f2, f3, f4 = profile_pack(z, spec)
+    s, z, (f0, f1, f2, f3, f4) = _similarity(rho, tau, spec)
     f = spec.offset + f0 / s
     ftau = f1 / s ** 2
     ftau2 = f2 / s ** 3
@@ -98,8 +101,6 @@ def _simpson(values: np.ndarray, h: float) -> float:
 
 def soliton_integral(rho: float, spec: SolitonSpec, half_width: float) -> float:
     """Plain Simpson quadrature of A over [-T, T] (no tail correction)."""
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        return 0.0
     n = _oscillation_nodes(rho, half_width)
     tau = np.linspace(-half_width, half_width, n)
     a = soliton_amplitude(rho, tau, spec)
@@ -113,12 +114,8 @@ def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float) -> float:
     term -6 [F'/(s(offset*s+F))] between the endpoints, so the corrected
     value tends to zero as T grows and measures only quadrature error.
     """
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        return 0.0
     quad_val = soliton_integral(rho, spec, half_width)
-    s = (6.0 * rho) ** (1.0 / 3.0)
-    zb = np.array([-half_width, half_width]) / s
-    f0, f1, _, _, _ = profile_pack(zb, spec)
+    s, _, (f0, f1, _, _, _) = _similarity(rho, np.array([-half_width, half_width]), spec)
     bterm = f1 / (s * (spec.offset * s + f0))
     truncated_exact = -6.0 * (bterm[1] - bterm[0])
     return quad_val + (0.0 - truncated_exact)
@@ -135,8 +132,6 @@ def window_l2_growth(rho: float, spec: SolitonSpec, T_list):
         raise ValueError("window fit needs at least two half-widths")
     if T_arr[0] < 50.0:
         raise ValueError("half-widths below 50 sample the pulse, not the tail")
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        return np.zeros_like(T_arr), 0.0
     vals = []
     for T in T_arr:
         n = _oscillation_nodes(rho, T, floor=10001)
@@ -163,11 +158,5 @@ def physical_wave(r, t, eps: float, spec: SolitonSpec):
     if spec.alpha == 0.0 and spec.beta == 0.0:
         shape = np.broadcast(r_arr, np.asarray(t, dtype=float)).shape
         return np.zeros(shape) if shape else 0.0
-    s_phys = (6.0 * r_arr) ** (1.0 / 3.0)
-    zeta = (np.asarray(t, dtype=float) - r_arr) / s_phys
-    f0, f1, f2, _, _ = profile_pack(zeta, spec)
-    den = spec.offset * s_phys * eps + f0
-    if np.any(den <= 0.0):
-        raise DenominatorSignError(
-            "offset*(6r)^(1/3)*eps + F changes sign; wave undefined")
-    return -(6.0 / s_phys ** 2) * (f2 / den - (f1 / den) ** 2)
+    s, _, pack = _similarity(r_arr, np.asarray(t, dtype=float) - r_arr, spec)
+    return _wave(s, spec.offset * s * eps, pack)

@@ -155,10 +155,6 @@ class TestSolitonSpec:
         spec = SolitonSpec(alpha=4.0, beta=9.0, branch=-1)
         assert spec.gamma == pytest.approx(-12.0)
 
-    def test_canonical(self):
-        assert SolitonSpec(alpha=2.0).canonical
-        assert not SolitonSpec(alpha=2.0, beta=1.0).canonical
-
 
 class TestCapitalG:
     def test_zero_spec(self):

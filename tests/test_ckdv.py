@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,16 @@ class TestStepAndEvolve:
         for bad in (0.9, 1.6, np.nan):
             with pytest.raises(ValueError, match="outside"):
                 ckdv_evolve(a0, cfg, output_rhos=[bad])
+
+    def test_run_grid_must_be_initial_data_grid(self):
+        # same n on a shorter domain would run silently on the wrong
+        # wavenumbers; a different n would fail inside the step
+        a0 = gaussian_pulse(make_grid(64, 40.0))
+        for other in (make_grid(64, 20.0), make_grid(128, 40.0)):
+            cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=other)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{a0.grid} does not match run grid {other}")):
+                ckdv_evolve(a0, cfg)
 
     def test_zero_mean_preserved_1000_steps(self, grid256):
         a0 = gaussian_pulse(grid256)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ckdvlab.airy import SolitonSpec
+from ckdvlab.airy import SolitonSpec, profile_pack
 from ckdvlab.errors import DenominatorSignError
 from ckdvlab.grid import make_grid
 from ckdvlab.soliton import (bilinear_residual, bilinear_scale, physical_wave,
@@ -75,7 +75,6 @@ class TestAmplitude:
             a_b = soliton_amplitude(rho_b, z * (6 * rho_b) ** (1 / 3), BIG)
             # both reduce to the same F-ratios up to the s in the denominator;
             # verify via the closed form rather than strict equality
-            from ckdvlab.airy import profile_pack
             f0, f1, f2, _, _ = profile_pack(z, BIG)
             for rho, val in ((rho_a, a_a), (rho_b, a_b)):
                 s = (6.0 * rho) ** (1.0 / 3.0)
@@ -219,6 +218,19 @@ class TestPhysicalWave:
             flips_behind = int(np.sum(np.diff(np.sign(behind)) != 0))
             assert flips_ahead >= 6
             assert flips_behind <= 2
+
+    def test_denominator_guard(self):
+        # offset*(6r)^{1/3}*eps + F changes sign on this window while every
+        # Airy argument stays below the Bi guard at 30
+        spec = SolitonSpec(alpha=1.0, beta=1.0, branch=1)
+        r, eps = 100.0, 0.1
+        s = (6.0 * r) ** (1.0 / 3.0)
+        t = np.linspace(20.0, 180.0, 2001)
+        z = (t - r) / s
+        den = spec.offset * s * eps + profile_pack(z, spec)[0]
+        assert z.max() <= 30.0 and den.min() < 0.0 < den.max()
+        with pytest.raises(DenominatorSignError):
+            physical_wave(r, t, eps, spec)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
