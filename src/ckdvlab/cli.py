@@ -30,7 +30,7 @@ from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, resolvent_solve,
                          u_to_v, v_to_u)
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
-from .errors import ConfigError, SingularDispersion
+from .errors import ConfigError, DenominatorSignError, OverflowGuard, SingularDispersion
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
 from .report import config_hash, fit_loglog, write_csv, write_manifest
@@ -169,6 +169,12 @@ def _say(cfg: ExperimentConfig, msg: str):
 
 def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
     """Check the config, then create out_dir; returns it and the run manifest."""
+    _check(cfg)
+    return _open_out(cfg)
+
+
+def _check(cfg: ExperimentConfig):
+    """Raise ConfigError for a config no command can run."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         # no experiment has a use for a nan or an infinite value
@@ -207,6 +213,10 @@ def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
         _initial_pulse(cfg, _theorem1_n(cfg, max(cfg.eps_list or THEOREM1_EPS)))
     elif cfg.command in ("residual-sweep", "ckdv", "boussinesq"):
         _initial_pulse(cfg, cfg.n)
+
+
+def _open_out(cfg: ExperimentConfig) -> tuple[Path, dict]:
+    """Create out_dir; returns it and the run manifest."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out, cfg.manifest()
@@ -229,47 +239,60 @@ def _finish(cfg: ExperimentConfig, out: Path, manifest: dict, files: list[Path],
 # ----------------------------------------------------------------- soliton
 
 
-def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
-    out, manifest = _prepare(cfg)
+def _soliton_results(cfg: ExperimentConfig):
+    """The profiles A(rho), the radial waves u(t) and the tail diagnostics."""
     spec = SolitonSpec(alpha=cfg.alpha, beta=cfg.beta, offset=cfg.offset)
-    files = []
-
+    profiles = []
     for rho in cfg.rho_profiles:
         s = (6.0 * rho) ** (1.0 / 3.0)
         tau = np.linspace(-22.0 * s, 12.0 * s, 3000)
-        amp = soliton_amplitude(rho, tau, spec)
-        tag = f"rho{rho:g}".replace(".", "p")
-        files.append(write_csv(out / f"soliton_A_{tag}.csv", ["tau", "amplitude"],
-                               zip(tau, amp), manifest))
-        files.append(line_plot(out / f"soliton_A_{tag}.svg",
-                               [(f"rho={rho:g}", tau, amp)],
-                               title=f"Solitary wave amplitude at rho={rho:g}",
-                               xlabel="tau", ylabel="A", manifest=manifest))
-
+        profiles.append((rho, tau, soliton_amplitude(rho, tau, spec)))
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
-    for t_val in cfg.t_values:
-        r = np.linspace(0.5, 120.0, 4000)
-        u = physical_wave(r, t_val, eps, spec)
-        tag = f"t{t_val:g}".replace(".", "p")
-        files.append(write_csv(out / f"soliton_u_{tag}.csv", ["r", "u"],
-                               zip(r, u), manifest))
-        files.append(line_plot(out / f"soliton_u_{tag}.svg",
-                               [(f"t={t_val:g}", r, u)],
-                               title=f"Radial wave u(r, t={t_val:g}), eps={eps:g}",
-                               xlabel="r", ylabel="u", manifest=manifest))
-
-    diag_rows = []
+    r = np.linspace(0.5, 120.0, 4000)
+    waves = [(t_val, r, physical_wave(r, t_val, eps, spec)) for t_val in cfg.t_values]
+    # the columns of soliton_diagnostics.csv, empty for the zero wave
+    diag = ([], [], [], [])
     if cfg.alpha != 0.0 or cfg.beta != 0.0:
         for rho in cfg.rho_profiles[:2]:
             defect = zero_mean_defect(rho, spec, 1000.0)
             vals, slope = window_l2_growth(rho, spec, (200.0, 400.0, 800.0, 1600.0))
-            diag_rows.append((rho, defect, slope, 3.0 / rho))
+            for column, value in zip(diag, (rho, defect, slope, 3.0 / rho)):
+                column.append(value)
             _say(cfg, f"rho={rho:g}: defect(T=1000)={defect:.3e} "
                       f"l2-growth={slope:.4f} (3/rho={3.0 / rho:.4f})")
+    return eps, profiles, waves, diag
+
+
+def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
+    _check(cfg)
+    # everything is computed before out_dir exists, so a wave that is
+    # undefined for these parameters leaves no output behind
+    try:
+        eps, profiles, waves, diag = _soliton_results(cfg)
+    except (DenominatorSignError, OverflowGuard) as exc:
+        raise ConfigError(f"no solitary wave for alpha={cfg.alpha}, beta={cfg.beta}, "
+                          f"offset={cfg.offset}: {type(exc).__name__}: {exc}") from exc
+    out, manifest = _open_out(cfg)
+    files = []
+    for rho, tau, amp in profiles:
+        tag = f"rho{rho:g}".replace(".", "p")
+        files.append(write_csv(out / f"soliton_A_{tag}.csv", ["tau", "amplitude"],
+                               [tau, amp], manifest))
+        files.append(line_plot(out / f"soliton_A_{tag}.svg",
+                               [(f"rho={rho:g}", tau, amp)],
+                               title=f"Solitary wave amplitude at rho={rho:g}",
+                               xlabel="tau", ylabel="A", manifest=manifest))
+    for t_val, r, u in waves:
+        tag = f"t{t_val:g}".replace(".", "p")
+        files.append(write_csv(out / f"soliton_u_{tag}.csv", ["r", "u"], [r, u], manifest))
+        files.append(line_plot(out / f"soliton_u_{tag}.svg",
+                               [(f"t={t_val:g}", r, u)],
+                               title=f"Radial wave u(r, t={t_val:g}), eps={eps:g}",
+                               xlabel="r", ylabel="u", manifest=manifest))
     files.append(write_csv(out / "soliton_diagnostics.csv",
                            ["rho", "zero_mean_defect_T1000", "window_l2_coeff",
                             "coeff_target"],
-                           diag_rows, manifest))
+                           diag, manifest))
     return _finish(cfg, out, manifest, files)
 
 
@@ -330,7 +353,8 @@ def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
         _say(cfg, "residual sweep: fewer than 3 eps values, slope fit skipped")
     files = [write_csv(out / "residual_scaling.csv",
                        ["eps", "norm_kind", "value", "fitted_slope"],
-                       [(*row, slopes.get(row[1], "")) for row in rows], manifest)]
+                       list(zip(*[(*row, slopes.get(row[1], "")) for row in rows])),
+                       manifest)]
     return _finish(cfg, out, manifest, files, summary)
 
 
@@ -395,13 +419,13 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
         tag = f"eps{eps:g}".replace(".", "p")
         files.append(write_csv(out / f"theorem1_energy_{tag}.csv",
                                ["r", "energy"],
-                               zip(gron.radii, gron.energies), manifest))
+                               [gron.radii, gron.energies], manifest))
         _say(cfg, f"eps={eps}: sup|u - eps^2 A|={err.err_u:.4e} "
                   f"(at r={err.r_at_sup:.1f}), max E={gron.max_e:.3e}")
 
     files.insert(0, write_csv(out / "theorem1_errors.csv",
                               ["eps", "err_u", "err_v", "r_at_sup", "max_energy"],
-                              rows, manifest))
+                              list(zip(*rows)), manifest))
     summary = None
     if len(eps_list) >= 3:
         slope, _ = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
@@ -418,11 +442,10 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
     out, manifest = _prepare(cfg)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 6))
     states = _ckdv_trajectory(cfg, cfg.n, sample_rhos)
-    rows = []
-    for st in states:
-        for tau, a in zip(st.A.grid.nodes, st.A.values):
-            rows.append((st.rho, tau, a))
-    files = [write_csv(out / "ckdv_snapshots.csv", ["rho", "tau", "A"], rows, manifest)]
+    columns = [np.concatenate([np.full(st.A.grid.n, st.rho) for st in states]),
+               np.concatenate([st.A.grid.nodes for st in states]),
+               np.concatenate([st.A.values for st in states])]
+    files = [write_csv(out / "ckdv_snapshots.csv", ["rho", "tau", "A"], columns, manifest)]
     curves = [(f"rho={st.rho:.3f}", st.A.grid.nodes, st.A.values)
               for st in (states[0], states[-1])]
     files.append(line_plot(out / "ckdv_evolution.svg", curves,
@@ -441,13 +464,13 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
     init = make_ansatz_state(make_state(_initial_pulse(cfg, cfg.n), cfg.rho0), eps, r0)
     traj = boussinesq_evolve(init, snaps_r[-1], cfg.dr, rhs_tol=cfg.rhs_tol,
                              output_radii=list(snaps_r))
-    rows = []
-    for st in traj:
-        u = v_to_u(st.v.values)
-        for t, uu, vv, ww in zip(st.v.grid.nodes, u, st.v.values, st.w.values):
-            rows.append((st.r, t, uu, vv, ww))
+    columns = [np.concatenate([np.full(st.v.grid.n, st.r) for st in traj]),
+               np.concatenate([st.v.grid.nodes for st in traj]),
+               np.concatenate([v_to_u(st.v.values) for st in traj]),
+               np.concatenate([st.v.values for st in traj]),
+               np.concatenate([st.w.values for st in traj])]
     files = [write_csv(out / "boussinesq_snapshots.csv",
-                       ["r", "t", "u", "v", "w"], rows, manifest)]
+                       ["r", "t", "u", "v", "w"], columns, manifest)]
     return _finish(cfg, out, manifest, files)
 
 

@@ -51,13 +51,21 @@ def manifest_lines(manifest: dict) -> list[str]:
     return [f"# {k}: {_fmt(v)}" for k, v in sorted(manifest.items())]
 
 
-def write_csv(path, header: list[str], rows, manifest: dict):
-    """Write a CSV with a manifest preamble; values in full precision."""
+def _cells(column) -> list[str]:
+    # a float64 array converts to builtin floats in one call; any other
+    # column is formatted value by value, to the same bytes
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(repr, column.tolist()))
+    return [_fmt(v) for v in column]
+
+
+def write_csv(path, header: list[str], columns, manifest: dict):
+    """Write a CSV with a manifest preamble from equal-length columns, one per
+    header name; values in full precision."""
     path = Path(path)
     out = manifest_lines(manifest)
     out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
+    out.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
     path.write_text("\n".join(out) + "\n")
     return path
 

@@ -161,6 +161,21 @@ class TestSoliton:
         assert "soliton_A_rho8.csv" in names
         assert sum(1 for n in names if n.startswith("soliton_A_") and n.endswith(".csv")) == 2
 
+    @pytest.mark.parametrize("text, named", [
+        # the log argument offset*s + F changes sign on the profile window
+        ("alpha = 2\nbeta = 0.5\noffset = 3\n", "DenominatorSignError"),
+        ("alpha = 1\nbeta = 1e-6\noffset = 50\n", "DenominatorSignError"),
+        # the radial wave at t = 50 asks for Bi beyond its overflow guard
+        ("alpha = 1e8\nbeta = 1e-300\n", "OverflowGuard"),
+    ])
+    def test_undefined_wave_is_usage_error(self, tmp_path, capsys, text, named):
+        path, out = tmp_path / "bad.ini", tmp_path / "out"
+        path.write_text("[model]\n" + text)
+        rc = main(["soliton", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error: ") and named in err, err
+        assert not out.exists()
+
 
 class TestResidualSweep:
     def test_four_point_sweep(self, tmp_path):

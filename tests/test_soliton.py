@@ -1,12 +1,15 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from ckdvlab.airy import SolitonSpec, profile_pack
 from ckdvlab.errors import DenominatorSignError
 from ckdvlab.grid import make_grid
-from ckdvlab.soliton import (bilinear_residual, bilinear_scale, physical_wave,
-                             soliton_amplitude, soliton_integral, window_l2_growth,
-                             zero_mean_defect)
+from ckdvlab.soliton import (_oscillation_nodes, _similarity, _simpson, bilinear_residual,
+                             bilinear_scale, physical_wave, soliton_amplitude,
+                             soliton_integral, window_l2_growth, zero_mean_defect)
 
 BIG = SolitonSpec(alpha=1e8)
 
@@ -237,3 +240,76 @@ class TestPhysicalWave:
             physical_wave(-1.0, 10.0, 0.1, BIG)
         with pytest.raises(ValueError):
             physical_wave(1.0, 10.0, 0.0, BIG)
+
+
+# The tail quadratures as one full-length amplitude evaluation each: the
+# oracle for their chunked evaluation.
+
+def one_array_integral(rho, spec, T):
+    tau = np.linspace(-T, T, _oscillation_nodes(rho, T))
+    return _simpson(soliton_amplitude(rho, tau, spec), tau[1] - tau[0])
+
+
+def one_array_defect(rho, spec, T):
+    s, _, (f0, f1, _, _, _) = _similarity(rho, np.array([-T, T]), spec)
+    bterm = f1 / (s * (spec.offset * s + f0))
+    truncated_exact = -6.0 * (bterm[1] - bterm[0])
+    return one_array_integral(rho, spec, T) + (0.0 - truncated_exact)
+
+
+def one_array_window(rho, spec, T_list):
+    T_arr = np.asarray(sorted(T_list), dtype=float)
+    vals = []
+    for T in T_arr:
+        tau = np.linspace(-T, 0.0, _oscillation_nodes(rho, T, floor=10001))
+        a = soliton_amplitude(rho, tau, spec)
+        vals.append(_simpson(a * a, tau[1] - tau[0]))
+    vals = np.asarray(vals)
+    return vals, float(np.polyfit(np.log(T_arr), vals, 1)[0])
+
+
+class TestChunkedTails:
+    # _maclaurin stops at a tolerance relative to the largest term over the
+    # array it is given, so a chunk could in principle stop at another step
+    # than the full array: every result must still be the same double
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    @pytest.mark.parametrize("T", [200.0, 1600.0])
+    def test_integral_bit_identical(self, rho, T):
+        assert soliton_integral(rho, BIG, T) == one_array_integral(rho, BIG, T)
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    @pytest.mark.parametrize("T_list", [(200.0, 400.0), (200.0, 400.0, 800.0, 1600.0)])
+    def test_window_bit_identical(self, rho, T_list):
+        vals, slope = window_l2_growth(rho, BIG, T_list)
+        want_vals, want_slope = one_array_window(rho, BIG, T_list)
+        assert vals.tolist() == want_vals.tolist() and slope == want_slope
+
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    def test_defect_bit_identical(self, rho):
+        assert zero_mean_defect(rho, BIG, 1000.0) == one_array_defect(rho, BIG, 1000.0)
+
+    def test_window_memory_bounded(self):
+        # a full-length evaluation at rho = 1, T = 1600 (4.2e5 nodes) peaks
+        # above 60 MB; chunked, the tail arrays themselves take about 10 MB
+        window_l2_growth(1.0, BIG, (200.0, 400.0))
+        tracemalloc.start()
+        try:
+            window_l2_growth(1.0, BIG, (200.0, 400.0, 800.0, 1600.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24e6, peak
+
+
+@pytest.mark.parametrize("quadrature, args", [
+    (soliton_integral, (BIG, 100.0)),
+    (zero_mean_defect, (BIG, 100.0)),
+    (window_l2_growth, (BIG, (100.0, 200.0))),
+])
+@pytest.mark.parametrize("rho", [-1.0, 0.0])
+def test_quadratures_reject_nonpositive_rho(quadrature, args, rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="rho must be positive"):
+            quadrature(rho, *args)
