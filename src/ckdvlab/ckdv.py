@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepUnstable
-from .grid import RealField, SpectralGrid, check_zero_mean
+from .grid import RealField, SpectralGrid, _irfft, _rfft, check_zero_mean
 
 GROWTH_LIMIT = 10.0
 
@@ -164,8 +164,8 @@ class _Stepper:
 
         Also returns the (dealiased) stage field A.
         """
-        a = np.fft.irfft(a_hat * self.mask, self.n)
-        na = self.sym * np.fft.rfft(a * a)
+        a = _irfft(a_hat * self.mask, self.n)
+        na = self.sym * _rfft(a * a)
         if forcing_hat is not None:
             na = na + forcing_hat(rho)
         return na, a
@@ -206,13 +206,13 @@ def _forcing_hat_fn(forcing, grid: SpectralGrid):
         fld = forcing(rho)
         if fld.grid != grid:
             raise ValueError("forcing grid does not match run grid")
-        return np.fft.rfft(fld.values)
+        return _rfft(fld.values)
 
     return fh
 
 
 def _snapshot(a_hat, rho: float, grid: SpectralGrid) -> CkdvState:
-    a = np.fft.irfft(a_hat, grid.n)
+    a = _irfft(a_hat, grid.n)
     return CkdvState(rho=rho, A=RealField(grid=grid, values=a),
                      B=RealField(grid=grid, values=grid.core.antiderivative(a)))
 
@@ -232,7 +232,7 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     state = make_state(A0, cfg.rho0, cfg.mean_tol)
     stepper = _Stepper(cfg)
     fh = _forcing_hat_fn(forcing, cfg.grid)
-    a_hat = np.fft.rfft(state.A.values)
+    a_hat = _rfft(state.A.values)
 
     out = [state] if emit_start else []
     guard = _GrowthGuard("sup", state.A.sup())

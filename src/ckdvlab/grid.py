@@ -8,6 +8,13 @@ Every grid layout (n, length) shares one cached :class:`SpectralCore` that
 holds the real-FFT wavenumbers and the operator symbols and applies them
 to bare arrays; the ``RealField`` functions below are thin wrappers
 over it.  A grid itself holds only its nodes.
+
+Every transform of the package goes through the private helpers
+``_rfft``, ``_irfft``, ``_fft`` and ``_ifft`` of this module.  They call
+numpy's pocketfft gufuncs directly, with the arguments ``np.fft`` itself
+passes them, so their results are bit-identical to ``np.fft``'s without
+its per-call Python wrapper.  They take 1-D arrays only.  Where numpy
+lacks that private module they are ``np.fft``'s own functions.
 """
 
 from __future__ import annotations
@@ -21,6 +28,32 @@ from .errors import MeanValueError, SingularDispersion
 
 #: default relative tolerance on |mean| before the antiderivative is refused
 MEAN_TOL_FACTOR = 1e-10
+
+try:
+    from numpy.fft import _pocketfft_umath as _pfu
+except ImportError:
+    _rfft, _irfft, _fft, _ifft = np.fft.rfft, np.fft.irfft, np.fft.fft, np.fft.ifft
+else:
+    # the axes, factors and output arrays np.fft._pocketfft._raw_fft uses for
+    # a 1-D array with the default "backward" norm
+    _AXES = [(0,), (), (0,)]
+
+    def _rfft(a, out=None):
+        n = a.shape[0]
+        if out is None:
+            out = np.empty(n // 2 + 1, dtype=complex)
+        ufunc = _pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd
+        return ufunc(a, 1.0, axes=_AXES, out=out)
+
+    def _irfft(a, n):
+        return _pfu.irfft(a, 1.0 / n, axes=_AXES, out=np.empty(n))
+
+    def _fft(a):
+        return _pfu.fft(a, 1.0, axes=_AXES, out=np.empty(a.shape[0], dtype=complex))
+
+    def _ifft(a):
+        n = a.shape[0]
+        return _pfu.ifft(a, 1.0 / n, axes=_AXES, out=np.empty(n, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -134,18 +167,18 @@ class SpectralCore:
             arr.setflags(write=False)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        return np.fft.irfft(self._deriv[order] * np.fft.rfft(values), self.n)
+        return _irfft(self._deriv[order] * _rfft(values), self.n)
 
     def shift(self, values: np.ndarray, shift: float) -> np.ndarray:
         """Values of x -> f(x - shift) on the same nodes, by an exact spectral phase."""
         phase = np.exp(-1j * self.k * shift)
         # the Nyquist mode of a real field is a real cosine: its factor is real
         phase[-1] = np.cos(self.k[-1] * shift)
-        return np.fft.irfft(phase * np.fft.rfft(values), self.n)
+        return _irfft(phase * _rfft(values), self.n)
 
     def antiderivative(self, values: np.ndarray) -> np.ndarray:
         """Zero-mean antiderivative; the mean of values is dropped, not checked."""
-        return np.fft.irfft(self.inv_ik * np.fft.rfft(values), self.n)
+        return _irfft(self.inv_ik * _rfft(values), self.n)
 
     def b2(self, values: np.ndarray) -> np.ndarray:
         """B^2 values: the multiplier -k^2/(1+k^2) applied mode-wise.
@@ -153,9 +186,9 @@ class SpectralCore:
         The spectrum goes through a scratch array of this core, so calls
         must not overlap (no threads); the result is a fresh array.
         """
-        spectrum = np.fft.rfft(values, out=self._b2_spectrum)
+        spectrum = _rfft(values, out=self._b2_spectrum)
         spectrum *= self.b2_symbol
-        return np.fft.irfft(spectrum, self.n)
+        return _irfft(spectrum, self.n)
 
 
 @lru_cache(maxsize=64)

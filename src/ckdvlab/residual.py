@@ -22,8 +22,8 @@ import numpy as np
 
 from .boussinesq import BoussinesqState, _t_grid_of, n_forms
 from .ckdv import CkdvState, _drho
-from .grid import (RealField, _derivative_symbols, check_zero_mean, spectral_antiderivative,
-                   spectral_derivative)
+from .grid import (RealField, _derivative_symbols, _fft, _ifft, check_zero_mean,
+                   spectral_antiderivative, spectral_derivative)
 from .parallel import map_forked, usable_cpus
 
 BETA_EXPONENT = 3.5
@@ -48,11 +48,12 @@ class EnergyReport:
     e: float
 
 
-# The residual's complex-FFT symbols are the package's only ones.  They stay
-# because res_sup carries round-off at the 1e-6 level and the benchmark's
-# 1e-8 relative gate pins it to this layout.  Once the benchmark compares
-# res_sup against its measured round-off floor, the residual moves to the
-# grid's real-FFT core and these go.
+# The residual's complex-FFT symbols are the package's only ones, and
+# _Elimination.d makes its only complex transforms, through grid's _fft and
+# _ifft helpers.  They stay because res_sup carries round-off at the 1e-6
+# level and the benchmark's 1e-8 relative gate pins it to this layout.  Once
+# the benchmark compares res_sup against its measured round-off floor, the
+# residual moves to the grid's real-FFT core and these go.
 @lru_cache(maxsize=8)
 def _complex_symbols(n: int, length: float) -> dict:
     return _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=length / n), n)
@@ -93,8 +94,8 @@ class _Elimination:
         key = (name, order)
         if key not in self._derivs:
             if name not in self._spectra:
-                self._spectra[name] = np.fft.fft(self.fields[name])
-            out = np.fft.ifft(self._symbols[order] * self._spectra[name]).real
+                self._spectra[name] = _fft(self.fields[name])
+            out = _ifft(self._symbols[order] * self._spectra[name]).real
             out.setflags(write=False)
             self._derivs[key] = out
         return self._derivs[key]

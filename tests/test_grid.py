@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckdvlab import grid as grid_module
 from ckdvlab.errors import MeanValueError, SingularDispersion
 from ckdvlab.grid import (RealField, apply_b2, b2_multiplier, dispersion_omega_squared,
                           make_grid, spectral_antiderivative, spectral_derivative)
@@ -183,6 +184,49 @@ class TestSpectralCore:
         f = np.sin(k * grid64.nodes) + 0.5 * np.cos(2 * k * grid64.nodes)
         want = np.sin(k * (grid64.nodes - shift)) + 0.5 * np.cos(2 * k * (grid64.nodes - shift))
         assert np.abs(grid64.core.shift(f, shift) - want).max() <= 1e-13
+
+
+class TestTransformHelpers:
+    """grid's private transforms equal np.fft's bit for bit."""
+
+    def test_helpers_call_the_gufuncs(self):
+        # a numpy without numpy.fft._pocketfft_umath leaves the np.fft fallback
+        for kind in ("rfft", "irfft", "fft", "ifft"):
+            assert getattr(grid_module, f"_{kind}") is not getattr(np.fft, kind), kind
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    # the workloads' sizes, and an odd one for rfft_n_odd
+    @pytest.mark.parametrize("n", [8, 512, 4096, 9])
+    def test_bit_equal_to_np_fft(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        z = x + 1j * rng.standard_normal(n)
+        spectrum = np.fft.rfft(x)
+        self.assert_same(grid_module._rfft(x), spectrum)
+        out = np.empty(n // 2 + 1, dtype=complex)
+        assert grid_module._rfft(x, out=out) is out
+        self.assert_same(out, spectrum)
+        self.assert_same(grid_module._irfft(spectrum, n), np.fft.irfft(spectrum, n))
+        self.assert_same(grid_module._fft(x), np.fft.fft(x))
+        self.assert_same(grid_module._fft(z), np.fft.fft(z))
+        self.assert_same(grid_module._ifft(z), np.fft.ifft(z))
+
+    def test_b2_returns_a_fresh_array_each_call(self, grid64, rng):
+        # the resolvent keeps prev and h across sweeps
+        core = grid64.core
+        x, y = rng.standard_normal((2, grid64.n))
+        first = core.b2(x)
+        kept = first.copy()
+        second = core.b2(y)
+        assert not np.shares_memory(first, second)
+        for result in (first, second):
+            assert not np.shares_memory(result, core._b2_spectrum)
+            assert not np.shares_memory(result, x) and not np.shares_memory(result, y)
+        assert np.array_equal(first, kept)
 
 
 class TestDispersion:

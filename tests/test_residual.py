@@ -3,7 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from ckdvlab import residual
+from ckdvlab import ckdv, residual
+from ckdvlab import grid as grid_module
 from ckdvlab.boussinesq import boussinesq_evolve, make_ansatz_state
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import ChildDied, MeanValueError
@@ -84,12 +85,16 @@ class TestResidualField:
     def test_one_evaluation_makes_34_transforms(self, trajectory, monkeypatch):
         # 9 differentiated fields, each transformed once, and 25 distinct
         # derivatives, the two of the elimination included
+        # every transform goes through grid's helpers; count each module's binding
         calls = []
-        for kind in ("fft", "ifft", "rfft", "irfft"):
-            def counted(*args, _fn=getattr(np.fft, kind), _kind=kind, **kwargs):
-                calls.append(_kind)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, kind, counted)
+        for mod in (grid_module, ckdv, residual):
+            for kind in ("fft", "ifft", "rfft", "irfft"):
+                if f"_{kind}" not in vars(mod):
+                    continue
+                def counted(*args, _fn=getattr(mod, f"_{kind}"), _kind=kind, **kwargs):
+                    calls.append(_kind)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, f"_{kind}", counted)
         residual_report(trajectory[2], 0.1)
         assert (calls.count("fft"), calls.count("ifft"), len(calls)) == (9, 25, 34)
 
