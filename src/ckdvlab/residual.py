@@ -22,8 +22,8 @@ import numpy as np
 
 from .boussinesq import BoussinesqState, _t_grid_of, n_forms
 from .ckdv import CkdvState, _drho
-from .grid import (RealField, _derivative_symbols, _fft, _ifft, check_zero_mean,
-                   spectral_antiderivative, spectral_derivative)
+from .grid import (RealField, SpectralGrid, _derivative_symbols, _fft, _ifft,
+                   check_zero_mean, spectral_antiderivative, spectral_derivative)
 from .parallel import map_forked, usable_cpus
 
 BETA_EXPONENT = 3.5
@@ -60,23 +60,52 @@ def _complex_symbols(n: int, length: float) -> dict:
 
 
 class _Elimination:
-    """Workspace of one residual evaluation at a snapshot and eps.
+    """Workspace for a run of residual evaluations on one grid.
 
-    Builds A, A^2, the eliminated D = drho A and D2 = drho^2 A, and the
-    nonlinear terms once.  B = dtau^{-1} A is the snapshot's own, as
-    make_state and ckdv_evolve build it.  The complex FFT of each field the
-    expansion differentiates is taken once, and every derivative is kept
-    once taken, the two that eliminate D included.
+    evaluate(state, eps) builds A, A^2, the eliminated D = drho A and
+    D2 = drho^2 A, and the nonlinear terms of one snapshot and eps.
+    B = dtau^{-1} A is the snapshot's own, as make_state and ckdv_evolve
+    build it.  The complex FFT of each field the expansion differentiates is
+    taken once per evaluation, and every derivative is kept once taken, the
+    two that eliminate D included.
+
+    Each spectrum (per field name) and each derivative (per name and order)
+    is a buffer of the workspace allocated at its first use; the two sum
+    accumulators and the term they add come with the workspace.  Every
+    later evaluation overwrites them: an array that d() or the sums return
+    is valid until the next evaluation, and the fields that evaluate
+    returns are copies.  One workspace serves one sweep chunk (one snapshot
+    for residual_report) and is dropped with it.  Allocating and freeing
+    these small arrays once per snapshot made glibc trim the heap after
+    every report and fault it back in on the next.
     """
 
-    def __init__(self, state: CkdvState, eps: float):
-        self.eps = eps
-        self.grid = state.A.grid
-        self.rho = rho = state.rho
-        check_zero_mean(state.A, "residual expansion")
-        self._symbols = _complex_symbols(self.grid.n, self.grid.length)
+    def __init__(self, grid: SpectralGrid):
+        self.grid = grid
+        n = grid.n
+        self._symbols = _complex_symbols(n, grid.length)
         self._spectra = {}
         self._derivs = {}
+        # the names and (name, order) keys transformed for the current evaluation
+        self._current = set()
+        self.res, self.anti, self.term = np.empty(n), np.empty(n), np.empty(n)
+
+    def evaluate(self, state: CkdvState, eps: float) -> tuple[RealField, RealField]:
+        """The residual at the snapshot's radius and its dt^{-1}, on the t-grid.
+
+        Both fields share the evaluation's transforms.
+        """
+        self._load(state, eps)
+        t_grid = _t_grid_of(self.grid, eps)
+        return (RealField(grid=t_grid, values=_residual_values(self)),
+                RealField(grid=t_grid, values=_antiderivative_values(self)))
+
+    def _load(self, state: CkdvState, eps: float):
+        """Make the snapshot and eps current: its fields, and no transform yet."""
+        self.eps = eps
+        self.rho = rho = state.rho
+        check_zero_mean(state.A, "residual expansion")
+        self._current.clear()
 
         a = state.A.values
         self.fields = {"a": a, "b": state.B.values, "sq": a * a}
@@ -90,15 +119,22 @@ class _Elimination:
                             "N": nn, "N_rho": n_rho, "N_rho2": n_rho2})
 
     def d(self, name: str, order: int) -> np.ndarray:
-        """tau-derivative of the named field, from its cached spectrum."""
+        """tau-derivative of the named field, from its spectrum of this evaluation.
+
+        A buffer is allocated by the transform that first fills it, and the
+        product of symbol and spectrum is transformed in place.
+        """
         key = (name, order)
-        if key not in self._derivs:
-            if name not in self._spectra:
-                self._spectra[name] = _fft(self.fields[name])
-            out = _ifft(self._symbols[order] * self._spectra[name]).real
-            out.setflags(write=False)
-            self._derivs[key] = out
-        return self._derivs[key]
+        if key not in self._current:
+            if name not in self._current:
+                self._spectra[name] = _fft(self.fields[name], out=self._spectra.get(name))
+                self._current.add(name)
+            out = np.multiply(self._symbols[order], self._spectra[name], out=self._derivs.get(key))
+            self._derivs[key] = _ifft(out, out=out)
+            self._current.add(key)
+        real = self._derivs[key].real
+        real.setflags(write=False)
+        return real
 
 
 def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
@@ -134,23 +170,33 @@ _TERMS = (
 
 
 def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
-    """acc plus the table's terms, each with its tau order lowered by lower."""
+    """acc plus the table's terms, each with its tau order lowered by lower, in place.
+
+    Each term is the same coef * eps^power times the derivative, divided by
+    rho, and added left to right, as the allocating sum acc + term would.
+    """
+    term = ws.term
     for coef, power, name, order, by_rho in _TERMS:
-        term = coef * ws.eps ** power * ws.d(name, order - lower)
-        acc = acc + (term / ws.rho if by_rho else term)
+        np.multiply(coef * ws.eps ** power, ws.d(name, order - lower), out=term)
+        if by_rho:
+            np.divide(term, ws.rho, out=term)
+        np.add(acc, term, out=acc)
     return acc
 
 
 def _residual_values(ws: _Elimination) -> np.ndarray:
-    """Residual of the ansatz, all eps powers included; its leading block is O(eps^8)."""
+    """Residual of the ansatz, all eps powers included; its leading block is O(eps^8).
+
+    The values live in the workspace's residual accumulator.
+    """
     f = ws.fields
     e8 = ws.eps ** 8
     # the radial block -(drho^2 + rho^{-1} drho) A
-    return _sum_terms(-e8 * f["D2"] - e8 * f["D"] / ws.rho, ws, 0)
+    return _sum_terms(np.subtract(-e8 * f["D2"], e8 * f["D"] / ws.rho, out=ws.res), ws, 0)
 
 
 def _antiderivative_values(ws: _Elimination) -> np.ndarray:
-    """dt^{-1} of the residual.
+    """dt^{-1} of the residual, in the workspace's antiderivative accumulator.
 
     Every block of the expansion is a perfect tau-derivative except the
     -(4 rho^2)^{-1} A piece left by eliminating the radial block, which
@@ -162,27 +208,32 @@ def _antiderivative_values(ws: _Elimination) -> np.ndarray:
     eps, rho = ws.eps, ws.rho
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
-    radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * a * D) + (ws.d("a", 2) - sq) / rho)
-                         - 0.25 * b / rho ** 2)
-    return _sum_terms(radial, ws, 1) / eps
+    radial = np.multiply(eps ** 8, 0.25 * (2 * (ws.d("D", 2) - 2 * a * D)
+                                           + (ws.d("a", 2) - sq) / rho)
+                         - 0.25 * b / rho ** 2, out=ws.anti)
+    return np.divide(_sum_terms(radial, ws, 1), eps, out=ws.anti)
 
 
 def _fields(state: CkdvState, eps: float) -> tuple[RealField, RealField]:
-    """The residual at the snapshot's radius and its dt^{-1}, on the t-grid.
+    """The residual at the snapshot's radius and its dt^{-1}, from a workspace of its own."""
+    return _Elimination(state.A.grid).evaluate(state, eps)
 
-    Both fields share one elimination and its transforms.
-    """
-    ws = _Elimination(state, eps)
-    t_grid = _t_grid_of(ws.grid, eps)
-    return (RealField(grid=t_grid, values=_residual_values(ws)),
-            RealField(grid=t_grid, values=_antiderivative_values(ws)))
+
+def _reports(states: list[CkdvState], eps: float) -> list[ResidualReport]:
+    """The residual report of each snapshot, in order, through one workspace per grid."""
+    ws, rows = None, []
+    for st in states:
+        if ws is None or ws.grid != st.A.grid:
+            ws = _Elimination(st.A.grid)
+        res, anti = ws.evaluate(st, eps)
+        rows.append(ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
+                                   antires_l2=anti.l2(), rho_at_sup=st.rho))
+    return rows
 
 
 def residual_report(state: CkdvState, eps: float) -> ResidualReport:
     """Norms of the residual and its time-antiderivative at one snapshot."""
-    res, anti = _fields(state, eps)
-    return ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
-                          antires_l2=anti.l2(), rho_at_sup=state.rho)
+    return _reports([state], eps)[0]
 
 
 def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
@@ -192,16 +243,17 @@ def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:
     The snapshots are independent, so they are cut into equal contiguous
     chunks, one per usable CPU, and map_forked runs all chunks but one in
     forked children and hands the rows back in list order: the result, or
-    the failure of the first failing snapshot, is a serial loop's.  This
-    forks whenever two or more CPUs are usable, so the caller must hold no
-    thread.  An empty list raises ValueError.
+    the failure of the first failing snapshot, is a serial loop's.  Each
+    chunk runs through one workspace.  This forks whenever two or more CPUs
+    are usable, so the caller must hold no thread.  An empty list raises
+    ValueError.
     """
     if not states:
         raise ValueError("sweep_report needs at least one snapshot")
     m = min(usable_cpus(), len(states))
     cuts = [len(states) * k // m for k in range(m + 1)]
     chunks = [states[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    runs, failure = map_forked(lambda chunk: [residual_report(st, eps) for st in chunk],
+    runs, failure = map_forked(lambda chunk: _reports(chunk, eps),
                                chunks, len, lambda chunk: f"rho={chunk[0].rho} to {chunk[-1].rho}")
     if failure is not None:
         raise failure

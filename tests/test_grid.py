@@ -214,6 +214,18 @@ class TestTransformHelpers:
         self.assert_same(grid_module._fft(x), np.fft.fft(x))
         self.assert_same(grid_module._fft(z), np.fft.fft(z))
         self.assert_same(grid_module._ifft(z), np.fft.ifft(z))
+        # the residual workspace transforms into its own buffers, from real
+        # fields and from strided real parts
+        buf = np.empty(n, dtype=complex)
+        for a in (x, z, z.real):
+            assert grid_module._fft(a, out=buf) is buf
+            self.assert_same(buf, np.fft.fft(a))
+        assert grid_module._ifft(z, out=buf) is buf
+        self.assert_same(buf, np.fft.ifft(z))
+        # in place, as the workspace transforms each derivative's product
+        buf[:] = z
+        assert grid_module._ifft(buf, out=buf) is buf
+        self.assert_same(buf, np.fft.ifft(z))
 
     def test_b2_returns_a_fresh_array_each_call(self, grid64, rng):
         # the resolvent keeps prev and h across sweeps

@@ -78,9 +78,11 @@ class TestResidualField:
         assert rep.res_sup == res.sup()
         assert rep.antires_l2 == anti.l2()
         # each field alone, from a workspace of its own
-        alone = residual._Elimination
-        assert np.array_equal(res.values, residual._residual_values(alone(st, eps)))
-        assert np.array_equal(anti.values, residual._antiderivative_values(alone(st, eps)))
+        for values, field in ((residual._residual_values, res),
+                              (residual._antiderivative_values, anti)):
+            alone = residual._Elimination(st.A.grid)
+            alone._load(st, eps)
+            assert np.array_equal(field.values, values(alone))
 
     def test_one_evaluation_makes_34_transforms(self, trajectory, monkeypatch):
         # 9 differentiated fields, each transformed once, and 25 distinct
@@ -153,10 +155,11 @@ class TestResidualField:
 
     @pytest.mark.skipif(usable_cpus() < 2, reason="sweep_report forks only with two or more CPUs")
     def test_sweep_report_names_the_chunk_of_a_dead_child(self, monkeypatch):
-        # every snapshot run in a child ends it; the first chunk is always one
-        parent, report = os.getpid(), residual_report
-        monkeypatch.setattr(residual, "residual_report",
-                            lambda st, eps: report(st, eps) if os.getpid() == parent else os._exit(5))
+        # every chunk run in a child ends it; the first chunk is always one
+        parent, reports = os.getpid(), residual._reports
+        monkeypatch.setattr(residual, "_reports",
+                            lambda chunk, eps: reports(chunk, eps) if os.getpid() == parent
+                            else os._exit(5))
         rhos = (1.0, 1.1, 1.2, 1.3)
         with pytest.raises(ChildDied) as info:
             sweep_report(zero_states(*rhos), 0.1)
@@ -191,6 +194,92 @@ class TestResidualField:
         st = trajectory[1]
         res, _ = _fields(st, 0.1)
         assert abs(res.mean()) <= 1e-12 * res.sup()
+
+
+# One residual evaluation with every spectrum, derivative and sum freshly
+# allocated: the oracle for the workspace that reuses its buffers.
+
+class OneShotElimination:
+    def __init__(self, state, eps):
+        self.eps, self.rho = eps, state.rho
+        g = state.A.grid
+        self._symbols = residual._complex_symbols(g.n, g.length)
+        self._spectra, self._derivs = {}, {}
+        a, rho = state.A.values, state.rho
+        self.fields = {"a": a, "b": state.B.values, "sq": a * a}
+        D = ckdv._drho(a, rho, self.d("a", 3), self.d("sq", 1))
+        self.fields.update({"D": D, "2aD": 2.0 * a * D})
+        D2 = -0.5 * (-a / rho ** 2 + D / rho + self.d("D", 3) - self.d("2aD", 1))
+        nn, n_rho, n_rho2 = residual._n_terms(a, D, D2, eps)
+        self.fields.update({"D2": D2, "2(DD+aD2)": 2 * (D * D + a * D2),
+                            "N": nn, "N_rho": n_rho, "N_rho2": n_rho2})
+
+    def d(self, name, order):
+        key = (name, order)
+        if key not in self._derivs:
+            if name not in self._spectra:
+                self._spectra[name] = grid_module._fft(self.fields[name])
+            self._derivs[key] = grid_module._ifft(self._symbols[order] * self._spectra[name]).real
+        return self._derivs[key]
+
+
+def one_shot_sum(acc, ws, lower):
+    for coef, power, name, order, by_rho in residual._TERMS:
+        term = coef * ws.eps ** power * ws.d(name, order - lower)
+        acc = acc + (term / ws.rho if by_rho else term)
+    return acc
+
+
+def one_shot_fields(state, eps):
+    ws = OneShotElimination(state, eps)
+    f, e8, rho = ws.fields, eps ** 8, state.rho
+    res = one_shot_sum(-e8 * f["D2"] - e8 * f["D"] / rho, ws, 0)
+    radial = eps ** 8 * (0.25 * (2 * (ws.d("D", 2) - 2 * f["a"] * f["D"])
+                                 + (ws.d("a", 2) - f["sq"]) / rho)
+                         - 0.25 * f["b"] / rho ** 2)
+    return res, one_shot_sum(radial, ws, 1) / eps
+
+
+class TestSharedWorkspace:
+    def test_equal_to_one_shot_evaluations(self, trajectory):
+        # every snapshot at each eps in turn, through one workspace
+        ws = residual._Elimination(trajectory[0].A.grid)
+        for eps in (0.2, 0.14, 0.1, 0.07):
+            for st in trajectory:
+                res, anti = ws.evaluate(st, eps)
+                want_res, want_anti = one_shot_fields(st, eps)
+                assert np.array_equal(res.values, want_res)
+                assert np.array_equal(anti.values, want_anti)
+
+    def test_results_own_their_memory(self, trajectory):
+        def buffers_of(ws):
+            return [ws.res, ws.anti, ws.term, *ws._spectra.values(), *ws._derivs.values()]
+
+        ws = residual._Elimination(trajectory[0].A.grid)
+        first = ws.evaluate(trajectory[1], 0.1)
+        kept = [field.values.copy() for field in first]
+        buffers = buffers_of(ws)
+        assert len(buffers) == 3 + 9 + 25
+        for field in first:
+            assert not any(np.shares_memory(field.values, buf) for buf in buffers)
+        # a later evaluation overwrites every buffer and no earlier result
+        second = ws.evaluate(trajectory[3], 0.2)
+        assert all(a is b for a, b in zip(buffers, buffers_of(ws), strict=True))
+        for field, values in zip(first, kept):
+            assert np.array_equal(field.values, values)
+        assert not np.array_equal(second[0].values, kept[0])
+        # the reports hold plain floats
+        rep = residual_report(trajectory[1], 0.1)
+        assert all(type(value) is float for value in vars(rep).values())
+        assert rep == ResidualReport(res_l2=first[0].l2(), res_sup=first[0].sup(),
+                                     antires_l2=first[1].l2(), rho_at_sup=trajectory[1].rho)
+
+    def test_sweep_of_mixed_grids(self, trajectory):
+        # a snapshot on another grid gets a workspace of its own
+        other = zero_states(1.0)[0]
+        rows = residual._reports([trajectory[0], other, trajectory[1]], 0.1)
+        assert rows == [residual_report(st, 0.1) for st in (trajectory[0], other, trajectory[1])]
+        assert rows[1].res_sup == 0.0
 
 
 class TestEnergy:
