@@ -167,12 +167,6 @@ def _say(cfg: ExperimentConfig, msg: str):
         print(msg)
 
 
-def _prepare(cfg: ExperimentConfig) -> tuple[Path, dict]:
-    """Check the config, then create out_dir; returns it and the run manifest."""
-    _check(cfg)
-    return _open_out(cfg)
-
-
 def _check(cfg: ExperimentConfig):
     """Raise ConfigError for a config no command can run."""
     for f in fields(cfg):
@@ -216,7 +210,11 @@ def _check(cfg: ExperimentConfig):
 
 
 def _open_out(cfg: ExperimentConfig) -> tuple[Path, dict]:
-    """Create out_dir; returns it and the run manifest."""
+    """Create out_dir; returns it and the run manifest.
+
+    Every command calls it only after its computation, so a config or a run
+    that fails leaves no output directory behind.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out, cfg.manifest()
@@ -265,8 +263,6 @@ def _soliton_results(cfg: ExperimentConfig):
 
 def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
     _check(cfg)
-    # everything is computed before out_dir exists, so a wave that is
-    # undefined for these parameters leaves no output behind
     try:
         eps, profiles, waves, diag = _soliton_results(cfg)
     except (DenominatorSignError, OverflowGuard) as exc:
@@ -322,7 +318,7 @@ def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
 
 
 def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
-    out, manifest = _prepare(cfg)
+    _check(cfg)
     eps_list = cfg.eps_list or (0.2, 0.14, 0.1, 0.07)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 5))
     # the amplitude trajectory lives on the eps-independent (rho, tau) chart;
@@ -351,6 +347,7 @@ def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
             f"res_sup slope: {slopes['res_sup']:.4f} (sup-norm convention, expected near 8)"])
     else:
         _say(cfg, "residual sweep: fewer than 3 eps values, slope fit skipped")
+    out, manifest = _open_out(cfg)
     files = [write_csv(out / "residual_scaling.csv",
                        ["eps", "norm_kind", "value", "fitted_slope"],
                        list(zip(*[(*row, slopes.get(row[1], "")) for row in rows])),
@@ -411,10 +408,12 @@ def run_theorem1_cases(cfg: ExperimentConfig, eps_list) -> list[tuple]:
 
 
 def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
-    out, manifest = _prepare(cfg)
+    _check(cfg)
     eps_list = cfg.eps_list or THEOREM1_EPS
+    cases = run_theorem1_cases(cfg, eps_list)
+    out, manifest = _open_out(cfg)
     rows, files = [], []
-    for eps, (err, gron) in zip(eps_list, run_theorem1_cases(cfg, eps_list), strict=True):
+    for eps, (err, gron) in zip(eps_list, cases, strict=True):
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))
         tag = f"eps{eps:g}".replace(".", "p")
         files.append(write_csv(out / f"theorem1_energy_{tag}.csv",
@@ -439,9 +438,10 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
-    out, manifest = _prepare(cfg)
+    _check(cfg)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 6))
     states = _ckdv_trajectory(cfg, cfg.n, sample_rhos)
+    out, manifest = _open_out(cfg)
     columns = [np.concatenate([np.full(st.A.grid.n, st.rho) for st in states]),
                np.concatenate([st.A.grid.nodes for st in states]),
                np.concatenate([st.A.values for st in states])]
@@ -455,7 +455,7 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
 
 
 def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
-    out, manifest = _prepare(cfg)
+    _check(cfg)
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
     r0 = cfg.rho0 / eps ** 3
     span = min(20.0, (cfg.rho1 - cfg.rho0) / eps ** 3)
@@ -464,6 +464,7 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
     init = make_ansatz_state(make_state(_initial_pulse(cfg, cfg.n), cfg.rho0), eps, r0)
     traj = boussinesq_evolve(init, snaps_r[-1], cfg.dr, rhs_tol=cfg.rhs_tol,
                              output_radii=list(snaps_r))
+    out, manifest = _open_out(cfg)
     columns = [np.concatenate([np.full(st.v.grid.n, st.r) for st in traj]),
                np.concatenate([st.v.grid.nodes for st in traj]),
                np.concatenate([v_to_u(st.v.values) for st in traj]),
@@ -511,10 +512,27 @@ def _check_propagator() -> tuple[bool, float]:
     return dev <= 1e-9, dev
 
 
+def _bessel_jy(nu: int, x: float) -> tuple[float, float]:
+    """J_nu(x) and Y_nu(x) from Hankel's large-argument expansions (DLMF 10.17.3-4).
+
+    J = s (P cos w - Q sin w), Y = s (P sin w + Q cos w) with s = sqrt(2/(pi x))
+    and w = x - (2 nu + 1) pi/4; P and Q alternate over a_k(nu) / x^k,
+    a_k = prod_{j<=k} (4 nu^2 - (2j - 1)^2) / (k! 8^k).  The 19 terms a_0 ..
+    a_18 meet double round-off for nu = 0, 1 at x >= 20.
+    """
+    mu = 4 * nu * nu
+    terms = [1.0]
+    for k in range(1, 19):
+        terms.append(terms[-1] * (mu - (2 * k - 1) ** 2) / (8 * k * x))
+    p = sum((-1) ** (k // 2) * terms[k] for k in range(0, 19, 2))
+    q = sum((-1) ** (k // 2) * terms[k] for k in range(1, 19, 2))
+    w = x - (2 * nu + 1) * np.pi / 4
+    s = np.sqrt(2 / (np.pi * x))
+    return s * (p * np.cos(w) - q * np.sin(w)), s * (p * np.sin(w) + q * np.cos(w))
+
+
 def _check_bessel(b2_of=None) -> tuple[bool, float]:
     """Bessel-mode oracle; b2_of maps the grid to the solver's B^2 operator."""
-    from scipy import special as sp_special
-
     n, L = 128, 40.0
     g = make_grid(n, L)
     m = 3
@@ -524,15 +542,17 @@ def _check_bessel(b2_of=None) -> tuple[bool, float]:
     r0, r1 = 50.0, 100.0
     c1, c2 = 0.7, 0.4
     cosbit = np.cos(kk * g.nodes)
-    v0 = amp * (c1 * sp_special.j0(kap * r0) + c2 * sp_special.y0(kap * r0)) * cosbit
-    w0 = -amp * kap * (c1 * sp_special.j1(kap * r0) + c2 * sp_special.y1(kap * r0)) * cosbit
+    (j0, y0), (j1, y1) = _bessel_jy(0, kap * r0), _bessel_jy(1, kap * r0)
+    v0 = amp * (c1 * j0 + c2 * y0) * cosbit
+    w0 = -amp * kap * (c1 * j1 + c2 * y1) * cosbit
     init = BoussinesqState(r=r0, v=RealField(grid=g, values=v0),
                            w=RealField(grid=g, values=w0))
     try:
         final = boussinesq_evolve(init, r1, 0.1, b2=b2_of(g) if b2_of else None)[-1]
     except Exception:
         return False, np.inf
-    vex = amp * (c1 * sp_special.j0(kap * r1) + c2 * sp_special.y0(kap * r1)) * cosbit
+    j0, y0 = _bessel_jy(0, kap * r1)
+    vex = amp * (c1 * j0 + c2 * y0) * cosbit
     dev = float(np.abs(final.v.values - vex).max() / np.abs(vex).max())
     return dev <= 1e-6, dev
 

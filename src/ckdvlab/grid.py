@@ -70,12 +70,14 @@ class SpectralGrid:
         length: domain length L
         center: coordinate of the domain midpoint
         nodes: sample points center - L/2 + j*L/n
+
+    Grids compare and hash by (n, length, center); the nodes follow from them.
     """
 
     n: int
     length: float
     center: float
-    nodes: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -85,12 +87,6 @@ class SpectralGrid:
     def core(self) -> SpectralCore:
         """The shared operator core of this grid layout."""
         return _spectral_core(self.n, self.length)
-
-    def __eq__(self, other):
-        if not isinstance(other, SpectralGrid):
-            return NotImplemented
-        return (self.n == other.n and self.length == other.length
-                and self.center == other.center)
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ class EnergyReport:
 
 
 # The residual's complex-FFT symbols are the package's only ones, and
-# _Elimination.d makes its only complex transforms, through grid's _fft and
-# _ifft helpers.  They stay because res_sup carries round-off at the 1e-6
+# _Elimination._set makes its only complex transforms, through grid's _fft
+# and _ifft helpers.  They stay because res_sup carries round-off at the 1e-6
 # level and the benchmark's 1e-8 relative gate pins it to this layout.  Once
 # the benchmark compares res_sup against its measured round-off floor, the
 # residual moves to the grid's real-FFT core and these go.
@@ -63,31 +63,30 @@ class _Elimination:
     """Workspace for a run of residual evaluations on one grid.
 
     evaluate(state, eps) builds A, A^2, the eliminated D = drho A and
-    D2 = drho^2 A, and the nonlinear terms of one snapshot and eps.
-    B = dtau^{-1} A is the snapshot's own, as make_state and ckdv_evolve
-    build it.  The complex FFT of each field the expansion differentiates is
-    taken once per evaluation, and every derivative is kept once taken, the
-    two that eliminate D included.
+    D2 = drho^2 A, and the nonlinear terms of one snapshot and eps;
+    B = dtau^{-1} A is the snapshot's own.  Each field is transformed once,
+    into the one scratch spectrum, and every derivative of it that _ORDERS
+    lists, the two that eliminate D included, is taken from there.  d maps
+    each (name, order) to a read-only view of its derivative.
 
-    Each spectrum (per field name) and each derivative (per name and order)
-    is a buffer of the workspace allocated at its first use; the two sum
-    accumulators and the term they add come with the workspace.  Every
-    later evaluation overwrites them: an array that d() or the sums return
+    The workspace allocates its 29 arrays once (the spectrum, the 25
+    derivatives, the two sum accumulators and the term they add), and
+    every evaluation overwrites them: an array that d or the sums return
     is valid until the next evaluation, and the fields that evaluate
     returns are copies.  One workspace serves one sweep chunk (one snapshot
-    for residual_report) and is dropped with it.  Allocating and freeing
-    these small arrays once per snapshot made glibc trim the heap after
-    every report and fault it back in on the next.
+    for residual_report).  Allocating these small arrays once per snapshot
+    made glibc trim the heap after every report and fault it back in.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         n = grid.n
         self._symbols = _complex_symbols(n, grid.length)
-        self._spectra = {}
-        self._derivs = {}
-        # the names and (name, order) keys transformed for the current evaluation
-        self._current = set()
+        self._spectrum = np.empty(n, dtype=complex)
+        self._derivs = {key: np.empty(n, dtype=complex) for key in _ORDERS}
+        self.d = {key: buf.real for key, buf in self._derivs.items()}
+        for view in self.d.values():
+            view.setflags(write=False)
         self.res, self.anti, self.term = np.empty(n), np.empty(n), np.empty(n)
 
     def evaluate(self, state: CkdvState, eps: float) -> tuple[RealField, RealField]:
@@ -101,40 +100,35 @@ class _Elimination:
                 RealField(grid=t_grid, values=_antiderivative_values(self)))
 
     def _load(self, state: CkdvState, eps: float):
-        """Make the snapshot and eps current: its fields, and no transform yet."""
+        """Make the snapshot and eps current: its fields and all their derivatives."""
         self.eps = eps
         self.rho = rho = state.rho
         check_zero_mean(state.A, "residual expansion")
-        self._current.clear()
+        d = self.d
 
         a = state.A.values
-        self.fields = {"a": a, "b": state.B.values, "sq": a * a}
+        self.fields = {"b": state.B.values}
+        self._set("a", a)
+        self._set("sq", a * a)
         # drho A eliminated through the cKdV equation
-        D = _drho(a, rho, self.d("a", 3), self.d("sq", 1))
-        self.fields.update({"D": D, "2aD": 2.0 * a * D})
+        D = self._set("D", _drho(a, rho, d["a", 3], d["sq", 1]))
+        self._set("2aD", 2.0 * a * D)
         # drho^2 A: differentiate the elimination once more
-        D2 = -0.5 * (-a / rho ** 2 + D / rho + self.d("D", 3) - self.d("2aD", 1))
-        nn, n_rho, n_rho2 = _n_terms(a, D, D2, eps)
-        self.fields.update({"D2": D2, "2(DD+aD2)": 2 * (D * D + a * D2),
-                            "N": nn, "N_rho": n_rho, "N_rho2": n_rho2})
+        D2 = self._set("D2", -0.5 * (-a / rho ** 2 + D / rho + d["D", 3] - d["2aD", 1]))
+        self._set("2(DD+aD2)", 2 * (D * D + a * D2))
+        for name, values in zip(("N", "N_rho", "N_rho2"), _n_terms(a, D, D2, eps)):
+            self._set(name, values)
 
-    def d(self, name: str, order: int) -> np.ndarray:
-        """tau-derivative of the named field, from its spectrum of this evaluation.
-
-        A buffer is allocated by the transform that first fills it, and the
-        product of symbol and spectrum is transformed in place.
-        """
-        key = (name, order)
-        if key not in self._current:
-            if name not in self._current:
-                self._spectra[name] = _fft(self.fields[name], out=self._spectra.get(name))
-                self._current.add(name)
-            out = np.multiply(self._symbols[order], self._spectra[name], out=self._derivs.get(key))
-            self._derivs[key] = _ifft(out, out=out)
-            self._current.add(key)
-        real = self._derivs[key].real
-        real.setflags(write=False)
-        return real
+    def _set(self, name: str, values: np.ndarray) -> np.ndarray:
+        """Make values the named field and fill every derivative _ORDERS lists for it."""
+        self.fields[name] = values
+        spectrum = _fft(values, out=self._spectrum)
+        # each symbol-spectrum product is inverse-transformed in place
+        for (field, order), out in self._derivs.items():
+            if field == name:
+                np.multiply(self._symbols[order], spectrum, out=out)
+                _ifft(out, out=out)
+        return values
 
 
 def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
@@ -168,6 +162,12 @@ _TERMS = (
     (1, 8, "N_rho", 2, True),
 )
 
+# The tau-derivatives an evaluation reads, as (field, order): every term's
+# order and the one below it (the antiderivative's), and the first
+# derivative of A^2 that eliminates drho A.
+_ORDERS = tuple(sorted({("sq", 1)} | {(name, order - lower) for _, _, name, order, _ in _TERMS
+                                      for lower in (0, 1)}))
+
 
 def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
     """acc plus the table's terms, each with its tau order lowered by lower, in place.
@@ -177,7 +177,7 @@ def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:
     """
     term = ws.term
     for coef, power, name, order, by_rho in _TERMS:
-        np.multiply(coef * ws.eps ** power, ws.d(name, order - lower), out=term)
+        np.multiply(coef * ws.eps ** power, ws.d[name, order - lower], out=term)
         if by_rho:
             np.divide(term, ws.rho, out=term)
         np.add(acc, term, out=acc)
@@ -208,15 +208,10 @@ def _antiderivative_values(ws: _Elimination) -> np.ndarray:
     eps, rho = ws.eps, ws.rho
     # the radial block -(drho^2 + rho^{-1} drho) A after integration:
     # (1/4)(2 drho + rho^{-1})(dtau^2 A - A^2) - (1/4) rho^{-2} dtau^{-1} A
-    radial = np.multiply(eps ** 8, 0.25 * (2 * (ws.d("D", 2) - 2 * a * D)
-                                           + (ws.d("a", 2) - sq) / rho)
+    radial = np.multiply(eps ** 8, 0.25 * (2 * (ws.d["D", 2] - 2 * a * D)
+                                           + (ws.d["a", 2] - sq) / rho)
                          - 0.25 * b / rho ** 2, out=ws.anti)
     return np.divide(_sum_terms(radial, ws, 1), eps, out=ws.anti)
-
-
-def _fields(state: CkdvState, eps: float) -> tuple[RealField, RealField]:
-    """The residual at the snapshot's radius and its dt^{-1}, from a workspace of its own."""
-    return _Elimination(state.A.grid).evaluate(state, eps)
 
 
 def _reports(states: list[CkdvState], eps: float) -> list[ResidualReport]:

@@ -13,7 +13,7 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
                          run_theorem1_case, save_config)
-from ckdvlab.errors import ChildTraceback, ConfigError
+from ckdvlab.errors import ChildTraceback, ConfigError, StepUnstable
 from ckdvlab.parallel import usable_cpus
 
 
@@ -337,6 +337,16 @@ class TestSnapshotCommands:
                     command(cfg)
                 assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ckdv", "residual-sweep"])
+    def test_failed_run_leaves_no_output(self, tmp_path, command):
+        # a valid config whose cKdV run blows up: the command computes
+        # everything before it creates out_dir, so nothing is left behind
+        out, path = tmp_path / "out", tmp_path / "unstable.ini"
+        path.write_text("[model]\nrho1 = 400\n[solver]\nd_rho = 5\n")
+        with pytest.raises(StepUnstable, match="rho=5.9875"):
+            main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert not out.exists()
+
     def test_boussinesq_start_needs_no_ckdv_step(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), dr=0.25)
         r0 = cfg.rho0 / 0.15 ** 3
@@ -410,6 +420,20 @@ class TestSelftest:
         assert "FAIL bessel-oracle" in out
         # the fault hook must not leak into later runs
         assert cmd_selftest(ExperimentConfig(out_dir=str(tmp_path), quiet=True)) == 0
+
+
+    @pytest.mark.parametrize("r", [50.0, 100.0])
+    def test_bessel_expansion_matches_scipy(self, r):
+        from scipy import special
+
+        # the oracle's arguments: kap r for mode 3 on a domain of length 40
+        kk = 2 * np.pi * 3 / 40.0
+        x = kk / np.sqrt(1 + kk ** 2) * r
+        scale = np.sqrt(2 / (np.pi * x))
+        for nu, (j, y) in ((0, (special.j0, special.y0)), (1, (special.j1, special.y1))):
+            got_j, got_y = cli._bessel_jy(nu, x)
+            assert abs(got_j - j(x)) <= 1e-15 * scale
+            assert abs(got_y - y(x)) <= 1e-15 * scale
 
 
 class TestImport:

@@ -36,6 +36,18 @@ class TestMakeGrid:
         assert np.allclose(np.diff(g.nodes), 5.0 / 32)
         assert g.nodes[0] == pytest.approx(2.0 - 2.5)
 
+    def test_equal_grids_hash_equal(self):
+        # a grid is its layout (n, length, center); its nodes follow from it
+        a, b = make_grid(8, 1.0), make_grid(8, 1.0)
+        assert a is not b and a.nodes is not b.nodes
+        assert a == b and hash(a) == hash(b)
+        assert {a: "first"}[b] == "first"
+        assert len({a, b}) == 1
+        for other in (make_grid(10, 1.0), make_grid(8, 2.0), make_grid(8, 1.0, 0.5)):
+            assert a != other
+            assert len({a, other}) == 2
+        assert (a == 3) is False
+
 
 class TestDerivative:
     def test_sin_first(self, grid64):

@@ -10,7 +10,7 @@ from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve, make_state
 from ckdvlab.errors import ChildDied, MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.parallel import usable_cpus
-from ckdvlab.residual import (ResidualReport, _fields, energy, gronwall_growth_check,
+from ckdvlab.residual import (ResidualReport, _Elimination, energy, gronwall_growth_check,
                               residual_report, sweep_report)
 
 from conftest import random_zero_mean_field, unexpanded_residual_fd
@@ -41,13 +41,13 @@ class TestResidualField:
     def test_zero_amplitude(self):
         g = make_grid(64, 40.0)
         st = make_state(RealField(grid=g, values=np.zeros(g.n)), 1.0)
-        res, anti = _fields(st, 0.1)
+        res, anti = _Elimination(st.A.grid).evaluate(st, 0.1)
         assert res.sup() == 0.0
         assert anti.sup() == 0.0
 
     def test_lives_on_stretched_grid(self, trajectory):
         tau_grid = trajectory[0].A.grid
-        for field in _fields(trajectory[0], 0.1):
+        for field in _Elimination(trajectory[0].A.grid).evaluate(trajectory[0], 0.1):
             assert field.grid.length == pytest.approx(tau_grid.length / 0.1)
             assert field.grid.n == tau_grid.n
 
@@ -59,12 +59,12 @@ class TestResidualField:
                           A=RealField(grid=g, values=bad_vals),
                           B=st_ok.B)
         with pytest.raises(MeanValueError):
-            _fields(bad, 0.1)
+            _Elimination(bad.A.grid).evaluate(bad, 0.1)
 
     def test_antiderivative_consistency(self, trajectory):
         # d/dt of the assembled antiderivative reproduces the residual field
         st = trajectory[2]
-        res, anti = _fields(st, 0.1)
+        res, anti = _Elimination(st.A.grid).evaluate(st, 0.1)
         danti = spectral_derivative(anti, 1)
         assert np.abs(danti.values - res.values).max() <= 1e-8 * res.sup()
 
@@ -73,14 +73,14 @@ class TestResidualField:
     def test_shared_workspace_changes_no_number(self, trajectory, index, eps):
         st = trajectory[index]
         rep = residual_report(st, eps)
-        res, anti = _fields(st, eps)
+        res, anti = _Elimination(st.A.grid).evaluate(st, eps)
         assert rep.res_l2 == res.l2()
         assert rep.res_sup == res.sup()
         assert rep.antires_l2 == anti.l2()
         # each field alone, from a workspace of its own
         for values, field in ((residual._residual_values, res),
                               (residual._antiderivative_values, anti)):
-            alone = residual._Elimination(st.A.grid)
+            alone = _Elimination(st.A.grid)
             alone._load(st, eps)
             assert np.array_equal(field.values, values(alone))
 
@@ -181,7 +181,7 @@ class TestResidualField:
             cfg = CkdvRunConfig(rho0=rho_c - d, rho1=rho_c + d, d_rho=d / 8, grid=g)
             sm, s0, sp = ckdv_evolve(a0, cfg, output_rhos=[rho_c - d, rho_c, rho_c + d])
             fd = unexpanded_residual_fd((sm, s0, sp), eps, delta_r)
-            closed, _ = _fields(s0, eps)
+            closed, _ = _Elimination(s0.A.grid).evaluate(s0, eps)
             devs.append(np.abs(fd.values - closed.values).max())
         scale = closed.sup()
         # second-order convergence to the closed form, with a safety floor
@@ -192,7 +192,7 @@ class TestResidualField:
         # everything except the rho^{-2} piece is a perfect tau-derivative,
         # so the assembled residual mean reduces to that piece's (zero) mean
         st = trajectory[1]
-        res, _ = _fields(st, 0.1)
+        res, _ = _Elimination(st.A.grid).evaluate(st, 0.1)
         assert abs(res.mean()) <= 1e-12 * res.sup()
 
 
@@ -243,7 +243,7 @@ def one_shot_fields(state, eps):
 class TestSharedWorkspace:
     def test_equal_to_one_shot_evaluations(self, trajectory):
         # every snapshot at each eps in turn, through one workspace
-        ws = residual._Elimination(trajectory[0].A.grid)
+        ws = _Elimination(trajectory[0].A.grid)
         for eps in (0.2, 0.14, 0.1, 0.07):
             for st in trajectory:
                 res, anti = ws.evaluate(st, eps)
@@ -253,13 +253,13 @@ class TestSharedWorkspace:
 
     def test_results_own_their_memory(self, trajectory):
         def buffers_of(ws):
-            return [ws.res, ws.anti, ws.term, *ws._spectra.values(), *ws._derivs.values()]
+            return [ws.res, ws.anti, ws.term, ws._spectrum, *ws._derivs.values()]
 
-        ws = residual._Elimination(trajectory[0].A.grid)
+        ws = _Elimination(trajectory[0].A.grid)
         first = ws.evaluate(trajectory[1], 0.1)
         kept = [field.values.copy() for field in first]
         buffers = buffers_of(ws)
-        assert len(buffers) == 3 + 9 + 25
+        assert len(buffers) == 3 + 1 + 25
         for field in first:
             assert not any(np.shares_memory(field.values, buf) for buf in buffers)
         # a later evaluation overwrites every buffer and no earlier result
@@ -273,6 +273,21 @@ class TestSharedWorkspace:
         assert all(type(value) is float for value in vars(rep).values())
         assert rep == ResidualReport(res_l2=first[0].l2(), res_sup=first[0].sup(),
                                      antires_l2=first[1].l2(), rho_at_sup=trajectory[1].rho)
+
+    def test_plan_is_what_an_evaluation_reads(self, trajectory):
+        # every derivative the plan takes is read, and none outside it
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        ws = _Elimination(trajectory[0].A.grid)
+        ws.d = Recording(ws.d)
+        ws.evaluate(trajectory[2], 0.1)
+        assert len(set(residual._ORDERS)) == len(residual._ORDERS) == 25
+        assert read == set(residual._ORDERS)
+        assert not any(view.flags.writeable for view in ws.d.values())
 
     def test_sweep_of_mixed_grids(self, trajectory):
         # a snapshot on another grid gets a workspace of its own
