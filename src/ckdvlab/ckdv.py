@@ -133,7 +133,7 @@ def ckdv_linear_propagator(k, rho_from: float, rho_to: float):
 
 
 class _Stepper:
-    """Real-FFT workspace for one run: the grid's symbols and the cached phase.
+    """Real-FFT workspace for one run: the grid's symbols, the cached phase, the forcing.
 
     Over a step of size h the exact linear flow from rho to rho + h/2 is
     sqrt(rho/(rho + h/2)) P with P = exp(i k^3 h/4), and P does not depend
@@ -141,9 +141,9 @@ class _Stepper:
     changes; rho enters each step as two scalar amplitudes.
     """
 
-    def __init__(self, cfg: CkdvRunConfig):
+    def __init__(self, cfg: CkdvRunConfig, forcing):
+        self.grid, self.forcing = cfg.grid, forcing
         core = cfg.grid.core
-        self.n = cfg.grid.n
         # ik's imaginary part is k with its Nyquist entry zeroed, so k^3 is odd too
         self.k3 = core.ik.imag ** 3
         self.mask = core.dealias_mask if cfg.dealias else 1.0
@@ -159,18 +159,21 @@ class _Stepper:
             self._h = h
         return self._phase
 
-    def rhs(self, a_hat: np.ndarray, rho: float, forcing_hat) -> tuple:
+    def rhs(self, a_hat: np.ndarray, rho: float) -> tuple:
         """Stage term (1/2) dtau (A^2) + forcing beyond the exact linear flow.
 
         Also returns the (dealiased) stage field A.
         """
-        a = _irfft(a_hat * self.mask, self.n)
+        a = _irfft(a_hat * self.mask, self.grid.n)
         na = self.sym * _rfft(a * a)
-        if forcing_hat is not None:
-            na = na + forcing_hat(rho)
+        if self.forcing is not None:
+            fld = self.forcing(rho)
+            if fld.grid != self.grid:
+                raise ValueError("forcing grid does not match run grid")
+            na = na + _rfft(fld.values)
         return na, a
 
-    def step(self, a_hat, rho: float, h: float, forcing_hat):
+    def step(self, a_hat, rho: float, h: float):
         """One integrating-factor RK4 step from rho to rho + h.
 
         Also returns sup|A| of the first stage field as a cheap blow-up monitor.
@@ -183,10 +186,10 @@ class _Stepper:
         e_full = (amp * amp_b) * p2
         ea = e_full * a_hat
 
-        k1, a1 = self.rhs(a_hat, rho, forcing_hat)
-        k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2, forcing_hat)
-        k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2, forcing_hat)
-        k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h, forcing_hat)
+        k1, a1 = self.rhs(a_hat, rho)
+        k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2)
+        k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2)
+        k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h)
         return (ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4),
                 float(np.abs(a1).max()))
 
@@ -196,19 +199,6 @@ def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> Ckd
     check_zero_mean(A0, "initial data", mean_tol)
     B0 = RealField(grid=A0.grid, values=A0.grid.core.antiderivative(A0.values))
     return CkdvState(rho=float(rho0), A=A0, B=B0)
-
-
-def _forcing_hat_fn(forcing, grid: SpectralGrid):
-    if forcing is None:
-        return None
-
-    def fh(rho: float) -> np.ndarray:
-        fld = forcing(rho)
-        if fld.grid != grid:
-            raise ValueError("forcing grid does not match run grid")
-        return _rfft(fld.values)
-
-    return fh
 
 
 def _snapshot(a_hat, rho: float, grid: SpectralGrid) -> CkdvState:
@@ -223,21 +213,20 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
 
     Steps are d_rho, shortened to land exactly on each output radius and on
     rho1; forcing(rho), if given, is a RealField added to dA/drho.  Raises
-    MeanValueError for initial data with nonzero mean and propagates
-    StepUnstable.
+    ValueError for A0, or (at the first stage) a forcing field, off cfg.grid,
+    MeanValueError for A0 with nonzero mean, and propagates StepUnstable.
     """
     if A0.grid != cfg.grid:
         raise ValueError(f"initial data grid {A0.grid} does not match run grid {cfg.grid}")
     emit_start, steps = _schedule(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho)
     state = make_state(A0, cfg.rho0, cfg.mean_tol)
-    stepper = _Stepper(cfg)
-    fh = _forcing_hat_fn(forcing, cfg.grid)
+    stepper = _Stepper(cfg, forcing)
     a_hat = _rfft(state.A.values)
 
     out = [state] if emit_start else []
     guard = _GrowthGuard("sup", state.A.sup())
     for rho, h, landing in steps:
-        a_hat, sup_stage = stepper.step(a_hat, rho, h, fh)
+        a_hat, sup_stage = stepper.step(a_hat, rho, h)
         if not np.isfinite(a_hat).all():
             raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
         # sup_stage is the field entering this step

@@ -30,7 +30,8 @@ from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
                          boussinesq_evolve, make_ansatz_state, resolvent_solve,
                          u_to_v, v_to_u)
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
-from .errors import ConfigError, DenominatorSignError, OverflowGuard, SingularDispersion
+from .errors import (CkdvLabError, ConfigError, DenominatorSignError, OverflowGuard,
+                     SingularDispersion)
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
 from .report import config_hash, fit_loglog, write_csv, write_manifest
@@ -667,6 +668,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CkdvLabError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

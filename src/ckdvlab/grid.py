@@ -13,8 +13,8 @@ Every transform of the package goes through the private helpers
 ``_rfft``, ``_irfft``, ``_fft`` and ``_ifft`` of this module.  They call
 numpy's pocketfft gufuncs directly, with the arguments ``np.fft`` itself
 passes them, so their results are bit-identical to ``np.fft``'s without
-its per-call Python wrapper.  They take 1-D arrays only; ``_rfft``,
-``_fft`` and ``_ifft`` write into a caller's ``out=`` array when given one.
+its per-call Python wrapper.  They take 1-D arrays only.  ``_fft`` and
+``_ifft`` always write into the caller's ``out=`` array; ``_rfft`` may.
 Where numpy lacks that private module they are ``np.fft``'s own functions.
 """
 
@@ -49,16 +49,11 @@ else:
     def _irfft(a, n):
         return _pfu.irfft(a, 1.0 / n, axes=_AXES, out=np.empty(n))
 
-    def _fft(a, out=None):
-        if out is None:
-            out = np.empty(a.shape[0], dtype=complex)
+    def _fft(a, out):
         return _pfu.fft(a, 1.0, axes=_AXES, out=out)
 
-    def _ifft(a, out=None):
-        n = a.shape[0]
-        if out is None:
-            out = np.empty(n, dtype=complex)
-        return _pfu.ifft(a, 1.0 / n, axes=_AXES, out=out)
+    def _ifft(a, out):
+        return _pfu.ifft(a, 1.0 / a.shape[0], axes=_AXES, out=out)
 
 
 @dataclass(frozen=True)

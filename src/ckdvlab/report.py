@@ -36,8 +36,6 @@ def _fmt(value) -> str:
     # np.float64 subclasses float: always strip to the builtin before repr
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 

@@ -16,7 +16,6 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,17 +47,6 @@ class EnergyReport:
     e: float
 
 
-# The residual's complex-FFT symbols are the package's only ones, and
-# _Elimination._set makes its only complex transforms, through grid's _fft
-# and _ifft helpers.  They stay because res_sup carries round-off at the 1e-6
-# level and the benchmark's 1e-8 relative gate pins it to this layout.  Once
-# the benchmark compares res_sup against its measured round-off floor, the
-# residual moves to the grid's real-FFT core and these go.
-@lru_cache(maxsize=8)
-def _complex_symbols(n: int, length: float) -> dict:
-    return _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=length / n), n)
-
-
 class _Elimination:
     """Workspace for a run of residual evaluations on one grid.
 
@@ -73,15 +61,21 @@ class _Elimination:
     derivatives, the two sum accumulators and the term they add), and
     every evaluation overwrites them: an array that d or the sums return
     is valid until the next evaluation, and the fields that evaluate
-    returns are copies.  One workspace serves one sweep chunk (one snapshot
-    for residual_report).  Allocating these small arrays once per snapshot
-    made glibc trim the heap after every report and fault it back in.
+    returns are copies.  One workspace serves one sweep chunk.  Allocating
+    these small arrays once per snapshot made glibc trim the heap after
+    every report and fault it back in.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         n = grid.n
-        self._symbols = _complex_symbols(n, grid.length)
+        # The residual's complex-FFT symbols are the package's only ones, and
+        # _set makes its only complex transforms, through grid's _fft and
+        # _ifft helpers.  They stay because res_sup carries round-off at the
+        # 1e-6 level and the benchmark's 1e-8 relative gate pins it to this
+        # layout.  Once the benchmark compares res_sup against its measured
+        # round-off floor, the residual moves to the grid's real-FFT core.
+        self._symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
         self._spectrum = np.empty(n, dtype=complex)
         self._derivs = {key: np.empty(n, dtype=complex) for key in _ORDERS}
         self.d = {key: buf.real for key, buf in self._derivs.items()}
@@ -224,11 +218,6 @@ def _reports(states: list[CkdvState], eps: float) -> list[ResidualReport]:
         rows.append(ResidualReport(res_l2=res.l2(), res_sup=res.sup(),
                                    antires_l2=anti.l2(), rho_at_sup=st.rho))
     return rows
-
-
-def residual_report(state: CkdvState, eps: float) -> ResidualReport:
-    """Norms of the residual and its time-antiderivative at one snapshot."""
-    return _reports([state], eps)[0]
 
 
 def sweep_report(states: list[CkdvState], eps: float) -> ResidualReport:

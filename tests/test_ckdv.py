@@ -210,6 +210,20 @@ class TestForcing:
         forced = ckdv_evolve(a0, cfg, forcing=lambda rho: zero)[-1]
         assert np.array_equal(plain.A.values, forced.A.values)
 
+    def test_forcing_on_another_grid_fails_at_the_first_stage(self, grid256):
+        a0 = gaussian_pulse(grid256)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.05, d_rho=0.01, grid=grid256)
+        other = make_grid(128, grid256.length, grid256.center)
+        calls = []
+
+        def forcing(rho):
+            calls.append(rho)
+            return RealField(grid=other, values=np.zeros(other.n))
+
+        with pytest.raises(ValueError, match="^forcing grid does not match run grid$"):
+            ckdv_evolve(a0, cfg, forcing=forcing)
+        assert calls == [1.0]
+
     def test_constructed_fixed_point(self, grid256):
         a0 = gaussian_pulse(grid256)
         a, core = make_state(a0, 1.0).A.values, grid256.core

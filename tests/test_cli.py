@@ -13,7 +13,7 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
                          run_theorem1_case, save_config)
-from ckdvlab.errors import ChildTraceback, ConfigError, StepUnstable
+from ckdvlab.errors import ChildTraceback, ConfigError
 from ckdvlab.parallel import usable_cpus
 
 
@@ -338,14 +338,25 @@ class TestSnapshotCommands:
                 assert not out.exists()
 
     @pytest.mark.parametrize("command", ["ckdv", "residual-sweep"])
-    def test_failed_run_leaves_no_output(self, tmp_path, command):
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, command):
         # a valid config whose cKdV run blows up: the command computes
-        # everything before it creates out_dir, so nothing is left behind
+        # everything before it creates out_dir, so nothing is left behind,
+        # and the typed failure ends the run with one line and status 1
         out, path = tmp_path / "out", tmp_path / "unstable.ini"
         path.write_text("[model]\nrho1 = 400\n[solver]\nd_rho = 5\n")
-        with pytest.raises(StepUnstable, match="rho=5.9875"):
-            main([command, "--config", str(path), "--out", str(out), "--quiet"])
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: StepUnstable: sup grew 45.9x in one step at rho=5.9875"]
         assert not out.exists()
+
+    def test_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # only the package's typed errors become one-line exits
+        def broken(cfg):
+            raise RuntimeError("not a solver failure")
+
+        monkeypatch.setitem(cli.COMMANDS, "ckdv", broken)
+        with pytest.raises(RuntimeError, match="not a solver failure"):
+            main(["ckdv", "--out", str(tmp_path / "out"), "--quiet"])
 
     def test_boussinesq_start_needs_no_ckdv_step(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, n=128, eps_list=(0.15,), dr=0.25)

@@ -11,7 +11,7 @@ from ckdvlab.errors import ChildDied, MeanValueError
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.parallel import usable_cpus
 from ckdvlab.residual import (ResidualReport, _Elimination, energy, gronwall_growth_check,
-                              residual_report, sweep_report)
+                              sweep_report)
 
 from conftest import random_zero_mean_field, unexpanded_residual_fd
 
@@ -72,7 +72,7 @@ class TestResidualField:
     @pytest.mark.parametrize("eps", [0.14, 0.07])
     def test_shared_workspace_changes_no_number(self, trajectory, index, eps):
         st = trajectory[index]
-        rep = residual_report(st, eps)
+        rep = sweep_report([st], eps)
         res, anti = _Elimination(st.A.grid).evaluate(st, eps)
         assert rep.res_l2 == res.l2()
         assert rep.res_sup == res.sup()
@@ -97,7 +97,7 @@ class TestResidualField:
                     calls.append(_kind)
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, f"_{kind}", counted)
-        residual_report(trajectory[2], 0.1)
+        sweep_report([trajectory[2]], 0.1)
         assert (calls.count("fft"), calls.count("ifft"), len(calls)) == (9, 25, 34)
 
     def test_scaling_slopes(self, trajectory):
@@ -113,7 +113,7 @@ class TestResidualField:
         assert abs(slope_sup - 8.0) <= 0.5
 
     def test_sweep_report_is_the_max_over_rows(self, trajectory):
-        rows = [residual_report(st, 0.1) for st in trajectory]
+        rows = [sweep_report([st], 0.1) for st in trajectory]
         top = int(np.argmax([r.res_sup for r in rows]))
         # equal to the serial loop's maxima, bit for bit, wherever the rows ran
         assert sweep_report(trajectory, 0.1) == ResidualReport(
@@ -146,7 +146,7 @@ class TestResidualField:
             with pytest.raises(MeanValueError):
                 sweep_report(states[:i] + [bump(i, 1.0)] + states[i + 1:], 0.1)
         with pytest.raises(MeanValueError) as first:
-            residual_report(bump(1, 1.0), 0.1)
+            sweep_report([bump(1, 1.0)], 0.1)
         with pytest.raises(MeanValueError) as info:
             sweep_report([states[0], bump(1, 1.0), states[2], bump(3, 2.0), states[4]], 0.1)
         assert str(info.value) == str(first.value)
@@ -203,7 +203,8 @@ class OneShotElimination:
     def __init__(self, state, eps):
         self.eps, self.rho = eps, state.rho
         g = state.A.grid
-        self._symbols = residual._complex_symbols(g.n, g.length)
+        self._symbols = grid_module._derivative_symbols(
+            2 * np.pi * np.fft.fftfreq(g.n, d=g.length / g.n), g.n)
         self._spectra, self._derivs = {}, {}
         a, rho = state.A.values, state.rho
         self.fields = {"a": a, "b": state.B.values, "sq": a * a}
@@ -218,8 +219,8 @@ class OneShotElimination:
         key = (name, order)
         if key not in self._derivs:
             if name not in self._spectra:
-                self._spectra[name] = grid_module._fft(self.fields[name])
-            self._derivs[key] = grid_module._ifft(self._symbols[order] * self._spectra[name]).real
+                self._spectra[name] = np.fft.fft(self.fields[name])
+            self._derivs[key] = np.fft.ifft(self._symbols[order] * self._spectra[name]).real
         return self._derivs[key]
 
 
@@ -269,7 +270,7 @@ class TestSharedWorkspace:
             assert np.array_equal(field.values, values)
         assert not np.array_equal(second[0].values, kept[0])
         # the reports hold plain floats
-        rep = residual_report(trajectory[1], 0.1)
+        rep = sweep_report([trajectory[1]], 0.1)
         assert all(type(value) is float for value in vars(rep).values())
         assert rep == ResidualReport(res_l2=first[0].l2(), res_sup=first[0].sup(),
                                      antires_l2=first[1].l2(), rho_at_sup=trajectory[1].rho)
@@ -293,7 +294,7 @@ class TestSharedWorkspace:
         # a snapshot on another grid gets a workspace of its own
         other = zero_states(1.0)[0]
         rows = residual._reports([trajectory[0], other, trajectory[1]], 0.1)
-        assert rows == [residual_report(st, 0.1) for st in (trajectory[0], other, trajectory[1])]
+        assert rows == [sweep_report([st], 0.1) for st in (trajectory[0], other, trajectory[1])]
         assert rows[1].res_sup == 0.0
 
 
