@@ -139,6 +139,16 @@ class _Stepper:
     sqrt(rho/(rho + h/2)) P with P = exp(i k^3 h/4), and P does not depend
     on rho.  P and P^2 are built once per step size and rebuilt only when h
     changes; rho enters each step as two scalar amplitudes.
+
+    Every other array a step makes lives in a buffer allocated once: the
+    three propagator factors, e_full A^, the stage terms k1-k4, the stage
+    argument, the masked spectrum (which also takes the spectrum of A^2
+    and of the forcing), the stage field A and its square.  Each operation
+    writes its result there with the operands, in the order and with the
+    rounding of the allocating expression, so every bit is kept.  step
+    returns one of two result spectra, the one its input is not, so it
+    never writes the array it was given: a result is valid until the step
+    after next.
     """
 
     def __init__(self, cfg: CkdvRunConfig, forcing):
@@ -150,6 +160,11 @@ class _Stepper:
         # the 0/1 mask folds into the stage symbol exactly
         self.sym = 0.5 * core.ik * self.mask
         self._h = None
+        n = cfg.grid.n
+        spectra = [np.empty(n // 2 + 1, dtype=complex) for _ in range(12)]
+        self._e_half, self._e_half_b, self._e_full, self._ea, self._arg, self._masked = spectra[:6]
+        self._k, self._results = spectra[6:10], spectra[10:]
+        self._a, self._sq = np.empty(n), np.empty(n)
 
     def phase(self, h: float) -> tuple:
         """(P, P^2) for step size h, rebuilt only when h changes."""
@@ -159,19 +174,20 @@ class _Stepper:
             self._h = h
         return self._phase
 
-    def rhs(self, a_hat: np.ndarray, rho: float) -> tuple:
-        """Stage term (1/2) dtau (A^2) + forcing beyond the exact linear flow.
+    def rhs(self, a_hat: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+        """Write the stage term (1/2) dtau (A^2) + forcing beyond the exact linear flow into out.
 
-        Also returns the (dealiased) stage field A.
+        Returns the (dealiased) stage field A, valid until the next stage.
         """
-        a = _irfft(a_hat * self.mask, self.grid.n)
-        na = self.sym * _rfft(a * a)
+        masked, a = self._masked, self._a
+        _irfft(np.multiply(a_hat, self.mask, out=masked), self.grid.n, out=a)
+        np.multiply(self.sym, _rfft(np.multiply(a, a, out=self._sq), out=masked), out=out)
         if self.forcing is not None:
             fld = self.forcing(rho)
             if fld.grid != self.grid:
                 raise ValueError("forcing grid does not match run grid")
-            na = na + _rfft(fld.values)
-        return na, a
+            np.add(out, _rfft(fld.values, out=masked), out=out)
+        return a
 
     def step(self, a_hat, rho: float, h: float):
         """One integrating-factor RK4 step from rho to rho + h.
@@ -181,17 +197,34 @@ class _Stepper:
         p, p2 = self.phase(h)
         amp = np.sqrt(rho / (rho + h / 2))
         amp_b = np.sqrt((rho + h / 2) / (rho + h))
-        e_half = amp * p
-        e_half_b = amp_b * p
-        e_full = (amp * amp_b) * p2
-        ea = e_full * a_hat
+        e_half = np.multiply(amp, p, out=self._e_half)
+        e_half_b = np.multiply(amp_b, p, out=self._e_half_b)
+        e_full = np.multiply(amp * amp_b, p2, out=self._e_full)
+        ea = np.multiply(e_full, a_hat, out=self._ea)
+        k1, k2, k3, k4 = self._k
+        arg = self._arg
 
-        k1, a1 = self.rhs(a_hat, rho)
-        k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2)
-        k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2)
-        k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h)
-        return (ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4),
-                float(np.abs(a1).max()))
+        a1 = self.rhs(a_hat, rho, k1)
+        # the square's buffer is free until the next stage
+        sup = float(np.abs(a1, out=self._sq).max())
+        # e_half * (a_hat + h/2 k1)
+        np.multiply(h / 2, k1, out=arg)
+        np.add(a_hat, arg, out=arg)
+        self.rhs(np.multiply(e_half, arg, out=arg), rho + h / 2, k2)
+        # e_half a_hat + h/2 k2, with h/2 k2 held in k3 until its stage fills it
+        np.multiply(e_half, a_hat, out=arg)
+        self.rhs(np.add(arg, np.multiply(h / 2, k2, out=k3), out=arg), rho + h / 2, k3)
+        # ea + (h e_half_b) k3
+        np.multiply(h, e_half_b, out=arg)
+        np.multiply(arg, k3, out=arg)
+        self.rhs(np.add(ea, arg, out=arg), rho + h, k4)
+        # ea + h/6 (e_full k1 + (2 e_half_b) (k2 + k3) + k4), summed in k1
+        np.multiply(e_full, k1, out=k1)
+        np.multiply(np.multiply(2, e_half_b, out=e_half_b), np.add(k2, k3, out=k2), out=k2)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(h / 6, k1, out=k1)
+        return np.add(ea, k1, out=self._results[a_hat is self._results[0]]), sup
 
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:

@@ -13,9 +13,12 @@ Every transform of the package goes through the private helpers
 ``_rfft``, ``_irfft``, ``_fft`` and ``_ifft`` of this module.  They call
 numpy's pocketfft gufuncs directly, with the arguments ``np.fft`` itself
 passes them, so their results are bit-identical to ``np.fft``'s without
-its per-call Python wrapper.  They take 1-D arrays only.  ``_fft`` and
-``_ifft`` always write into the caller's ``out=`` array; ``_rfft`` may.
-Where numpy lacks that private module they are ``np.fft``'s own functions.
+its per-call Python wrapper.  ``_rfft``, ``_irfft`` and ``_fft`` take 1-D
+arrays; ``_ifft`` also takes a ``(rows, n)`` block and transforms each row,
+each bit-identical to ``np.fft.ifft`` of that row alone.  ``_fft`` and
+``_ifft`` always write into the caller's ``out=`` array, in place when it
+is their input; ``_rfft`` and ``_irfft`` do when given one.  Where numpy
+lacks that private module they are ``np.fft``'s own functions.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ except ImportError:
     _rfft, _irfft, _fft, _ifft = np.fft.rfft, np.fft.irfft, np.fft.fft, np.fft.ifft
 else:
     # the axes, factors and output arrays np.fft._pocketfft._raw_fft uses for
-    # a 1-D array with the default "backward" norm
-    _AXES = [(0,), (), (0,)]
+    # its default last axis and "backward" norm
+    _AXES = [(-1,), (), (-1,)]
 
     def _rfft(a, out=None):
         n = a.shape[0]
@@ -46,14 +49,16 @@ else:
         ufunc = _pfu.rfft_n_even if n % 2 == 0 else _pfu.rfft_n_odd
         return ufunc(a, 1.0, axes=_AXES, out=out)
 
-    def _irfft(a, n):
-        return _pfu.irfft(a, 1.0 / n, axes=_AXES, out=np.empty(n))
+    def _irfft(a, n, out=None):
+        if out is None:
+            out = np.empty(n)
+        return _pfu.irfft(a, 1.0 / n, axes=_AXES, out=out)
 
     def _fft(a, out):
         return _pfu.fft(a, 1.0, axes=_AXES, out=out)
 
     def _ifft(a, out):
-        return _pfu.ifft(a, 1.0 / a.shape[0], axes=_AXES, out=out)
+        return _pfu.ifft(a, 1.0 / a.shape[-1], axes=_AXES, out=out)
 
 
 @dataclass(frozen=True)

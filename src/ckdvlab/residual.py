@@ -54,16 +54,19 @@ class _Elimination:
     D2 = drho^2 A, and the nonlinear terms of one snapshot and eps;
     B = dtau^{-1} A is the snapshot's own.  Each field is transformed once,
     into the one scratch spectrum, and every derivative of it that _ORDERS
-    lists, the two that eliminate D included, is taken from there.  d maps
-    each (name, order) to a read-only view of its derivative.
+    lists, the two that eliminate D included, is taken from there: the
+    field's orders form one range, so one product with a slice of the
+    (4, n) symbol stack fills the field's block of derivatives and one
+    inverse transform turns the block's rows.  d maps each (name, order) to
+    a read-only view of its row.
 
-    The workspace allocates its 29 arrays once (the spectrum, the 25
-    derivatives, the two sum accumulators and the term they add), and
-    every evaluation overwrites them: an array that d or the sums return
-    is valid until the next evaluation, and the fields that evaluate
-    returns are copies.  One workspace serves one sweep chunk.  Allocating
-    these small arrays once per snapshot made glibc trim the heap after
-    every report and fault it back in.
+    The workspace allocates its 13 arrays once (the spectrum, the 9
+    blocks of the 25 derivatives, the two sum accumulators and the term
+    they add), and every evaluation overwrites them: an array that d or
+    the sums return is valid until the next evaluation, and the fields that
+    evaluate returns are copies.  One workspace serves one sweep chunk.
+    Allocating these small arrays once per snapshot made glibc trim the
+    heap after every report and fault it back in.
     """
 
     def __init__(self, grid: SpectralGrid):
@@ -75,10 +78,13 @@ class _Elimination:
         # 1e-6 level and the benchmark's 1e-8 relative gate pins it to this
         # layout.  Once the benchmark compares res_sup against its measured
         # round-off floor, the residual moves to the grid's real-FFT core.
-        self._symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
+        symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
+        self._symbols = np.stack([symbols[order] for order in (1, 2, 3, 4)])
         self._spectrum = np.empty(n, dtype=complex)
-        self._derivs = {key: np.empty(n, dtype=complex) for key in _ORDERS}
-        self.d = {key: buf.real for key, buf in self._derivs.items()}
+        self._blocks = {name: (lo, np.empty((hi - lo + 1, n), dtype=complex))
+                        for name, (lo, hi) in _SPANS.items()}
+        self.d = {(name, lo + row): block[row].real
+                  for name, (lo, block) in self._blocks.items() for row in range(len(block))}
         for view in self.d.values():
             view.setflags(write=False)
         self.res, self.anti, self.term = np.empty(n), np.empty(n), np.empty(n)
@@ -116,12 +122,11 @@ class _Elimination:
     def _set(self, name: str, values: np.ndarray) -> np.ndarray:
         """Make values the named field and fill every derivative _ORDERS lists for it."""
         self.fields[name] = values
+        lo, block = self._blocks[name]
         spectrum = _fft(values, out=self._spectrum)
-        # each symbol-spectrum product is inverse-transformed in place
-        for (field, order), out in self._derivs.items():
-            if field == name:
-                np.multiply(self._symbols[order], spectrum, out=out)
-                _ifft(out, out=out)
+        # the symbol-spectrum products are inverse-transformed in place
+        np.multiply(self._symbols[lo - 1: lo - 1 + len(block)], spectrum, out=block)
+        _ifft(block, out=block)
         return values
 
 
@@ -161,6 +166,11 @@ _TERMS = (
 # derivative of A^2 that eliminates drho A.
 _ORDERS = tuple(sorted({("sq", 1)} | {(name, order - lower) for _, _, name, order, _ in _TERMS
                                       for lower in (0, 1)}))
+
+# Each field's orders in _ORDERS, from first to last.  They form one range
+# per field, which the workspace's blocks of rows rely on.
+_SPANS = {name: (min(o for f, o in _ORDERS if f == name),
+                 max(o for f, o in _ORDERS if f == name)) for name, _ in _ORDERS}
 
 
 def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:

@@ -91,8 +91,9 @@ def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
 
     for i, (label, cx, cy) in enumerate(curves):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}"
-                       for x, y in zip(np.asarray(cx), np.asarray(cy)))
+        # sx and sy on float64 arrays round each point as on Python floats
+        px, py = sx(np.asarray(cx, dtype=float)), sy(np.asarray(cy, dtype=float))
+        pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                      f'points="{pts}"/>')
         if label:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ckdvlab.airy import SolitonSpec
-from ckdvlab.ckdv import (CkdvRunConfig, _drho, _schedule, ckdv_evolve,
+from ckdvlab.ckdv import (CkdvRunConfig, _drho, _schedule, _snapshot, _Stepper, ckdv_evolve,
                          ckdv_linear_propagator, make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
@@ -247,6 +247,97 @@ class TestForcing:
         d1, d2 = drift(0.01), drift(0.005)
         assert d2 <= 1e-7
         assert d2 <= d1 / 8.0
+
+
+# The stepper with every stage operation allocating its result: the oracle
+# for the stepper that writes into its own buffers.
+
+class AllocatingStepper:
+    def __init__(self, cfg, forcing):
+        self.grid, self.forcing = cfg.grid, forcing
+        core = cfg.grid.core
+        self.k3 = core.ik.imag ** 3
+        self.mask = core.dealias_mask if cfg.dealias else 1.0
+        self.sym = 0.5 * core.ik * self.mask
+
+    def rhs(self, a_hat, rho):
+        a = np.fft.irfft(a_hat * self.mask, self.grid.n)
+        na = self.sym * np.fft.rfft(a * a)
+        if self.forcing is not None:
+            na = na + np.fft.rfft(self.forcing(rho).values)
+        return na, a
+
+    def step(self, a_hat, rho, h):
+        p = np.exp(0.5j * self.k3 * (h / 2))
+        p2 = p * p
+        amp = np.sqrt(rho / (rho + h / 2))
+        amp_b = np.sqrt((rho + h / 2) / (rho + h))
+        e_half = amp * p
+        e_half_b = amp_b * p
+        e_full = (amp * amp_b) * p2
+        ea = e_full * a_hat
+
+        k1, a1 = self.rhs(a_hat, rho)
+        k2, _ = self.rhs(e_half * (a_hat + h / 2 * k1), rho + h / 2)
+        k3, _ = self.rhs(e_half * a_hat + h / 2 * k2, rho + h / 2)
+        k4, _ = self.rhs(ea + h * e_half_b * k3, rho + h)
+        return (ea + h / 6 * (e_full * k1 + 2 * e_half_b * (k2 + k3) + k4),
+                float(np.abs(a1).max()))
+
+
+def stepper_buffers(stepper):
+    return [stepper._e_half, stepper._e_half_b, stepper._e_full, stepper._ea, stepper._arg,
+            stepper._masked, stepper._a, stepper._sq, *stepper._k, *stepper._results]
+
+
+class TestBufferedStepper:
+    # three segments of different step sizes, so the phase cache is rebuilt
+    OUTPUTS = [1.0, 1.013, 1.37, 1.5]
+
+    def march(self, a0, cfg, forcing=None):
+        """Every landing of the buffered stepper and of the oracle, step by step."""
+        emit_start, steps = _schedule(cfg.rho0, cfg.rho1, self.OUTPUTS, cfg.d_rho)
+        assert emit_start
+        stepper, oracle = _Stepper(cfg, forcing), AllocatingStepper(cfg, forcing)
+        buffers = stepper_buffers(stepper)
+        a_hat = want = np.fft.rfft(a0.values)
+        sizes, snaps = set(), []
+        for rho, h, landing in steps:
+            given = a_hat.copy()
+            new, sup = stepper.step(a_hat, rho, h)
+            want, want_sup = oracle.step(want, rho, h)
+            # step reads its input and never writes it
+            assert not np.shares_memory(new, a_hat)
+            assert np.array_equal(a_hat, given)
+            assert np.array_equal(new, want) and sup == want_sup
+            a_hat = new
+            sizes.add(h)
+            if landing is not None:
+                snaps.append(_snapshot(a_hat, landing, cfg.grid))
+        assert len(sizes) >= 3
+        for snap in snaps:
+            for values in (snap.A.values, snap.B.values):
+                assert not any(np.shares_memory(values, buf) for buf in buffers)
+        return snaps
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_landings_equal_the_allocating_stepper(self, grid256, dealias):
+        a0 = gaussian_pulse(grid256)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=grid256, dealias=dealias)
+        # without dealiasing the mask is the scalar 1.0
+        assert np.ndim(_Stepper(cfg, None).mask) == (1 if dealias else 0)
+        snaps = self.march(a0, cfg)
+        states = ckdv_evolve(a0, cfg, output_rhos=self.OUTPUTS)
+        assert [st.rho for st in states] == self.OUTPUTS
+        for st, snap in zip(states[1:], snaps, strict=True):
+            assert np.array_equal(st.A.values, snap.A.values)
+            assert np.array_equal(st.B.values, snap.B.values)
+
+    def test_forced_landings_equal_the_allocating_stepper(self, grid256):
+        forcing = TestForcing()
+        a0 = RealField(grid=grid256, values=forcing.manufactured(grid256, 1.0))
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=grid256)
+        self.march(a0, cfg, lambda rho: forcing.forcing_for(grid256, rho))
 
 
 class TestWindowedSoliton:

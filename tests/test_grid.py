@@ -223,6 +223,9 @@ class TestTransformHelpers:
         assert grid_module._rfft(x, out=out) is out
         self.assert_same(out, spectrum)
         self.assert_same(grid_module._irfft(spectrum, n), np.fft.irfft(spectrum, n))
+        real_out = np.empty(n)
+        assert grid_module._irfft(spectrum, n, out=real_out) is real_out
+        self.assert_same(real_out, np.fft.irfft(spectrum, n))
         # _fft and _ifft always write into the caller's buffer: the residual
         # workspace transforms into its own, from real fields and from
         # strided real parts
@@ -236,6 +239,13 @@ class TestTransformHelpers:
         buf[:] = z
         assert grid_module._ifft(buf, out=buf) is buf
         self.assert_same(buf, np.fft.ifft(z))
+        # a (rows, n) block in place, as the workspace turns a field's
+        # derivatives: each row as if transformed alone
+        block = z * np.arange(1, 5)[:, None]
+        want = [np.fft.ifft(row) for row in block]
+        assert grid_module._ifft(block, out=block) is block
+        for got_row, want_row in zip(block, want, strict=True):
+            self.assert_same(got_row, want_row)
 
     def test_b2_returns_a_fresh_array_each_call(self, grid64, rng):
         # the resolvent keeps prev and h across sweeps

@@ -86,19 +86,25 @@ class TestResidualField:
 
     def test_one_evaluation_makes_34_transforms(self, trajectory, monkeypatch):
         # 9 differentiated fields, each transformed once, and 25 distinct
-        # derivatives, the two of the elimination included
+        # derivatives, the two of the elimination included, inverse-transformed
+        # as one block of rows per field
         # every transform goes through grid's helpers; count each module's binding
         calls = []
         for mod in (grid_module, ckdv, residual):
             for kind in ("fft", "ifft", "rfft", "irfft"):
                 if f"_{kind}" not in vars(mod):
                     continue
-                def counted(*args, _fn=getattr(mod, f"_{kind}"), _kind=kind, **kwargs):
-                    calls.append(_kind)
-                    return _fn(*args, **kwargs)
+                def counted(a, *args, _fn=getattr(mod, f"_{kind}"), _kind=kind, **kwargs):
+                    calls.append((_kind, len(a) if a.ndim == 2 else 1))
+                    return _fn(a, *args, **kwargs)
                 monkeypatch.setattr(mod, f"_{kind}", counted)
         sweep_report([trajectory[2]], 0.1)
-        assert (calls.count("fft"), calls.count("ifft"), len(calls)) == (9, 25, 34)
+
+        def rows(kind=None):
+            return sum(n for k, n in calls if kind in (None, k))
+
+        assert (rows("fft"), rows("ifft"), rows()) == (9, 25, 34)
+        assert [k for k, _ in calls] == ["fft", "ifft"] * 9
 
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
@@ -254,13 +260,15 @@ class TestSharedWorkspace:
 
     def test_results_own_their_memory(self, trajectory):
         def buffers_of(ws):
-            return [ws.res, ws.anti, ws.term, ws._spectrum, *ws._derivs.values()]
+            return [ws.res, ws.anti, ws.term, ws._spectrum,
+                    *(block for _, block in ws._blocks.values())]
 
         ws = _Elimination(trajectory[0].A.grid)
         first = ws.evaluate(trajectory[1], 0.1)
         kept = [field.values.copy() for field in first]
         buffers = buffers_of(ws)
-        assert len(buffers) == 3 + 1 + 25
+        assert len(buffers) == 3 + 1 + 9
+        assert sum(len(block) for _, block in ws._blocks.values()) == 25
         for field in first:
             assert not any(np.shares_memory(field.values, buf) for buf in buffers)
         # a later evaluation overwrites every buffer and no earlier result
@@ -287,7 +295,7 @@ class TestSharedWorkspace:
         ws.d = Recording(ws.d)
         ws.evaluate(trajectory[2], 0.1)
         assert len(set(residual._ORDERS)) == len(residual._ORDERS) == 25
-        assert read == set(residual._ORDERS)
+        assert read == set(residual._ORDERS) == set(ws.d)
         assert not any(view.flags.writeable for view in ws.d.values())
 
     def test_sweep_of_mixed_grids(self, trajectory):
