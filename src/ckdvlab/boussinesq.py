@@ -53,9 +53,11 @@ five through the last six steps,
 The first step starts k1 cold and k2 from h1, and the error term is left
 out until six errors are known.  ``resolvent_solve`` starts cold.
 
-The RK4 loop runs on bare arrays through the grid's spectral core.  It
-holds the state (v, w) as one (2, n) array, so a stage argument or the step
-update is one array operation for both rows, and writes each stage's
+The RK4 step is ``_RadialStepper.advance``, on bare arrays through the
+grid's spectral core; ``boussinesq_evolve`` drives it over the landing
+schedule with the cKdV solver's march loop, ``ckdv._march``.  The stepper
+holds the state (v, w) as one (2, n) array, so a stage argument or the
+step update is one array operation for both rows, and writes each stage's
 derivative (w, h - w/r) into one of four preallocated (2, n) arrays.  A
 stage's first resolvent sweep is not scanned for non-finite values: it
 would make the first increment non-finite, so only a failed solve looks at
@@ -76,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ckdv import CkdvState, _GrowthGuard, _drho, _schedule
+from .ckdv import CkdvState, _GrowthGuard, _drho, _march
 from .errors import BranchError, NoConvergence, StepUnstable
 from .grid import RealField, SpectralGrid, make_grid
 
@@ -265,29 +267,73 @@ def _rhs(b2: B2Operator, dx: float, r: float, y: np.ndarray, h: np.ndarray, tol:
     return h
 
 
-class _StageStart:
-    """Start of one RK4 stage's resolvent solve, step after step.
+class _RadialStepper:
+    """One radial run: its (v, w) state, growth guard and RK4 workspace.
 
-    The caller's guess from this step's earlier stages, plus the guess's
-    error e(n) = h(n) - guess(n) extrapolated by the polynomial of degree
-    _HISTORY - 1 through the last _HISTORY steps; the guess alone until
-    that many errors are known.
+    advance(r, dr) takes one RK4 step and checks that the state is finite,
+    then sup|v| at r + dr against the guard, then the contraction region.
+    The four stages record one guess error each per step, so they share
+    one step count; stage j keeps its errors in row j of one
+    (4, _HISTORY, n) ring.
     """
 
-    def __init__(self, size: int):
-        self.errors = np.zeros((_HISTORY, size))
-        self.count = 0
-        self.guess = None
+    def __init__(self, init: BoussinesqState, b2: B2Operator | None, tol: float):
+        self.start, self.grid = init, init.v.grid
+        self.b2, self.dx, self.tol = b2 or self.grid.core.b2, self.grid.dx, tol
+        self.y = np.stack([init.v.values, init.w.values])
+        self.arg = np.empty_like(self.y)
+        # one allocation each, held as per-stage rows so no step makes a view of them
+        self.k = tuple(np.empty((4, *self.y.shape)))
+        self.errors = tuple(np.zeros((4, _HISTORY, self.grid.n)))
+        # steps taken, and the resolvent terms of the last one's stages 3 and 4
+        self.count, self.h3, self.h4 = 0, None, None
+        self.guard = _GrowthGuard("sup|v|", float(np.abs(self.y[0]).max()))
 
-    def start(self, guess: np.ndarray) -> np.ndarray:
-        self.guess = guess
-        if self.count < _HISTORY:
-            return guess
-        return guess + _RING_WEIGHTS[self.count % _HISTORY] @ self.errors
+    def stage(self, j: int, guess: np.ndarray, r: float, y: np.ndarray) -> np.ndarray:
+        """Stage j's derivative at (r, y) into k[j]; returns its resolvent term h.
 
-    def record(self, h: np.ndarray):
-        np.subtract(h, self.guess, out=self.errors[self.count % _HISTORY])
+        h starts from guess plus the extrapolated error, once _HISTORY are known.
+        """
+        ring = self.count % _HISTORY
+        start = guess if self.count < _HISTORY else guess + _RING_WEIGHTS[ring] @ self.errors[j]
+        h = _rhs(self.b2, self.dx, r, y, start, self.tol, self.k[j])
+        np.subtract(h, guess, out=self.errors[j][ring])
+        return h
+
+    def advance(self, r: float, dr: float):
+        """One classical RK4 step of the state from r to r + dr, then its checks."""
+        y, arg, (k1, k2, k3, k4) = self.y, self.arg, self.k
+        # the first step has no previous one: k1 starts cold and k2 from h1
+        h1 = self.stage(0, self.h4 if self.count else np.zeros(self.grid.n), r, y)
+        h2 = self.stage(1, 2.0 * h1 - self.h3 if self.count else h1, r + dr / 2,
+                        np.add(np.multiply(k1, dr / 2, out=arg), y, out=arg))
+        h3 = self.stage(2, h2, r + dr / 2, np.add(np.multiply(k2, dr / 2, out=arg), y, out=arg))
+        self.h4 = self.stage(3, 2.0 * h3 - h1, r + dr,
+                             np.add(np.multiply(k3, dr, out=arg), y, out=arg))
+        self.h3 = h3
         self.count += 1
+        # y + dr/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
+        k2 *= 2
+        k2 += k1
+        k3 *= 2
+        k2 += k3
+        k2 += k4
+        k2 *= dr / 6
+        y += k2
+        v, w = y
+        sup_new = float(np.abs(v).max())
+        if not (np.isfinite(sup_new) and np.isfinite(w).all()):
+            raise StepUnstable(f"non-finite state after the step to r={r + dr:.6g}")
+        self.guard.advance(sup_new, "r", r + dr)
+        v_min = float(v.min())
+        if not v_min > V_MIN:
+            raise StepUnstable(
+                f"v left the contraction region (min v={v_min:.4f}) at r={r + dr:.6g}")
+
+    def land(self, r: float) -> BoussinesqState:
+        v, w = self.y
+        return BoussinesqState(r=r, v=RealField(grid=self.grid, values=v),
+                               w=RealField(grid=self.grid, values=w))
 
 
 def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
@@ -310,54 +356,7 @@ def boussinesq_evolve(init: BoussinesqState, r1: float, dr: float,
         raise ValueError(f"step must be positive, got {dr}")
     if not init.r > 0:
         raise ValueError(f"radius must be positive, got {init.r}")
-    emit_start, steps = _schedule(init.r, r1, output_radii, dr)
-    grid = init.v.grid
-    b2 = b2 or grid.core.b2
-    dx = grid.dx
-    # the state (v, w) and the stage arguments and derivatives as (2, n) arrays
-    y = np.stack([init.v.values, init.w.values])
-    arg = np.empty_like(y)
-    k1, k2, k3, k4 = np.empty((4, *y.shape))
-    starts = [_StageStart(grid.n) for _ in range(4)]
-
-    def rhs(k, guess, rr, yy, dy):
-        res = _rhs(b2, dx, rr, yy, starts[k].start(guess), rhs_tol, dy)
-        starts[k].record(res)
-        return res
-
-    def stage_arg(step, dy):
-        return np.add(np.multiply(dy, step, out=arg), y, out=arg)
-
-    out = [init] if emit_start else []
-    guard = _GrowthGuard("sup|v|", float(np.abs(y[0]).max()))
-    # the first step has no previous one: k1 starts cold and k2 from h1
-    h3 = h4 = None
-    for r, h, landing in steps:
-        h1 = rhs(0, np.zeros(grid.n) if h4 is None else h4, r, y, k1)
-        h2 = rhs(1, h1 if h3 is None else 2.0 * h1 - h3, r + h / 2, stage_arg(h / 2, k1), k2)
-        h3 = rhs(2, h2, r + h / 2, stage_arg(h / 2, k2), k3)
-        h4 = rhs(3, 2.0 * h3 - h1, r + h, stage_arg(h, k3), k4)
-        # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in this order
-        k2 *= 2
-        k2 += k1
-        k3 *= 2
-        k2 += k3
-        k2 += k4
-        k2 *= h / 6
-        y += k2
-        v, w = y
-        sup_new = float(np.abs(v).max())
-        if not (np.isfinite(sup_new) and np.isfinite(w).all()):
-            raise StepUnstable(f"non-finite state after the step to r={r + h:.6g}")
-        guard.advance(sup_new, "r", r + h)
-        v_min = float(v.min())
-        if not v_min > V_MIN:
-            raise StepUnstable(
-                f"v left the contraction region (min v={v_min:.4f}) at r={r + h:.6g}")
-        if landing is not None:
-            out.append(BoussinesqState(r=landing, v=RealField(grid=grid, values=v),
-                                       w=RealField(grid=grid, values=w)))
-    return out
+    return list(_march(init.r, r1, output_radii, dr, _RadialStepper, init, b2, rhs_tol))
 
 
 def _t_grid_of(tau_grid: SpectralGrid, eps: float) -> SpectralGrid:

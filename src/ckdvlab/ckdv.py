@@ -86,6 +86,25 @@ def _schedule(start: float, end: float, output_radii, d: float):
     return emit_start, steps
 
 
+def _march(start: float, end: float, output_radii, d: float, new, *args):
+    """The states of one radial run at its output radii, landing by landing.
+
+    Builds the stepper new(*args) only once _schedule accepted the output
+    radii, so a bad radius is rejected before the start data are checked.
+    The stepper holds the run's state and guard: stepper.start is yielded
+    first if start is an output radius, advance(x, h) takes the step from
+    x and raises if it fails, and land(x) is the checked state at x.
+    """
+    emit_start, steps = _schedule(start, end, output_radii, d)
+    stepper = new(*args)
+    if emit_start:
+        yield stepper.start
+    for x, h, landing in steps:
+        stepper.advance(x, h)
+        if landing is not None:
+            yield stepper.land(landing)
+
+
 @dataclass(frozen=True)
 class CkdvState:
     """Snapshot of the radial evolution: amplitude A and antiderivative B."""
@@ -133,7 +152,11 @@ def ckdv_linear_propagator(k, rho_from: float, rho_to: float):
 
 
 class _Stepper:
-    """Real-FFT workspace for one run: the grid's symbols, the cached phase, the forcing.
+    """One cKdV run: its spectrum, growth guard and real-FFT workspace.
+
+    start is make_state(A0, ...).  advance(rho, h) checks that the stepped
+    spectrum is finite, then that the field entering the step passes the
+    guard; land(rho) guards the landing's field too, which no stage sees.
 
     Over a step of size h the exact linear flow from rho to rho + h/2 is
     sqrt(rho/(rho + h/2)) P with P = exp(i k^3 h/4), and P does not depend
@@ -151,7 +174,8 @@ class _Stepper:
     after next.
     """
 
-    def __init__(self, cfg: CkdvRunConfig, forcing):
+    def __init__(self, cfg: CkdvRunConfig, forcing, A0: RealField):
+        self.start = make_state(A0, cfg.rho0, cfg.mean_tol)
         self.grid, self.forcing = cfg.grid, forcing
         core = cfg.grid.core
         # ik's imaginary part is k with its Nyquist entry zeroed, so k^3 is odd too
@@ -165,6 +189,8 @@ class _Stepper:
         self._e_half, self._e_half_b, self._e_full, self._ea, self._arg, self._masked = spectra[:6]
         self._k, self._results = spectra[6:10], spectra[10:]
         self._a, self._sq = np.empty(n), np.empty(n)
+        self.a_hat = _rfft(A0.values)
+        self.guard = _GrowthGuard("sup", A0.sup())
 
     def phase(self, h: float) -> tuple:
         """(P, P^2) for step size h, rebuilt only when h changes."""
@@ -226,6 +252,20 @@ class _Stepper:
         np.multiply(h / 6, k1, out=k1)
         return np.add(ea, k1, out=self._results[a_hat is self._results[0]]), sup
 
+    def advance(self, rho: float, h: float):
+        """Step the run's spectrum from rho to rho + h and check it."""
+        self.a_hat, sup_stage = self.step(self.a_hat, rho, h)
+        if not np.isfinite(self.a_hat).all():
+            raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
+        # sup_stage is the field entering this step
+        self.guard.advance(sup_stage, "rho", rho)
+
+    def land(self, rho: float) -> CkdvState:
+        snap = _snapshot(self.a_hat, rho, self.grid)
+        # the field leaving the last step enters no further stage check
+        self.guard.check(snap.A.sup(), "rho", rho)
+        return snap
+
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:
     """Initial snapshot with B = dtau^{-1} A0 (zero-mean antiderivative)."""
@@ -251,22 +291,4 @@ def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,
     """
     if A0.grid != cfg.grid:
         raise ValueError(f"initial data grid {A0.grid} does not match run grid {cfg.grid}")
-    emit_start, steps = _schedule(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho)
-    state = make_state(A0, cfg.rho0, cfg.mean_tol)
-    stepper = _Stepper(cfg, forcing)
-    a_hat = _rfft(state.A.values)
-
-    out = [state] if emit_start else []
-    guard = _GrowthGuard("sup", state.A.sup())
-    for rho, h, landing in steps:
-        a_hat, sup_stage = stepper.step(a_hat, rho, h)
-        if not np.isfinite(a_hat).all():
-            raise StepUnstable(f"amplitude turned non-finite by rho={rho + h:.6g}")
-        # sup_stage is the field entering this step
-        guard.advance(sup_stage, "rho", rho)
-        if landing is not None:
-            snap = _snapshot(a_hat, landing, cfg.grid)
-            # the field leaving the last step enters no further stage check
-            guard.check(snap.A.sup(), "rho", landing)
-            out.append(snap)
-    return out
+    return list(_march(cfg.rho0, cfg.rho1, output_rhos, cfg.d_rho, _Stepper, cfg, forcing, A0))

@@ -550,7 +550,7 @@ def _check_bessel(b2_of=None) -> tuple[bool, float]:
                            w=RealField(grid=g, values=w0))
     try:
         final = boussinesq_evolve(init, r1, 0.1, b2=b2_of(g) if b2_of else None)[-1]
-    except Exception:
+    except CkdvLabError:
         return False, np.inf
     j0, y0 = _bessel_jy(0, kap * r1)
     vex = amp * (c1 * j0 + c2 * y0) * cosbit

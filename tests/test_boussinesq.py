@@ -497,6 +497,16 @@ class TestStateRegion:
         with pytest.raises(StepUnstable, match="contraction region.*r=10.25$"):
             boussinesq_evolve(init, 20.0, 0.25)
 
+    def test_growth_is_checked_before_the_region(self):
+        # the first step takes v from 0.01 to about -0.197: sup|v| grows
+        # 19.7x and min v falls below -3/16, and the guard reports first
+        grid = make_grid(64, 40.0)
+        v = RealField(grid=grid, values=np.full(grid.n, 0.01))
+        w = RealField(grid=grid, values=np.full(grid.n, -0.84))
+        init = BoussinesqState(r=10.0, v=v, w=w)
+        with pytest.raises(StepUnstable, match=r"^sup\|v\| grew 19\.7x in one step at r=10\.25$"):
+            boussinesq_evolve(init, 20.0, 0.25)
+
 
 class TestEvolve:
     def test_zero_data(self, grid256):

@@ -143,6 +143,14 @@ class TestStepAndEvolve:
         with pytest.raises(MeanValueError):
             ckdv_evolve(bad, cfg)
 
+    def test_output_radius_checked_before_the_mean(self, grid256):
+        # the march builds the stepper, which checks the mean, only after
+        # the schedule accepted the output radii
+        bad = RealField(grid=grid256, values=np.exp(-grid256.nodes ** 2))
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.01, grid=grid256)
+        with pytest.raises(ValueError, match="outside"):
+            ckdv_evolve(bad, cfg, output_rhos=[2.0])
+
     def test_step_unstable_detected(self):
         g = make_grid(64, 2 * np.pi)
         a0 = RealField(grid=g, values=50.0 * np.sin(g.nodes))
@@ -298,7 +306,7 @@ class TestBufferedStepper:
         """Every landing of the buffered stepper and of the oracle, step by step."""
         emit_start, steps = _schedule(cfg.rho0, cfg.rho1, self.OUTPUTS, cfg.d_rho)
         assert emit_start
-        stepper, oracle = _Stepper(cfg, forcing), AllocatingStepper(cfg, forcing)
+        stepper, oracle = _Stepper(cfg, forcing, a0), AllocatingStepper(cfg, forcing)
         buffers = stepper_buffers(stepper)
         a_hat = want = np.fft.rfft(a0.values)
         sizes, snaps = set(), []
@@ -325,7 +333,7 @@ class TestBufferedStepper:
         a0 = gaussian_pulse(grid256)
         cfg = CkdvRunConfig(rho0=1.0, rho1=1.5, d_rho=0.05, grid=grid256, dealias=dealias)
         # without dealiasing the mask is the scalar 1.0
-        assert np.ndim(_Stepper(cfg, None).mask) == (1 if dealias else 0)
+        assert np.ndim(_Stepper(cfg, None, a0).mask) == (1 if dealias else 0)
         snaps = self.march(a0, cfg)
         states = ckdv_evolve(a0, cfg, output_rhos=self.OUTPUTS)
         assert [st.rho for st in states] == self.OUTPUTS

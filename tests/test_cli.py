@@ -337,16 +337,24 @@ class TestSnapshotCommands:
                     command(cfg)
                 assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["ckdv", "residual-sweep"])
-    def test_failed_run_leaves_no_output(self, tmp_path, capsys, command):
-        # a valid config whose cKdV run blows up: the command computes
+    CKDV_BLOWUP = ("[model]\nrho1 = 400\n[solver]\nd_rho = 5\n", [],
+                   "error: StepUnstable: sup grew 45.9x in one step at rho=5.9875")
+
+    @pytest.mark.parametrize("command, ini, extra, error", [
+        pytest.param("ckdv", *CKDV_BLOWUP, id="ckdv"),
+        pytest.param("residual-sweep", *CKDV_BLOWUP, id="residual-sweep"),
+        # a stage argument of the radial run's second step falls below v = -1/4
+        pytest.param("boussinesq", "[solver]\ndr = 5\n", ["--eps", "0.3"],
+                     "error: BranchError: v must exceed -1/4, got min -0.3818", id="boussinesq"),
+    ])
+    def test_failed_run_leaves_no_output(self, tmp_path, capsys, command, ini, extra, error):
+        # a valid config whose run blows up: the command computes
         # everything before it creates out_dir, so nothing is left behind,
         # and the typed failure ends the run with one line and status 1
         out, path = tmp_path / "out", tmp_path / "unstable.ini"
-        path.write_text("[model]\nrho1 = 400\n[solver]\nd_rho = 5\n")
-        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: StepUnstable: sup grew 45.9x in one step at rho=5.9875"]
+        path.write_text(ini)
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet", *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
         assert not out.exists()
 
     def test_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
@@ -432,6 +440,13 @@ class TestSelftest:
         # the fault hook must not leak into later runs
         assert cmd_selftest(ExperimentConfig(out_dir=str(tmp_path), quiet=True)) == 0
 
+    def test_bug_in_the_radial_path_keeps_its_traceback(self):
+        # only the package's typed errors make the Bessel oracle read FAIL
+        def broken(values):
+            raise RuntimeError("not a solver failure")
+
+        with pytest.raises(RuntimeError, match="not a solver failure"):
+            cli._check_bessel(b2_of=lambda grid: broken)
 
     @pytest.mark.parametrize("r", [50.0, 100.0])
     def test_bessel_expansion_matches_scipy(self, r):
