@@ -1,17 +1,23 @@
 """Airy functions Ai, Bi and the solitary-wave profile functions built on them.
 
 The evaluator is self-contained (no external special-function dependency)
-and combines four regimes:
+and combines three regimes:
 
-* Maclaurin series of the defining equation w'' = z w on the central range,
-* large-argument asymptotic expansions on both sides,
-* a short downward Taylor march for Ai on the positive range where the
-  series cancels catastrophically but the asymptotics have not yet
-  converged.
+* the oscillatory asymptotic expansion below -8.5,
+* float64 Taylor sums of w'' = z w on the central range [-8.5, 7.4), each
+  about the nearest of 65 anchors spaced 0.25 apart,
+* the decaying/growing asymptotic expansions from 7.4 up.
+
+Each anchor's 20 Taylor coefficients are built once per process, on first
+use.  Its (w, w') come from the Maclaurin series summed in extended
+precision, which serves the anchors only, except for Ai above 4.2: there
+the series cancels catastrophically, and Ai's anchors are marched down by
+Taylor steps from an asymptotic seed at 8.
 
 Every branch is accurate to better than 1e-10 relative over the supported
-range; adjacent branches overlap to ~1e-11 and the tests pin this down
-against an independent high-precision series oracle.
+range (1e-12 of the envelope on the central range); adjacent branches
+overlap to ~1e-11 and the tests pin this down against an independent
+high-precision series oracle and mpmath.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .errors import OverflowGuard
 _SQRT_PI = np.sqrt(np.pi)
 
 # branch switch points (validated by overlap tests); the extended-precision
-# series pushes the negative seam past the oscillatory test windows
-_NEG_ASYM = -8.5       # asymptotics below, series above
+# series anchors push the negative seam past the oscillatory test windows
+_NEG_ASYM = -8.5       # asymptotics below, anchored Taylor sums above
 _POS_SERIES_END = 4.2  # series cancellation exceeds 1e-10 for Ai beyond this
 _POS_ASYM = 7.4        # positive asymptotics accurate to ~3e-13 beyond this
 _BI_OVERFLOW = 30.0    # guarded ceiling for the growing solution
@@ -169,21 +175,49 @@ def _asym_neg(z: np.ndarray, with_bi: bool):
     return ai, aip, bi, bip
 
 
-def _taylor(z0: float, w, wp, h, nterms: int):
-    """(w, w') of w'' = z w at z0 + h from the local Taylor series at z0.
+def _taylor_coefficients(z0: float, w, wp, nterms: int) -> np.ndarray:
+    """a_0 .. a_{nterms-1} of the Taylor series of w'' = z w at z0, then n a_n.
 
-    h may be a scalar or an array of offsets sharing the expansion point.
+    The second half holds the derivative's coefficients, so a sum at many
+    offsets multiplies each of them once, here.
     """
     a = np.empty(nterms)
     a[0], a[1] = w, wp
     a[2] = z0 * a[0] / 2.0
     for n in range(1, nterms - 2):
         a[n + 2] = (z0 * a[n] + a[n - 1]) / ((n + 1) * (n + 2))
-    val = der = 0.0
+    return np.concatenate([a, np.arange(nterms) * a])
+
+
+def _taylor_sum(c, h):
+    """(w, w') at offsets h from the rows c of _taylor_coefficients.
+
+    Rows may be scalars (one expansion point) or arrays gathered per offset;
+    either way each sum is taken in the same order, so the two agree bit for
+    bit.
+    """
+    nterms = len(c) // 2
+    val = np.zeros(np.shape(h))
+    der = np.zeros(np.shape(h))
     for n in range(nterms - 1, 1, -1):
-        val = (val + a[n]) * h
-        der = der * h + n * a[n]
-    return (val + a[1]) * h + a[0], der * h + a[1]
+        val += c[n]
+        val *= h
+        der *= h
+        der += c[nterms + n]
+    val += c[1]
+    val *= h
+    val += c[0]
+    der *= h
+    der += c[1]
+    return val, der
+
+
+def _taylor(z0: float, w, wp, h, nterms: int):
+    """(w, w') of w'' = z w at z0 + h from the local Taylor series at z0.
+
+    h may be a scalar or an array of offsets sharing the expansion point.
+    """
+    return _taylor_sum(_taylor_coefficients(z0, w, wp, nterms), h)
 
 
 @functools.cache
@@ -199,44 +233,62 @@ def _gap_anchor_table():
     z0 = _MARCH_SEED
     nsteps = int(round((_MARCH_SEED - 4.0) / _MARCH_STEP))
     for j in range(1, nsteps + 1):
-        ai, aip = _taylor(z0, ai, aip, -_MARCH_STEP, 34)
+        ai, aip = map(float, _taylor(z0, ai, aip, -_MARCH_STEP, 34))
         z0 -= _MARCH_STEP
         table[j] = (ai, aip)
     return table
 
 
-def _gap(z: np.ndarray, with_bi: bool):
-    """Ai, Ai' on the cancellation gap via Taylor steps from cached anchors.
+_ANCHOR_STEP = _MARCH_STEP  # so the marched Ai anchors are central anchors too
+_ANCHOR_TERMS = 20
+# the central anchors -8.5, -8.25, ..., 7.5: the nearest one to any z in
+# [_NEG_ASYM, _POS_ASYM) lies within half a step, and all of them are
+# multiples of the step, exact in binary
+_ANCHORS = _NEG_ASYM + _ANCHOR_STEP * np.arange(
+    int(round((_POS_ASYM - _NEG_ASYM) / _ANCHOR_STEP)) + 1)
+_FIRST_ANCHOR = int(round(_NEG_ASYM / _ANCHOR_STEP))
 
-    Bi has no cancellation here and keeps the Maclaurin series.
+
+@functools.cache
+def _anchor_tables():
+    """Taylor coefficient tables of Ai and Bi, (2 * _ANCHOR_TERMS, anchors) each.
+
+    Column i serves z0 = _ANCHORS[i].  Its (w, w') come from the series,
+    except Ai's above _POS_SERIES_END, which come from the downward march.
     """
-    table = _gap_anchor_table()
-    idx = np.rint((_MARCH_SEED - z) / _MARCH_STEP).astype(int)
-    ai = np.empty_like(z)
-    aip = np.empty_like(z)
-    for j in np.unique(idx):
-        sel = idx == j
-        z0 = _MARCH_SEED - j * _MARCH_STEP
-        ai[sel], aip[sel] = _taylor(z0, *table[int(j)], z[sel] - z0, 20)
-    if not with_bi:
-        return ai, aip
-    return (ai, aip, *_series(z, _BI0_LD))
+    ai, aip, bi, bip = _series(_ANCHORS, _AI0_LD, _BI0_LD)
+    marched = _gap_anchor_table()
+    for i in np.flatnonzero(_ANCHORS > _POS_SERIES_END):
+        ai[i], aip[i] = marched[int(round((_MARCH_SEED - _ANCHORS[i]) / _MARCH_STEP))]
+    return [np.stack([_taylor_coefficients(z0, w0, wp0, _ANCHOR_TERMS)
+                      for z0, w0, wp0 in zip(_ANCHORS, w, wp)], axis=1)
+            for w, wp in ((ai, aip), (bi, bip))]
 
 
-def _mid(z: np.ndarray, with_bi: bool):
-    return _series(z, _AI0_LD, _BI0_LD) if with_bi else _series(z, _AI0_LD)
+def _central(z: np.ndarray, with_bi: bool):
+    """Ai, Ai' (and Bi, Bi') on [_NEG_ASYM, _POS_ASYM) from the nearest anchor.
+
+    z / _ANCHOR_STEP is exact, so ties round to the same anchor as a march
+    index counted down from _MARCH_SEED would.
+    """
+    idx = np.rint(z / _ANCHOR_STEP).astype(np.intp)
+    idx -= _FIRST_ANCHOR
+    h = z - _ANCHORS[idx]
+    out = []
+    for table in _anchor_tables()[:2 if with_bi else 1]:
+        out += _taylor_sum(table[:, idx], h)
+    return out
 
 
 def _airy(z, with_bi: bool):
-    """Ai, Ai' (and Bi, Bi' when with_bi) over the four argument ranges."""
+    """Ai, Ai' (and Bi, Bi' when with_bi) over the three argument ranges."""
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
     if with_bi and zarr.size and zarr.max() > _BI_OVERFLOW + 1e-12:
         raise OverflowGuard(f"Bi evaluation refused for z={zarr.max():.3f} > {_BI_OVERFLOW}")
     out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
     neg = zarr < _NEG_ASYM
     ranges = ((neg, _asym_neg),
-              ((~neg) & (zarr < _POS_SERIES_END), _mid),
-              ((zarr >= _POS_SERIES_END) & (zarr < _POS_ASYM), _gap),
+              ((~neg) & (zarr < _POS_ASYM), _central),
               (zarr >= _POS_ASYM, _asym_pos))
     for sel, branch in ranges:
         if sel.any():

@@ -251,9 +251,13 @@ def _rhs(b2: B2Operator, dx: float, r: float, y: np.ndarray, h: np.ndarray, tol:
     non-finite stage is told apart from a resolvent that fails to converge.
     A non-finite first sweep makes a non-finite first increment, so the
     resolvent fails at once and the sweep itself is looked at only then.
+    A stage below the branch v > -1/4 raises BranchError naming its r.
     """
     v, w = y
-    g, src, sup_g = _coefficients(v, w)
+    try:
+        g, src, sup_g = _coefficients(v, w)
+    except BranchError as exc:
+        raise BranchError(f"{exc} at r={r:.6g}") from None
     first = b2(src + g * h)
     try:
         h = _resolve(b2, g, src, sup_g, h, first, dx, tol)

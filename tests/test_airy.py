@@ -96,6 +96,74 @@ def test_far_range_against_mpmath():
         assert got.bi_prime == pytest.approx(ref(mp.airybi, z, 1), rel=1e-10)
 
 
+def test_central_range_against_mpmath():
+    # the anchors' Taylor sums on [_NEG_ASYM, _POS_ASYM): within 1e-12 of
+    # mpmath, measured against the envelope |z|^{-+1/4}/sqrt(pi) where the
+    # functions oscillate (z < 0) and against the value for z >= 0
+    import mpmath as mp
+    from ckdvlab import airy as am
+    z = np.linspace(am._NEG_ASYM, am._POS_ASYM, 1201)[:-1]
+    got = airy_eval(z)
+    with mp.workdps(32):
+        for g, fn, d in ((got.ai, mp.airyai, 0), (got.ai_prime, mp.airyai, 1),
+                         (got.bi, mp.airybi, 0), (got.bi_prime, mp.airybi, 1)):
+            ref = np.array([float(fn(x, derivative=d)) for x in z])
+            scale = np.where(z < 0, np.abs(z) ** (0.25 if d else -0.25) / np.sqrt(np.pi),
+                             np.abs(ref))
+            assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+
+
+def test_neighbouring_anchors_agree_at_midpoints():
+    # halfway between two anchors both Taylor sums must give the same
+    # value; Bi's anchors near _NEG_ASYM carry the extended-precision
+    # series' own error (1.9e-13 of the envelope against mpmath), so two
+    # of them may differ by twice that
+    from ckdvlab import airy as am
+    mid = am._ANCHORS[:-1] + am._ANCHOR_STEP / 2
+    half = np.full(mid.size, am._ANCHOR_STEP / 2)
+    for table, tol in zip(am._anchor_tables(), (1e-13, 3e-13)):
+        below = am._taylor_sum(table[:, :-1], half)
+        above = am._taylor_sum(table[:, 1:], -half)
+        for d, (lo, hi) in enumerate(zip(below, above)):
+            scale = np.where(mid < 0, np.abs(mid) ** (0.25 if d else -0.25) / np.sqrt(np.pi),
+                             np.abs(lo))
+            assert np.all(np.abs(lo - hi) <= tol * scale)
+
+
+def test_central_range_runs_no_series(monkeypatch):
+    # once the anchor tables exist, the extended-precision series is never
+    # run again: every central point is a float64 Taylor sum
+    from ckdvlab import airy as am
+    am._anchor_tables()
+
+    def refuse(z):
+        raise AssertionError("_maclaurin ran after the anchor tables were built")
+
+    monkeypatch.setattr(am, "_maclaurin", refuse)
+    z = np.random.default_rng(5).uniform(am._NEG_ASYM, am._POS_ASYM, 100_000)
+    got = airy_eval(z)
+    assert all(np.isfinite(v).all() for v in (got.ai, got.ai_prime, got.bi, got.bi_prime))
+
+
+def test_ai_above_series_end_is_the_marched_taylor_sum():
+    # on [_POS_SERIES_END, _POS_ASYM) Ai and Ai' are the 20-term Taylor sums
+    # from the nearest marched anchor, bit for bit, ties and their
+    # neighbouring doubles included
+    from ckdvlab import airy as am
+    ties = (np.arange(17, 29) + 0.5) * am._ANCHOR_STEP  # 4.375, 4.625, ..., 7.125
+    z = np.concatenate([np.linspace(am._POS_SERIES_END, am._POS_ASYM, 4001)[:-1], ties,
+                        np.nextafter(ties, 0.0), np.nextafter(ties, 10.0)])
+    ai, aip = airy_ai_only(z)
+    table = am._gap_anchor_table()
+    j = np.rint((am._MARCH_SEED - z) / am._MARCH_STEP).astype(int)
+    want_ai, want_aip = np.empty_like(z), np.empty_like(z)
+    for k in np.unique(j):
+        sel = j == k
+        z0 = am._MARCH_SEED - k * am._MARCH_STEP
+        want_ai[sel], want_aip[sel] = am._taylor(z0, *table[int(k)], z[sel] - z0, 20)
+    assert np.array_equal(ai, want_ai) and np.array_equal(aip, want_aip)
+
+
 def test_wronskian_identity_dense():
     z = np.linspace(-10.0, 3.0, 1000)
     w = airy_eval(z).wronskian()

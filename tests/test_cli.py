@@ -345,7 +345,8 @@ class TestSnapshotCommands:
         pytest.param("residual-sweep", *CKDV_BLOWUP, id="residual-sweep"),
         # a stage argument of the radial run's second step falls below v = -1/4
         pytest.param("boussinesq", "[solver]\ndr = 5\n", ["--eps", "0.3"],
-                     "error: BranchError: v must exceed -1/4, got min -0.3818", id="boussinesq"),
+                     "error: BranchError: v must exceed -1/4, got min -0.3818 at r=46.2963",
+                     id="boussinesq"),
     ])
     def test_failed_run_leaves_no_output(self, tmp_path, capsys, command, ini, extra, error):
         # a valid config whose run blows up: the command computes

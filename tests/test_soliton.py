@@ -269,9 +269,9 @@ def one_array_window(rho, spec, T_list):
 
 
 class TestChunkedTails:
-    # _maclaurin stops at a tolerance relative to the largest term over the
-    # array it is given, so a chunk could in principle stop at another step
-    # than the full array: every result must still be the same double
+    # every Airy value depends on its own argument alone (the central range
+    # sums from fixed anchor tables), so no chunk can change one: each
+    # result must be the same double as one full-length evaluation
 
     @pytest.mark.parametrize("rho", [1.0, 4.0])
     @pytest.mark.parametrize("T", [200.0, 1600.0])
