@@ -9,13 +9,13 @@ and combines three regimes:
 * the decaying/growing asymptotic expansions from 7.4 up.
 
 Each anchor's 20 Taylor coefficients are built once per process, on first
-use.  Its (w, w') come from the Maclaurin series summed in extended
-precision, which serves the anchors only, except for Ai above 4.2: there
-the series cancels catastrophically, and Ai's anchors are marched down by
-Taylor steps from an asymptotic seed at 8.
+use, from its (w, w'): the Maclaurin series of Ai and Bi summed in 50-digit
+fixed point on Python integers and rounded once, so every anchor holds the
+doubles nearest the exact values, with no platform-dependent float type
+involved.
 
 Every branch is accurate to better than 1e-10 relative over the supported
-range (1e-12 of the envelope on the central range); adjacent branches
+range (1e-15 of the envelope on the central range); adjacent branches
 overlap to ~1e-11 and the tests pin this down against an independent
 high-precision series oracle and mpmath.
 """
@@ -31,14 +31,11 @@ from .errors import OverflowGuard
 
 _SQRT_PI = np.sqrt(np.pi)
 
-# branch switch points (validated by overlap tests); the extended-precision
-# series anchors push the negative seam past the oscillatory test windows
+# branch switch points (validated by overlap tests); the anchored Taylor
+# sums push the negative seam past the oscillatory test windows
 _NEG_ASYM = -8.5       # asymptotics below, anchored Taylor sums above
-_POS_SERIES_END = 4.2  # series cancellation exceeds 1e-10 for Ai beyond this
 _POS_ASYM = 7.4        # positive asymptotics accurate to ~3e-13 beyond this
 _BI_OVERFLOW = 30.0    # guarded ceiling for the growing solution
-_MARCH_SEED = 8.0      # downward Taylor march starts here
-_MARCH_STEP = 0.25
 
 _KMAX = 26             # asymptotic coefficient table size
 
@@ -68,54 +65,6 @@ class AiryValues:
     def wronskian(self) -> np.ndarray:
         """Ai*Bi' - Ai'*Bi; identically 1/pi."""
         return self.ai * self.bi_prime - self.ai_prime * self.bi
-
-
-def _maclaurin(z64: np.ndarray):
-    """f, f', g, g' for the two power-series solutions of w'' = z w.
-
-    f(0)=1, f'(0)=0 and g(0)=0, g'(0)=1; the ODE recurrence triples the
-    exponent per term, so ~50 iterations converge over the series range.
-    Summed in extended precision: the alternating terms cancel by up to
-    exp((2/3)|z|^{3/2}), which would cost five digits near the branch edges
-    in double arithmetic.
-    """
-    z = z64.astype(np.longdouble)
-    z3 = z ** 3
-    f = np.ones_like(z)
-    g = z.copy()
-    fp = np.zeros_like(z)
-    gp = np.ones_like(z)
-    tf = np.ones_like(z)
-    tg = z.copy()
-    zsafe = np.where(z == 0.0, 1.0, z)
-    for k in range(1, 200):
-        nf = 3 * k
-        ng = 3 * k + 1
-        tf = tf * z3 / ((nf - 1) * nf)
-        tg = tg * z3 / ((ng - 1) * ng)
-        f = f + tf
-        g = g + tg
-        fp = fp + nf * tf / zsafe
-        gp = gp + ng * tg / zsafe
-        if max(np.abs(tf).max(), np.abs(tg).max()) < 1e-22 * max(1.0, np.abs(f).max()):
-            break
-    return f, fp, g, gp
-
-
-# (w(0), w'(0)) of Ai and Bi
-_AI0_LD = (np.longdouble("0.355028053887817239260063186004183176398"),
-           np.longdouble("-0.2588194037928067984051835601892039634791"))
-_BI0_LD = (np.longdouble("0.6149266274460007351509223690936135535947"),
-           np.longdouble("0.4482883573538263579148237103988283908662"))
-
-
-def _series(z: np.ndarray, *initial):
-    """w, w' from the Maclaurin pair for each (w(0), w'(0)) given."""
-    f, fp, g, gp = _maclaurin(z)
-    out = []
-    for w0, wp0 in initial:
-        out += [(w0 * f + wp0 * g).astype(float), (w0 * fp + wp0 * gp).astype(float)]
-    return out
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray):
@@ -212,34 +161,43 @@ def _taylor_sum(c, h):
     return val, der
 
 
-def _taylor(z0: float, w, wp, h, nterms: int):
-    """(w, w') of w'' = z w at z0 + h from the local Taylor series at z0.
+# (w(0), w'(0)) of Ai and Bi to 40 digits (DLMF 9.2(ii))
+_AI0 = ("0.355028053887817239260063186004183176398",
+        "-0.2588194037928067984051835601892039634791")
+_BI0 = ("0.6149266274460007351509223690936135535947",
+        "0.4482883573538263579148237103988283908662")
 
-    h may be a scalar or an array of offsets sharing the expansion point.
+
+def _anchor_values(z0: float) -> tuple[float, float, float, float]:
+    """Ai, Ai', Bi, Bi' at z0, each the double nearest the exact value.
+
+    Sums the Maclaurin pair f (f(0)=1, f'(0)=0) and g (g(0)=0, g'(0)=1) of
+    w'' = z w and their derivatives (DLMF 9.4) in integers counting 10^-50,
+    from the 40-digit values at 0.  Cancellation costs up to twelve digits
+    (Ai(7.5), about 2e-7, is the difference of Ai(0) f and -Ai'(0) g, both
+    near 9e4), so about 28 are left.  z0 = p / q is exact, each floor
+    division is off by under a unit, and the int / int division at the end
+    rounds correctly.
     """
-    return _taylor_sum(_taylor_coefficients(z0, w, wp, nterms), h)
+    p, q = z0.as_integer_ratio()
+    one = 10 ** 50
+    f, fp, g, gp = one, 0, one * p // q, one
+    tf, tg = f, g  # the latest terms of f (in z^n) and g (in z^(n+1))
+    n = 0
+    while abs(tf) + abs(tg) > 10 ** 5:  # 1e-45, far under every value's last bit
+        n += 3
+        dtf = tf * p * p // (q * q * (n - 1))  # the term of f' in z^(n-1)
+        tf = dtf * p // (q * n)
+        dtg = tg * p * p // (q * q * n)        # the term of g' in z^n
+        tg = dtg * p // (q * (n + 1))
+        f, fp, g, gp = f + tf, fp + dtf, g + tg, gp + dtg
+    a0, a1, b0, b1 = (int(whole + frac.ljust(50, "0"))
+                      for whole, frac in (c.split(".") for c in _AI0 + _BI0))
+    return tuple(x / one ** 2 for x in (a0 * f + a1 * g, a0 * fp + a1 * gp,
+                                        b0 * f + b1 * g, b0 * fp + b1 * gp))
 
 
-@functools.cache
-def _gap_anchor_table():
-    """(Ai, Ai') at 8.0, 7.75, ..., 4.0, marched down from the asymptotic seed.
-
-    Marching toward smaller z is stable for Ai: the contaminating Bi
-    component decays in that direction.
-    """
-    seed = _asym_pos(np.array([_MARCH_SEED]), False)
-    ai, aip = float(seed[0][0]), float(seed[1][0])
-    table = {0: (ai, aip)}
-    z0 = _MARCH_SEED
-    nsteps = int(round((_MARCH_SEED - 4.0) / _MARCH_STEP))
-    for j in range(1, nsteps + 1):
-        ai, aip = map(float, _taylor(z0, ai, aip, -_MARCH_STEP, 34))
-        z0 -= _MARCH_STEP
-        table[j] = (ai, aip)
-    return table
-
-
-_ANCHOR_STEP = _MARCH_STEP  # so the marched Ai anchors are central anchors too
+_ANCHOR_STEP = 0.25
 _ANCHOR_TERMS = 20
 # the central anchors -8.5, -8.25, ..., 7.5: the nearest one to any z in
 # [_NEG_ASYM, _POS_ASYM) lies within half a step, and all of them are
@@ -253,23 +211,19 @@ _FIRST_ANCHOR = int(round(_NEG_ASYM / _ANCHOR_STEP))
 def _anchor_tables():
     """Taylor coefficient tables of Ai and Bi, (2 * _ANCHOR_TERMS, anchors) each.
 
-    Column i serves z0 = _ANCHORS[i].  Its (w, w') come from the series,
-    except Ai's above _POS_SERIES_END, which come from the downward march.
+    Column i serves z0 = _ANCHORS[i], from the (w, w') of _anchor_values.
     """
-    ai, aip, bi, bip = _series(_ANCHORS, _AI0_LD, _BI0_LD)
-    marched = _gap_anchor_table()
-    for i in np.flatnonzero(_ANCHORS > _POS_SERIES_END):
-        ai[i], aip[i] = marched[int(round((_MARCH_SEED - _ANCHORS[i]) / _MARCH_STEP))]
-    return [np.stack([_taylor_coefficients(z0, w0, wp0, _ANCHOR_TERMS)
-                      for z0, w0, wp0 in zip(_ANCHORS, w, wp)], axis=1)
-            for w, wp in ((ai, aip), (bi, bip))]
+    values = [_anchor_values(z0) for z0 in _ANCHORS]
+    return [np.stack([_taylor_coefficients(z0, v[j], v[j + 1], _ANCHOR_TERMS)
+                      for z0, v in zip(_ANCHORS, values)], axis=1)
+            for j in (0, 2)]
 
 
 def _central(z: np.ndarray, with_bi: bool):
     """Ai, Ai' (and Bi, Bi') on [_NEG_ASYM, _POS_ASYM) from the nearest anchor.
 
-    z / _ANCHOR_STEP is exact, so ties round to the same anchor as a march
-    index counted down from _MARCH_SEED would.
+    z / _ANCHOR_STEP is exact, so np.rint picks the nearest anchor, and a
+    tie halfway between two goes to the even multiple of the step.
     """
     idx = np.rint(z / _ANCHOR_STEP).astype(np.intp)
     idx -= _FIRST_ANCHOR

@@ -532,8 +532,8 @@ def _bessel_jy(nu: int, x: float) -> tuple[float, float]:
     return s * (p * np.cos(w) - q * np.sin(w)), s * (p * np.sin(w) + q * np.cos(w))
 
 
-def _check_bessel(b2_of=None) -> tuple[bool, float]:
-    """Bessel-mode oracle; b2_of maps the grid to the solver's B^2 operator."""
+def _bessel_case() -> tuple[BoussinesqState, float, np.ndarray]:
+    """The Bessel oracle's mode: its state at r = 50, the end radius and its exact v there."""
     n, L = 128, 40.0
     g = make_grid(n, L)
     m = 3
@@ -548,12 +548,18 @@ def _check_bessel(b2_of=None) -> tuple[bool, float]:
     w0 = -amp * kap * (c1 * j1 + c2 * y1) * cosbit
     init = BoussinesqState(r=r0, v=RealField(grid=g, values=v0),
                            w=RealField(grid=g, values=w0))
+    j0, y0 = _bessel_jy(0, kap * r1)
+    return init, r1, amp * (c1 * j0 + c2 * y0) * cosbit
+
+
+def _check_bessel(b2_of=None) -> tuple[bool, float]:
+    """Bessel-mode oracle; b2_of maps the grid to the solver's B^2 operator."""
+    init, r1, vex = _bessel_case()
     try:
-        final = boussinesq_evolve(init, r1, 0.1, b2=b2_of(g) if b2_of else None)[-1]
+        b2 = b2_of(init.v.grid) if b2_of else None
+        final = boussinesq_evolve(init, r1, 0.1, b2=b2)[-1]
     except CkdvLabError:
         return False, np.inf
-    j0, y0 = _bessel_jy(0, kap * r1)
-    vex = amp * (c1 * j0 + c2 * y0) * cosbit
     dev = float(np.abs(final.v.values - vex).max() / np.abs(vex).max())
     return dev <= 1e-6, dev
 

@@ -28,7 +28,7 @@ def test_values_against_series_oracle(z):
 def test_branch_overlap_agreement():
     # adjacent evaluation regimes agree where they meet
     from ckdvlab import airy as am
-    for z_switch in (am._NEG_ASYM, am._POS_SERIES_END, am._POS_ASYM):
+    for z_switch in (am._NEG_ASYM, am._POS_ASYM):
         for dz in (-1e-6, 1e-6):
             z = z_switch + dz
             got = airy_eval(z)
@@ -97,7 +97,7 @@ def test_far_range_against_mpmath():
 
 
 def test_central_range_against_mpmath():
-    # the anchors' Taylor sums on [_NEG_ASYM, _POS_ASYM): within 1e-12 of
+    # the anchors' Taylor sums on [_NEG_ASYM, _POS_ASYM): within 1e-15 of
     # mpmath, measured against the envelope |z|^{-+1/4}/sqrt(pi) where the
     # functions oscillate (z < 0) and against the value for z >= 0
     import mpmath as mp
@@ -110,58 +110,87 @@ def test_central_range_against_mpmath():
             ref = np.array([float(fn(x, derivative=d)) for x in z])
             scale = np.where(z < 0, np.abs(z) ** (0.25 if d else -0.25) / np.sqrt(np.pi),
                              np.abs(ref))
-            assert np.all(np.abs(g - ref) <= 1e-12 * scale)
+            assert np.all(np.abs(g - ref) <= 1e-15 * scale)
+
+
+def test_anchors_are_the_nearest_doubles():
+    # every anchor's Ai, Ai', Bi, Bi' is the double nearest the exact value
+    import mpmath as mp
+    from ckdvlab import airy as am
+    ai, bi = am._anchor_tables()
+    with mp.workdps(40):
+        for i, z0 in enumerate(am._ANCHORS):
+            for table, fn in ((ai, mp.airyai), (bi, mp.airybi)):
+                for d in (0, 1):
+                    assert table[d, i] == float(fn(z0, derivative=d)), (z0, fn.__name__, d)
+
+
+def test_anchor_tables_do_not_depend_on_long_double(monkeypatch):
+    # where np.longdouble is float64 (MSVC on Windows, macOS on arm64) the
+    # tables must come out bit for bit the same; the cache is cleared on
+    # both sides so that no other test sees tables built under the patch
+    from ckdvlab import airy as am
+    am._anchor_tables.cache_clear()
+    want = am._anchor_tables()
+    am._anchor_tables.cache_clear()
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    try:
+        got = am._anchor_tables()
+    finally:
+        am._anchor_tables.cache_clear()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_neighbouring_anchors_agree_at_midpoints():
-    # halfway between two anchors both Taylor sums must give the same
-    # value; Bi's anchors near _NEG_ASYM carry the extended-precision
-    # series' own error (1.9e-13 of the envelope against mpmath), so two
-    # of them may differ by twice that
+    # halfway between two anchors both Taylor sums must give the same value
     from ckdvlab import airy as am
     mid = am._ANCHORS[:-1] + am._ANCHOR_STEP / 2
     half = np.full(mid.size, am._ANCHOR_STEP / 2)
-    for table, tol in zip(am._anchor_tables(), (1e-13, 3e-13)):
+    for table in am._anchor_tables():
         below = am._taylor_sum(table[:, :-1], half)
         above = am._taylor_sum(table[:, 1:], -half)
         for d, (lo, hi) in enumerate(zip(below, above)):
             scale = np.where(mid < 0, np.abs(mid) ** (0.25 if d else -0.25) / np.sqrt(np.pi),
                              np.abs(lo))
-            assert np.all(np.abs(lo - hi) <= tol * scale)
+            assert np.all(np.abs(lo - hi) <= 1e-15 * scale)
 
 
 def test_central_range_runs_no_series(monkeypatch):
-    # once the anchor tables exist, the extended-precision series is never
-    # run again: every central point is a float64 Taylor sum
+    # once the anchor tables exist, the Maclaurin series is never run again:
+    # every central point is a float64 Taylor sum
     from ckdvlab import airy as am
     am._anchor_tables()
 
-    def refuse(z):
-        raise AssertionError("_maclaurin ran after the anchor tables were built")
+    def refuse(z0):
+        raise AssertionError("_anchor_values ran after the anchor tables were built")
 
-    monkeypatch.setattr(am, "_maclaurin", refuse)
+    monkeypatch.setattr(am, "_anchor_values", refuse)
     z = np.random.default_rng(5).uniform(am._NEG_ASYM, am._POS_ASYM, 100_000)
     got = airy_eval(z)
     assert all(np.isfinite(v).all() for v in (got.ai, got.ai_prime, got.bi, got.bi_prime))
 
 
-def test_ai_above_series_end_is_the_marched_taylor_sum():
-    # on [_POS_SERIES_END, _POS_ASYM) Ai and Ai' are the 20-term Taylor sums
-    # from the nearest marched anchor, bit for bit, ties and their
-    # neighbouring doubles included
+def test_central_values_are_the_nearest_anchors_taylor_sum():
+    # on [_NEG_ASYM, _POS_ASYM) Ai, Ai', Bi and Bi' are the 20-term Taylor
+    # sums from the anchor rint(z / 0.25) * 0.25, bit for bit, ties halfway
+    # between two anchors and their neighbouring doubles included
     from ckdvlab import airy as am
-    ties = (np.arange(17, 29) + 0.5) * am._ANCHOR_STEP  # 4.375, 4.625, ..., 7.125
-    z = np.concatenate([np.linspace(am._POS_SERIES_END, am._POS_ASYM, 4001)[:-1], ties,
-                        np.nextafter(ties, 0.0), np.nextafter(ties, 10.0)])
-    ai, aip = airy_ai_only(z)
-    table = am._gap_anchor_table()
-    j = np.rint((am._MARCH_SEED - z) / am._MARCH_STEP).astype(int)
-    want_ai, want_aip = np.empty_like(z), np.empty_like(z)
-    for k in np.unique(j):
-        sel = j == k
-        z0 = am._MARCH_SEED - k * am._MARCH_STEP
-        want_ai[sel], want_aip[sel] = am._taylor(z0, *table[int(k)], z[sel] - z0, 20)
-    assert np.array_equal(ai, want_ai) and np.array_equal(aip, want_aip)
+    ties = (np.arange(-34, 30) + 0.5) * 0.25  # -8.375, -8.125, ..., 7.375
+    z = np.concatenate([np.linspace(am._NEG_ASYM, am._POS_ASYM, 4001)[:-1], ties,
+                        np.nextafter(ties, -10.0), np.nextafter(ties, 10.0)])
+    got = airy_eval(z)
+    want = [np.empty_like(z) for _ in range(4)]
+    k = np.rint(z / 0.25)
+    for kk in np.unique(k):
+        sel = k == kk
+        z0 = kk * 0.25
+        values = am._anchor_values(z0)
+        for j in (0, 2):
+            c = am._taylor_coefficients(z0, values[j], values[j + 1], 20)
+            want[j][sel], want[j + 1][sel] = am._taylor_sum(c, z[sel] - z0)
+    for g, w in zip((got.ai, got.ai_prime, got.bi, got.bi_prime), want):
+        assert np.array_equal(g, w)
+    assert all(np.array_equal(a, b) for a, b in zip(airy_ai_only(z), want[:2]))
 
 
 def test_wronskian_identity_dense():

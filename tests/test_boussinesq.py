@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from ckdvlab import boussinesq
 from ckdvlab.boussinesq import (BoussinesqState, approximation_error, boussinesq_evolve,
                                 make_ansatz_state, n_forms, resolvent_solve, u_to_v, v_to_u)
 from ckdvlab.ckdv import CkdvRunConfig, ckdv_evolve
-from ckdvlab.cli import _b2_sign_fault
+from ckdvlab.cli import _b2_sign_fault, _bessel_case
 from ckdvlab.errors import BranchError, NoConvergence, StepUnstable
 from ckdvlab.grid import RealField, apply_b2, b2_multiplier, make_grid
 
@@ -302,25 +301,6 @@ def stage_resolvent_residual(grid, v, w, h):
                                    RealField(grid=grid, values=h), b2_src)
 
 
-def bessel_oracle_case():
-    """The selftest's Bessel mode: its state at r = 50 and its exact v at r = 100."""
-    n, length = 128, 40.0
-    g = make_grid(n, length)
-    m = 3
-    k = 2 * np.pi * m / length
-    kappa = k / np.sqrt(1 + k ** 2)
-    amp = 1e-8
-    r0, r1 = 50.0, 100.0
-    c1, c2 = 0.7, 0.4
-    profile = np.cos(k * g.nodes)
-    v0 = amp * (c1 * special.j0(kappa * r0) + c2 * special.y0(kappa * r0)) * profile
-    w0 = -amp * kappa * (c1 * special.j1(kappa * r0) + c2 * special.y1(kappa * r0)) * profile
-    init = BoussinesqState(r=r0, v=RealField(grid=g, values=v0),
-                           w=RealField(grid=g, values=w0))
-    v_exact = amp * (c1 * special.j0(kappa * r1) + c2 * special.y0(kappa * r1)) * profile
-    return init, v_exact
-
-
 class TestWarmStart:
     def test_consecutive_warm_stages_meet_tol(self, grid256):
         b2 = grid256.core.b2
@@ -348,9 +328,9 @@ class TestWarmStart:
     def test_bessel_run_b2_calls_are_pinned(self):
         # 500 steps, 2000 RHS evaluations: the count is deterministic, and
         # was the same when the stages held v and w as separate arrays
-        init, _ = bessel_oracle_case()
+        init, r1, _ = _bessel_case()
         op = RecordingB2(init.v.grid)
-        boussinesq_evolve(init, 100.0, 0.1, b2=op)
+        boussinesq_evolve(init, r1, 0.1, b2=op)
         assert len(op.args) == 2004
 
     def test_restart_from_own_solution_stops_at_first_sweep(self, grid256):
@@ -419,7 +399,7 @@ class TestExtrapolatedStart:
         # the selftest's b2-sign fault makes the Bessel run grow until a
         # stage leaves the contraction region (sup|g| >= 1) and its
         # resolvent stops converging; cold starts fail at that same stage
-        init, _ = bessel_oracle_case()
+        init, r1, _ = _bessel_case()
         fault = _b2_sign_fault(init.v.grid)
         dx = init.v.grid.dx
         rhs = boussinesq._rhs
@@ -432,7 +412,7 @@ class TestExtrapolatedStart:
             return rhs_arrays(fault, dx, r, v, w, np.zeros_like(v), 1e-12)[:2]
 
         with pytest.raises(NoConvergence, match=message):
-            cold_rk4(init, 100.0, 0.1, stage=cold_stage)
+            cold_rk4(init, r1, 0.1, stage=cold_stage)
         warm = []
 
         def recording(b2, dx, r, *args):
@@ -441,7 +421,7 @@ class TestExtrapolatedStart:
 
         monkeypatch.setattr(boussinesq, "_rhs", recording)
         with pytest.raises(NoConvergence, match=message):
-            boussinesq_evolve(init, 100.0, 0.1, b2=fault)
+            boussinesq_evolve(init, r1, 0.1, b2=fault)
         assert warm == cold
 
 
@@ -516,8 +496,8 @@ class TestEvolve:
         assert final.v.sup() == 0.0
 
     def test_bessel_oracle(self):
-        init, v_exact = bessel_oracle_case()
-        final = boussinesq_evolve(init, 100.0, 0.1)[-1]
+        init, r1, v_exact = _bessel_case()
+        final = boussinesq_evolve(init, r1, 0.1)[-1]
         rel = np.abs(final.v.values - v_exact).max() / np.abs(v_exact).max()
         assert rel <= 1e-6
 
