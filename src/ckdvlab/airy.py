@@ -38,6 +38,7 @@ _POS_ASYM = 7.4        # positive asymptotics accurate to ~3e-13 beyond this
 _BI_OVERFLOW = 30.0    # guarded ceiling for the growing solution
 
 _KMAX = 26             # asymptotic coefficient table size
+_DROP = 2.0 ** -90     # a term of at most this share of the first one is left out
 
 
 def _uv_coefficients(kmax: int = _KMAX):
@@ -67,13 +68,21 @@ class AiryValues:
         return self.ai * self.bi_prime - self.ai_prime * self.bi
 
 
-def _horner(coeffs: np.ndarray, x: np.ndarray):
-    """sum_k coeffs[k] x^k over the whole table, in one in-place accumulator.
+def _horner(coeffs: np.ndarray, x: np.ndarray, t: float):
+    """sum_k coeffs[k] x^k over the first J terms, in one in-place accumulator.
 
-    No truncation is needed: on both asymptotic ranges every term of _U and
-    _V is smaller than the one before up to _KMAX (the seams are pinned by
-    tests), so the fixed sum is the optimally truncated one.
+    t is the largest |x| of the call (at its argument nearest the seam), and
+    J is the fewest terms for which every dropped term has |coeffs[k]| t^k
+    <= _DROP |coeffs[0]|.  On both asymptotic ranges every term of _U and _V
+    is smaller than the one before up to _KMAX (the seams are pinned by
+    tests), so a call reaching a seam sums the whole table, the optimally
+    truncated sum there, and a call far out in the tail three or four
+    terms.  _DROP sits 37 bits below the sum's last bit: on the tests' dense
+    sweeps every value equals the full-table sum bit for bit, while a cut
+    at 2^-64 already moves some of them by 1-2 ulp.
     """
+    kept = np.abs(coeffs) * t ** np.arange(coeffs.size) > _DROP * abs(coeffs[0])
+    coeffs = coeffs[:np.flatnonzero(kept)[-1] + 1]
     acc = np.full_like(x, coeffs[-1])
     for c in coeffs[-2::-1]:
         acc *= x
@@ -89,16 +98,17 @@ def _asym_pos(z: np.ndarray, with_bi: bool):
     zeta = (2.0 / 3.0) * z ** 1.5
     q = z ** 0.25
     x = 1.0 / zeta
-    sa = _horner(_U, -x)
-    sap = _horner(_V, -x)
+    t = float(x.max())
+    sa = _horner(_U, -x, t)
+    sap = _horner(_V, -x, t)
     with np.errstate(under="ignore"):
         em = np.exp(-zeta)
         ai = em / (2 * _SQRT_PI * q) * sa
         aip = -q * em / (2 * _SQRT_PI) * sap
     if not with_bi:
         return ai, aip
-    sb = _horner(_U, x)
-    sbp = _horner(_V, x)
+    sb = _horner(_U, x, t)
+    sbp = _horner(_V, x, t)
     ep = np.exp(zeta)
     bi = ep / (_SQRT_PI * q) * sb
     bip = q * ep / _SQRT_PI * sbp
@@ -110,8 +120,9 @@ def _asym_neg(z: np.ndarray, with_bi: bool):
     zeta = (2.0 / 3.0) * x ** 1.5
     chi = zeta + np.pi / 4
     y = -1.0 / (zeta * zeta)
-    pu, qu = _horner(_U_EVEN, y), _horner(_U_ODD, y) / zeta
-    pv, qv = _horner(_V_EVEN, y), _horner(_V_ODD, y) / zeta
+    t = -float(y.min())
+    pu, qu = _horner(_U_EVEN, y, t), _horner(_U_ODD, y, t) / zeta
+    pv, qv = _horner(_V_EVEN, y, t), _horner(_V_ODD, y, t) / zeta
     del y  # the combination below sets the peak memory of the tail windows
     s, c = np.sin(chi), np.cos(chi)
     q = x ** 0.25

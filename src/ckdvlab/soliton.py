@@ -7,13 +7,19 @@ All F-terms enter as ratios F'/(offset*s+F) etc., which stay O(1) even for
 amplitude parameters as large as 1e8.
 
 The tail quadratures resolve the oscillation phase out to |tau| = T, which
-takes about 4e5 nodes at rho = 1, T = 1600.  They evaluate A on slices of
+takes about 2e5 nodes at rho = 1, T = 1000 (the zero-mean defect).  The
+windows of the L^2 growth nest: I(T_k) is I(T_{k-1}) plus the segment
+[-T_k, -T_{k-1}], sampled at least as finely as the whole window
+[-T_k, 0] would be, so the widest segment of the default windows (800 to
+1600 at rho = 1) takes about 2.1e5 nodes.  A is evaluated on slices of
 _CHUNK nodes into one preallocated array, so the Airy temporaries stay at
-slice size; Simpson's rule then takes one dot product over the whole array,
-in the same order as a single full-length evaluation would.
+slice size; Simpson's rule then sums the whole array, in the same order as
+a single full-length evaluation would.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -98,8 +104,14 @@ def bilinear_scale(rho: float, grid: SpectralGrid, spec: SolitonSpec) -> float:
 
 
 def _oscillation_nodes(rho: float, T: float, floor: int = 20001) -> int:
-    """Odd Simpson node count resolving the tail phase (4/3)|z|^{3/2}."""
+    """Odd Simpson node count resolving the tail phase (4/3)|z|^{3/2}.
+
+    Raises:
+        ValueError: rho or the half-width T is not positive, or T is not finite.
+    """
     _require_positive(rho)
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"half-width must be finite and positive, got {T}")
     s = (6.0 * rho) ** (1.0 / 3.0)
     zmax = T / s
     n = int(max(floor, PTS_PER_RAD * (4.0 / 3.0) * zmax ** 1.5))
@@ -116,10 +128,9 @@ def _tail_amplitude(rho: float, spec: SolitonSpec, a: float, b: float, n: int):
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
-    w = np.ones_like(values)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return h / 3.0 * float(np.dot(w, values))
+    """Composite Simpson's rule over an odd number of values spaced h apart."""
+    return h / 3.0 * float(values[0] + values[-1] + 4.0 * values[1:-1:2].sum()
+                           + 2.0 * values[2:-1:2].sum())
 
 
 def soliton_integral(rho: float, spec: SolitonSpec, half_width: float) -> float:
@@ -151,12 +162,22 @@ def window_l2_growth(rho: float, spec: SolitonSpec, T_list):
     T_arr = np.asarray(sorted(T_list), dtype=float)
     if T_arr.size < 2:
         raise ValueError("window fit needs at least two half-widths")
+    # every half-width is checked before any evaluation
+    nodes = [_oscillation_nodes(rho, T, floor=10001) for T in T_arr]
     if T_arr[0] < 50.0:
         raise ValueError("half-widths below 50 sample the pulse, not the tail")
-    vals = []
-    for T in T_arr:
-        a, h = _tail_amplitude(rho, spec, -T, 0.0, _oscillation_nodes(rho, T, floor=10001))
-        vals.append(_simpson(np.square(a, out=a), h))
+    vals, total, b = [], 0.0, 0.0
+    for T, n in zip(T_arr, nodes):
+        # the segment [-T, b] at least as finely spaced as the n nodes of the
+        # whole window [-T, 0]; the first segment is that window, and a
+        # repeated T adds an empty one
+        intervals = math.ceil((n - 1) * ((T + b) / T))
+        intervals += intervals % 2
+        if intervals:
+            amp, h = _tail_amplitude(rho, spec, -T, b, intervals + 1)
+            total += _simpson(np.square(amp, out=amp), h)
+        vals.append(total)
+        b = -T
     vals = np.asarray(vals)
     slope = float(np.polyfit(np.log(T_arr), vals, 1)[0])
     return vals, slope

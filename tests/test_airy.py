@@ -40,8 +40,8 @@ def test_branch_overlap_agreement():
 def test_oscillatory_terms_decrease_from_the_seam():
     # the oscillatory Horner sums serve z < _NEG_ASYM only; at the seam,
     # where zeta is smallest, every term |C_k|/zeta^k of both expansions must
-    # still be smaller than the one before up to _KMAX, so summing the whole
-    # table is the optimally truncated sum
+    # still be smaller than the one before up to _KMAX, so the whole table,
+    # which a call reaching the seam sums, is the optimally truncated sum
     from ckdvlab import airy as am
     zeta = (2.0 / 3.0) * (-am._NEG_ASYM) ** 1.5
     assert zeta == pytest.approx(16.52, abs=5e-3)
@@ -55,7 +55,7 @@ def test_oscillatory_terms_decrease_from_the_seam():
 def test_positive_asymptotic_terms_decrease_from_the_seam():
     # the positive Horner sums serve z >= _POS_ASYM only; at that seam, where
     # zeta is smallest, every term |C_k|/zeta^k must be smaller than the one
-    # before up to _KMAX, so no truncation is needed there either
+    # before up to _KMAX, so the whole table is the optimal sum there too
     from ckdvlab import airy as am
     zeta = (2.0 / 3.0) * am._POS_ASYM ** 1.5
     assert zeta == pytest.approx(13.42, abs=5e-3)
@@ -64,6 +64,65 @@ def test_positive_asymptotic_terms_decrease_from_the_seam():
         terms = np.abs(coeffs) / zeta ** np.arange(am._KMAX)
         assert np.all(np.diff(terms) < 0.0)
         assert terms[-1] < 2e-13
+
+
+# The asymptotic sums over the whole coefficient table: the oracle for the
+# per-call cut of the series in airy._horner.
+
+def full_table_horner(coeffs, x, t):
+    acc = np.full_like(x, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def asymptotic_mismatches(monkeypatch):
+    """Values on dense asymptotic sweeps that differ from the full-table sums.
+
+    Each sweep is evaluated in one call, in chunks of assorted sizes and one
+    point at a time; the cut depends on each call's point nearest the seam,
+    so the chunks and single points drop more terms than a whole sweep does.
+    """
+    from ckdvlab import airy as am
+    neg = np.linspace(-3000.0, am._NEG_ASYM, 400_001)[:-1]
+    pos = np.linspace(am._POS_ASYM, 600.0, 200_001)
+    bi_pos = np.linspace(am._POS_ASYM, 30.0, 100_001)
+    sweeps = [(neg, airy_eval), (neg, airy_ai_only), (pos, airy_ai_only),
+              (bi_pos, airy_eval)]
+    rng = np.random.default_rng(7)
+    mismatches = 0
+    for z, fn in sweeps:
+        with monkeypatch.context() as m:
+            m.setattr(am, "_horner", full_table_horner)
+            want = np.array(_components(fn(z)))
+        whole = np.array(_components(fn(z)))
+        cuts = np.sort(rng.choice(np.arange(1, z.size), 400, replace=False))
+        chunks = np.hstack([_components(fn(part)) for part in np.split(z, cuts)])
+        single = rng.choice(z.size, 400, replace=False)
+        points = np.array([_components(fn(z[i])) for i in single]).T
+        mismatches += int(np.sum(whole != want) + np.sum(chunks != want)
+                          + np.sum(points != want[:, single]))
+    return mismatches
+
+
+def _components(values):
+    """Ai, Ai' (and Bi, Bi') of airy_ai_only or airy_eval, as a tuple."""
+    if isinstance(values, tuple):
+        return values
+    return values.ai, values.ai_prime, values.bi, values.bi_prime
+
+
+def test_cut_asymptotic_sums_are_the_full_table_sums(monkeypatch):
+    assert asymptotic_mismatches(monkeypatch) == 0
+
+
+def test_full_table_sweep_sees_a_coarser_cut(monkeypatch):
+    # the sweep resolves the threshold: dropping terms up to 2^-40 of the
+    # first one already moves some values
+    from ckdvlab import airy as am
+    monkeypatch.setattr(am, "_DROP", 2.0 ** -40)
+    assert asymptotic_mismatches(monkeypatch) > 0
 
 
 def test_far_range_against_mpmath():

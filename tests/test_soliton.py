@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -257,7 +258,28 @@ def one_array_defect(rho, spec, T):
     return one_array_integral(rho, spec, T) + (0.0 - truncated_exact)
 
 
-def one_array_window(rho, spec, T_list):
+def one_array_segments(rho, spec, T_list):
+    # I(T_k) = I(T_{k-1}) + Simpson over [-T_k, -T_{k-1}], each segment at
+    # least as finely spaced as the whole window [-T_k, 0]
+    T_arr = np.asarray(sorted(T_list), dtype=float)
+    vals, total, b = [], 0.0, 0.0
+    for T in T_arr:
+        n = _oscillation_nodes(rho, T, floor=10001)
+        intervals = math.ceil((n - 1) * ((T + b) / T))
+        intervals += intervals % 2
+        if intervals:
+            tau = np.linspace(-T, b, intervals + 1)
+            a = soliton_amplitude(rho, tau, spec)
+            total += _simpson(a * a, tau[1] - tau[0])
+        vals.append(total)
+        b = -T
+    vals = np.asarray(vals)
+    return vals, float(np.polyfit(np.log(T_arr), vals, 1)[0])
+
+
+def per_window(rho, spec, T_list):
+    # I(T) of each window [-T, 0] on its own grid: the nested segments'
+    # reference to within quadrature error
     T_arr = np.asarray(sorted(T_list), dtype=float)
     vals = []
     for T in T_arr:
@@ -279,10 +301,11 @@ class TestChunkedTails:
         assert soliton_integral(rho, BIG, T) == one_array_integral(rho, BIG, T)
 
     @pytest.mark.parametrize("rho", [1.0, 4.0])
-    @pytest.mark.parametrize("T_list", [(200.0, 400.0), (200.0, 400.0, 800.0, 1600.0)])
+    @pytest.mark.parametrize("T_list", [(200.0, 400.0), (200.0, 400.0, 800.0, 1600.0),
+                                        (200.0, 300.0, 1000.0)])
     def test_window_bit_identical(self, rho, T_list):
         vals, slope = window_l2_growth(rho, BIG, T_list)
-        want_vals, want_slope = one_array_window(rho, BIG, T_list)
+        want_vals, want_slope = one_array_segments(rho, BIG, T_list)
         assert vals.tolist() == want_vals.tolist() and slope == want_slope
 
     @pytest.mark.parametrize("rho", [1.0, 4.0])
@@ -290,8 +313,9 @@ class TestChunkedTails:
         assert zero_mean_defect(rho, BIG, 1000.0) == one_array_defect(rho, BIG, 1000.0)
 
     def test_window_memory_bounded(self):
-        # a full-length evaluation at rho = 1, T = 1600 (4.2e5 nodes) peaks
-        # above 60 MB; chunked, the tail arrays themselves take about 10 MB
+        # a full-length evaluation of the window [-1600, 0] at rho = 1 (4.2e5
+        # nodes) peaks above 60 MB; chunked, the widest segment's tau and
+        # amplitude arrays (2.1e5 nodes) take about 3.4 MB
         window_l2_growth(1.0, BIG, (200.0, 400.0))
         tracemalloc.start()
         try:
@@ -299,7 +323,27 @@ class TestChunkedTails:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24e6, peak
+        assert peak <= 9e6, peak
+
+
+class TestNestedWindows:
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 20.0])
+    def test_close_to_per_window_form(self, rho):
+        T_list = (200.0, 400.0, 800.0, 1600.0)
+        vals, slope = window_l2_growth(rho, BIG, T_list)
+        want_vals, want_slope = per_window(rho, BIG, T_list)
+        assert vals[0] == want_vals[0]
+        assert np.all(np.abs(vals - want_vals) <= 3e-9 * want_vals)
+        assert abs(slope - want_slope) <= 3e-9 * want_slope
+
+    def test_duplicate_and_unsorted_half_widths(self):
+        vals, slope = window_l2_growth(1.0, BIG, (800.0, 200.0, 400.0, 200.0))
+        sorted_vals, sorted_slope = window_l2_growth(1.0, BIG, (200.0, 200.0, 400.0, 800.0))
+        assert vals.tolist() == sorted_vals.tolist() and slope == sorted_slope
+        assert vals[0] == vals[1]
+        want_vals, want_slope = per_window(1.0, BIG, (200.0, 200.0, 400.0, 800.0))
+        assert np.all(np.abs(vals - want_vals) <= 3e-9 * want_vals)
+        assert abs(slope - want_slope) <= 3e-9 * want_slope
 
 
 @pytest.mark.parametrize("quadrature, args", [
@@ -313,3 +357,30 @@ def test_quadratures_reject_nonpositive_rho(quadrature, args, rho):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="rho must be positive"):
             quadrature(rho, *args)
+
+
+@pytest.mark.parametrize("quadrature, half_width, shown", [
+    (soliton_integral, -5.0, "-5.0"),
+    (soliton_integral, 0.0, "0.0"),
+    (soliton_integral, np.nan, "nan"),
+    (soliton_integral, np.inf, "inf"),
+    (zero_mean_defect, -5.0, "-5.0"),
+    (zero_mean_defect, np.nan, "nan"),
+    (zero_mean_defect, np.inf, "inf"),
+    (window_l2_growth, (200.0, np.nan), "nan"),
+    (window_l2_growth, (np.nan, 200.0), "nan"),
+    (window_l2_growth, (200.0, np.inf), "inf"),
+    (window_l2_growth, (-5.0, 200.0), "-5.0"),
+])
+def test_quadratures_reject_bad_half_widths(monkeypatch, quadrature, half_width, shown):
+    # the half-widths are checked before A is evaluated anywhere
+    import ckdvlab.soliton as sol
+
+    def refuse(*args):
+        raise AssertionError("A evaluated before the half-widths were checked")
+
+    monkeypatch.setattr(sol, "soliton_amplitude", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"half-width must be finite and positive, got {shown}"):
+            quadrature(1.0, BIG, half_width)
