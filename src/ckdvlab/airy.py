@@ -248,22 +248,30 @@ def _central(z: np.ndarray, with_bi: bool):
 def _airy(z, with_bi: bool):
     """Ai, Ai' (and Bi, Bi' when with_bi) over the three argument ranges."""
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    if with_bi and zarr.size and zarr.max() > _BI_OVERFLOW + 1e-12:
-        raise OverflowGuard(f"Bi evaluation refused for z={zarr.max():.3f} > {_BI_OVERFLOW}")
+    if with_bi:
+        # a comparison, not zarr.max(): a nan argument must not hide a large one
+        big = zarr > _BI_OVERFLOW + 1e-12
+        if big.any():
+            raise OverflowGuard(f"Bi evaluation refused for z={zarr[big].max():.3f} "
+                                f"> {_BI_OVERFLOW}")
     out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
-    neg = zarr < _NEG_ASYM
-    ranges = ((neg, _asym_neg),
-              ((~neg) & (zarr < _POS_ASYM), _central),
-              (zarr >= _POS_ASYM, _asym_pos))
+    ranges = (((zarr > -np.inf) & (zarr < _NEG_ASYM), _asym_neg),
+              ((zarr >= _NEG_ASYM) & (zarr < _POS_ASYM), _central),
+              ((zarr >= _POS_ASYM) & (zarr < np.inf), _asym_pos))
     for sel, branch in ranges:
         if sel.any():
             for dst, val in zip(out, branch(zarr[sel], with_bi)):
                 dst[sel] = val
-    # a nan argument lies in none of the ranges; filling the outputs with
-    # nan up front instead would touch every page before the branches run
-    nan = np.isnan(zarr)
-    for dst in out:
-        dst[nan] = np.nan
+    # nan and +-inf lie in none of the ranges (the asymptotic forms take
+    # sin(inf) or inf * 0 there), and filling the outputs up front instead
+    # would touch every page before the branches run.  Ai and Ai' vanish at
+    # +inf (Bi never gets there) and Ai and Bi at -inf, where Ai' and Bi'
+    # have no limit
+    if not np.isfinite(zarr).all():
+        for dst, at_neg_inf in zip(out, (0.0, np.nan, 0.0, np.nan)):
+            dst[zarr == np.inf] = 0.0
+            dst[zarr == -np.inf] = at_neg_inf
+            dst[np.isnan(zarr)] = np.nan
     if np.isscalar(z) or np.ndim(z) == 0:
         return [v[0] for v in out]
     return out
@@ -274,7 +282,10 @@ def airy_ai_only(z):
 
     The canonical profile family never touches Bi, so its evaluation path
     does no Bi work and cannot trip the Bi overflow guard; far past the
-    guard Ai simply underflows to zero.
+    guard Ai simply underflows to zero.  At z = +inf both read 0, their
+    limits; at z = -inf Ai reads 0 and Ai' nan, because Ai' oscillates
+    there with an amplitude growing like |z|^{1/4} and has no limit.  A nan
+    argument reads nan.  No infinite argument raises or warns.
     """
     ai, aip = _airy(z, False)
     return ai, aip
@@ -285,10 +296,14 @@ def airy_eval(z) -> AiryValues:
 
     Accurate to 1e-10 relative (absolute near subnormal underflow) for
     z <= 30; arbitrarily negative arguments are served by the oscillatory
-    asymptotics whose accuracy only improves with |z|.
+    asymptotics whose accuracy only improves with |z|.  At z = -inf Ai and
+    Bi read 0, their limits, and Ai' and Bi' nan, because they oscillate
+    there with an amplitude growing like |z|^{1/4} and have no limit; that
+    is not an error, as a nan argument reading nan is not one either.
 
     Raises:
-        OverflowGuard: z > 30, where Bi would leave the guarded range.
+        OverflowGuard: z > 30, +inf included, where Bi would leave the
+            guarded range.
     """
     return AiryValues(*_airy(z, True))
 

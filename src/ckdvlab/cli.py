@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 import typing
 from dataclasses import Field, dataclass, field, fields
@@ -34,11 +35,12 @@ from .errors import (CkdvLabError, ConfigError, DenominatorSignError, OverflowGu
                      SingularDispersion)
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
-from .report import config_hash, fit_loglog, write_csv, write_manifest
+from .report import (config_hash, csv_text, fit_loglog, write_csv, write_manifest,
+                     write_text)
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
-from .svgfig import line_plot
+from .svgfig import line_plot, svg_text
 
 SLOPE_TOL = 0.3
 RES_SLOPE_TARGET = 7.5
@@ -238,59 +240,79 @@ def _finish(cfg: ExperimentConfig, out: Path, manifest: dict, files: list[Path],
 # ----------------------------------------------------------------- soliton
 
 
-def _soliton_results(cfg: ExperimentConfig):
-    """The profiles A(rho), the radial waves u(t) and the tail diagnostics."""
-    spec = SolitonSpec(alpha=cfg.alpha, beta=cfg.beta, offset=cfg.offset)
-    profiles = []
+def _soliton_files(cfg: ExperimentConfig, spec: SolitonSpec,
+                   manifest: dict) -> list[tuple[str, str]]:
+    """The profiles A(rho) and the radial waves u(t), rendered: (file name, text) pairs."""
+    files = []
     for rho in cfg.rho_profiles:
         s = (6.0 * rho) ** (1.0 / 3.0)
         tau = np.linspace(-22.0 * s, 12.0 * s, 3000)
-        profiles.append((rho, tau, soliton_amplitude(rho, tau, spec)))
+        amp = soliton_amplitude(rho, tau, spec)
+        tag = f"rho{rho:g}".replace(".", "p")
+        files.append((f"soliton_A_{tag}.csv", csv_text(["tau", "amplitude"], [tau, amp],
+                                                       manifest)))
+        files.append((f"soliton_A_{tag}.svg",
+                      svg_text([(f"rho={rho:g}", tau, amp)],
+                               title=f"Solitary wave amplitude at rho={rho:g}",
+                               xlabel="tau", ylabel="A", manifest=manifest)))
     eps = cfg.eps_list[0] if cfg.eps_list else 0.1
     r = np.linspace(0.5, 120.0, 4000)
-    waves = [(t_val, r, physical_wave(r, t_val, eps, spec)) for t_val in cfg.t_values]
-    # the columns of soliton_diagnostics.csv, empty for the zero wave
+    for t_val in cfg.t_values:
+        u = physical_wave(r, t_val, eps, spec)
+        tag = f"t{t_val:g}".replace(".", "p")
+        files.append((f"soliton_u_{tag}.csv", csv_text(["r", "u"], [r, u], manifest)))
+        files.append((f"soliton_u_{tag}.svg",
+                      svg_text([(f"t={t_val:g}", r, u)],
+                               title=f"Radial wave u(r, t={t_val:g}), eps={eps:g}",
+                               xlabel="r", ylabel="u", manifest=manifest)))
+    return files
+
+
+def _soliton_diagnostics(cfg: ExperimentConfig, spec: SolitonSpec) -> tuple[list, ...]:
+    """The columns of soliton_diagnostics.csv: the tails at the first two profile radii."""
     diag = ([], [], [], [])
-    if cfg.alpha != 0.0 or cfg.beta != 0.0:
-        for rho in cfg.rho_profiles[:2]:
-            defect = zero_mean_defect(rho, spec, 1000.0)
-            vals, slope = window_l2_growth(rho, spec, (200.0, 400.0, 800.0, 1600.0))
-            for column, value in zip(diag, (rho, defect, slope, 3.0 / rho)):
-                column.append(value)
-            _say(cfg, f"rho={rho:g}: defect(T=1000)={defect:.3e} "
-                      f"l2-growth={slope:.4f} (3/rho={3.0 / rho:.4f})")
-    return eps, profiles, waves, diag
+    for rho in cfg.rho_profiles[:2]:
+        defect = zero_mean_defect(rho, spec, 1000.0)
+        _, slope = window_l2_growth(rho, spec, (200.0, 400.0, 800.0, 1600.0))
+        for column, value in zip(diag, (rho, defect, slope, 3.0 / rho)):
+            column.append(value)
+    return diag
 
 
 def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
+    """Profiles, radial waves and, unless the wave is zero, the tail diagnostics.
+
+    The tails cost more than the profiles, so map_forked runs them in a
+    forked child while this process renders every profile file; on one
+    usable CPU the two jobs run in turn.  Files are written only once both
+    are done, and a failure is that of the profiles if they fail.
+    """
     _check(cfg)
-    try:
-        eps, profiles, waves, diag = _soliton_results(cfg)
-    except (DenominatorSignError, OverflowGuard) as exc:
+    spec = SolitonSpec(alpha=cfg.alpha, beta=cfg.beta, offset=cfg.offset)
+    manifest = cfg.manifest()
+    jobs = [functools.partial(_soliton_files, cfg, spec, manifest)]
+    if cfg.alpha != 0.0 or cfg.beta != 0.0:
+        jobs.append(functools.partial(_soliton_diagnostics, cfg, spec))
+    # the later job costs more, so it is the one that forks
+    done, failure = map_forked(lambda job: job(), jobs, cost=jobs.index,
+                               label=lambda job: "soliton tail diagnostics")
+    if isinstance(failure, (DenominatorSignError, OverflowGuard)):
         raise ConfigError(f"no solitary wave for alpha={cfg.alpha}, beta={cfg.beta}, "
-                          f"offset={cfg.offset}: {type(exc).__name__}: {exc}") from exc
-    out, manifest = _open_out(cfg)
-    files = []
-    for rho, tau, amp in profiles:
-        tag = f"rho{rho:g}".replace(".", "p")
-        files.append(write_csv(out / f"soliton_A_{tag}.csv", ["tau", "amplitude"],
-                               [tau, amp], manifest))
-        files.append(line_plot(out / f"soliton_A_{tag}.svg",
-                               [(f"rho={rho:g}", tau, amp)],
-                               title=f"Solitary wave amplitude at rho={rho:g}",
-                               xlabel="tau", ylabel="A", manifest=manifest))
-    for t_val, r, u in waves:
-        tag = f"t{t_val:g}".replace(".", "p")
-        files.append(write_csv(out / f"soliton_u_{tag}.csv", ["r", "u"], [r, u], manifest))
-        files.append(line_plot(out / f"soliton_u_{tag}.svg",
-                               [(f"t={t_val:g}", r, u)],
-                               title=f"Radial wave u(r, t={t_val:g}), eps={eps:g}",
-                               xlabel="r", ylabel="u", manifest=manifest))
-    files.append(write_csv(out / "soliton_diagnostics.csv",
-                           ["rho", "zero_mean_defect_T1000", "window_l2_coeff",
-                            "coeff_target"],
-                           diag, manifest))
-    return _finish(cfg, out, manifest, files)
+                          f"offset={cfg.offset}: {type(failure).__name__}: {failure}"
+                          ) from failure
+    if failure is not None:
+        raise failure
+    files = done[0]
+    # the zero wave has no tails: its diagnostics file has a header only
+    diag = done[1] if len(done) > 1 else ([], [], [], [])
+    for rho, defect, slope, target in zip(*diag):
+        _say(cfg, f"rho={rho:g}: defect(T=1000)={defect:.3e} "
+                  f"l2-growth={slope:.4f} (3/rho={target:.4f})")
+    files.append(("soliton_diagnostics.csv",
+                  csv_text(["rho", "zero_mean_defect_T1000", "window_l2_coeff",
+                            "coeff_target"], diag, manifest)))
+    out, _ = _open_out(cfg)
+    return _finish(cfg, out, manifest, [write_text(out / name, text) for name, text in files])
 
 
 # --------------------------------------------------------- residual sweep

@@ -16,8 +16,10 @@ through this module must hold no thread either.
 
 ``map_forked`` is a serial loop over independent calls whose costliest
 calls run in children, one per usable CPU but one.  ``cli`` maps the eps
-cases of a Theorem-1 sweep through it, and ``residual.sweep_report`` equal
-chunks of the snapshots of a residual sweep.
+cases of a Theorem-1 sweep through it, and the two jobs of the soliton
+command (the rendered profiles in this process, the tail diagnostics in a
+child); ``residual.sweep_report`` maps equal chunks of the snapshots of a
+residual sweep.
 """
 
 from __future__ import annotations

@@ -3,7 +3,10 @@
 Output files are deterministic: full-precision repr for floats, no
 timestamps, manifest keys sorted.  CSV files carry a '#'-prefixed manifest
 preamble (config hash, tolerances, package version) above the RFC-4180
-header row.
+header row.  ``csv_text`` renders a CSV without touching the file system,
+so a command can render its files before it creates its output directory
+and write them with ``write_text`` afterwards; ``write_csv`` renders and
+writes in one call.
 """
 
 from __future__ import annotations
@@ -57,14 +60,26 @@ def _cells(column) -> list[str]:
     return [_fmt(v) for v in column]
 
 
-def write_csv(path, header: list[str], columns, manifest: dict):
-    """Write a CSV with a manifest preamble from equal-length columns, one per
-    header name; values in full precision."""
-    path = Path(path)
+def csv_text(header: list[str], columns, manifest: dict) -> str:
+    """The CSV text of equal-length columns, one per header name, below a
+    manifest preamble; values in full precision."""
     out = manifest_lines(manifest)
     out.append(",".join(header))
     out.extend(map(",".join, zip(*map(_cells, columns), strict=True)))
-    path.write_text("\n".join(out) + "\n")
+    return "\n".join(out) + "\n"
+
+
+def write_csv(path, header: list[str], columns, manifest: dict):
+    """Write csv_text(header, columns, manifest) to path; returns the path."""
+    path = Path(path)
+    path.write_text(csv_text(header, columns, manifest))
+    return path
+
+
+def write_text(path, text: str):
+    """Write a file rendered earlier, e.g. by csv_text; returns the path."""
+    path = Path(path)
+    path.write_text(text)
     return path
 
 

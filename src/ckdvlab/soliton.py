@@ -59,12 +59,24 @@ def _wave(s, c, pack):
 def soliton_amplitude(rho: float, tau, spec: SolitonSpec):
     """Solitary-wave amplitude A(rho, tau); tau may be an array.
 
+    tau = -inf reads 0, the limit of A: F'' stays bounded there while
+    offset*s + F grows like |tau|^{1/2}.  So does tau = +inf for beta = 0,
+    where F and its derivatives vanish.
+
     Raises:
         DenominatorSignError: the log argument offset*s + F is not positive.
+        OverflowGuard: beta != 0 and tau/s > 30, +inf included.
     """
     _require_positive(rho)
     if spec.alpha == 0.0 and spec.beta == 0.0:
         return np.zeros_like(np.asarray(tau, dtype=float)) if np.ndim(tau) else 0.0
+    tau = np.asarray(tau, dtype=float)
+    # the closed form takes inf * 0 at the ends
+    ends = (tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
+    if ends.any():
+        amp = np.zeros_like(tau)
+        amp[~ends] = soliton_amplitude(rho, tau[~ends], spec)
+        return amp[()]
     s, _, pack = _similarity(rho, tau, spec)
     return _wave(s, spec.offset * s, pack)
 

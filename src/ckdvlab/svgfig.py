@@ -2,6 +2,9 @@
 
 Produces deterministic SVG 1.1 documents with axes, ticks and one or more
 polylines; enough for the profile figures and scaling plots of the CLI.
+``svg_text`` renders a plot without touching the file system, so a command
+can render its figures before it creates its output directory;
+``line_plot`` renders and writes in one call.
 """
 
 from __future__ import annotations
@@ -43,7 +46,15 @@ def _fmt(x: float) -> str:
 
 def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
               manifest: dict | None = None):
-    """Write a polyline plot; curves is a list of (label, x, y) triples."""
+    """Write svg_text(curves, ...) to path; returns the path."""
+    path = Path(path)
+    path.write_text(svg_text(curves, title, xlabel, ylabel, manifest))
+    return path
+
+
+def svg_text(curves, title: str = "", xlabel: str = "", ylabel: str = "",
+             manifest: dict | None = None) -> str:
+    """The SVG text of a polyline plot; curves is a list of (label, x, y) triples."""
     xs = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     ys = np.concatenate([np.asarray(c[2], dtype=float) for c in curves])
     x_lo, x_hi = float(xs.min()), float(xs.max())
@@ -115,5 +126,4 @@ def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
                      f'transform="rotate(-90 18 {MARGIN_T + ph / 2:.0f})">{ylabel}</text>')
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
-    return Path(path)
+    return "\n".join(parts) + "\n"

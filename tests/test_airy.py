@@ -269,6 +269,9 @@ def test_defining_ode_by_finite_differences():
 def test_overflow_guard():
     with pytest.raises(OverflowGuard):
         airy_eval(31.0)
+    # a nan argument does not hide a large one
+    with pytest.raises(OverflowGuard, match="z=31.000"):
+        airy_eval(np.array([np.nan, 31.0]))
     # deep negative arguments are allowed and accurate
     import mpmath as mp
     with mp.workdps(40):
@@ -300,6 +303,30 @@ def test_nan_argument_reads_nan():
         got = getattr(full, name)
         assert np.isnan(got[nan]).all() and np.array_equal(got[~nan], getattr(ref, name))
         assert np.isnan(getattr(scalar, name))
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_arguments_read_their_limits():
+    # Ai(+-inf) = Ai'(+inf) = Bi(-inf) = 0; Ai' and Bi' oscillate without a
+    # limit at -inf and read nan
+    finite = np.array([-30.0, 1.0, 5.0, 25.0])
+    z = np.concatenate([[-np.inf], finite, [np.inf]])
+    ai, aip = airy_ai_only(z)
+    assert (ai[0], ai[-1], aip[-1]) == (0.0, 0.0, 0.0) and np.isnan(aip[0])
+    assert np.array_equal(ai[1:-1], airy_ai_only(finite)[0])
+    assert np.array_equal(aip[1:-1], airy_ai_only(finite)[1])
+    assert airy_ai_only(np.inf) == (0.0, 0.0)
+    ai, aip = airy_ai_only(-np.inf)
+    assert ai == 0.0 and np.isnan(aip)
+    full, ref, scalar = airy_eval(z[:-1]), airy_eval(finite), airy_eval(-np.inf)
+    for name, at_neg_inf in (("ai", 0.0), ("ai_prime", np.nan), ("bi", 0.0),
+                             ("bi_prime", np.nan)):
+        got = getattr(full, name)
+        assert np.array_equal(got[1:], getattr(ref, name))
+        assert np.array_equal([got[0], getattr(scalar, name)], [at_neg_inf] * 2,
+                              equal_nan=True)
+    with pytest.raises(OverflowGuard, match="z=inf"):
+        airy_eval(z)
 
 
 class TestSolitonSpec:

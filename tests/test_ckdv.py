@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckdvlab.airy import SolitonSpec
 from ckdvlab.ckdv import (CkdvRunConfig, _drho, _schedule, _snapshot, _Stepper, ckdv_evolve,
@@ -255,6 +257,34 @@ class TestForcing:
         d1, d2 = drift(0.01), drift(0.005)
         assert d2 <= 1e-7
         assert d2 <= d1 / 8.0
+
+
+# rho times the integral of A^2 is constant over an unforced run: d/drho of
+# the integral is -(1/rho) of it, because the integrals of A (A^2)_tau and of
+# A A_tauuu vanish, and the 2/3 rule keeps the first one exact for data on
+# the kept band, here modes 1 to 21 (|k| <= 2.2) of 64 nodes over 60.  Only RK4 and
+# round-off move it: over 800 random draws of this test's data its largest
+# relative drift was 4.8e-14 (median 6.5e-15, 99th percentile 3.1e-14).
+WEIGHTED_NORM_DRIFT = 2e-13
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 21), st.floats(0.1, 1.0), st.floats(0.0, 2 * np.pi)),
+                min_size=1, max_size=8, unique_by=lambda mode: mode[0]),
+       st.floats(0.01, 0.1))
+def test_weighted_norm_is_constant(modes, sup):
+    g = make_grid(64, 60.0)
+    spectrum = np.zeros(g.n // 2 + 1, dtype=complex)
+    for m, size, phase in modes:
+        spectrum[m] = size * np.exp(1j * phase)
+    assert np.all(g.core.dealias_mask[spectrum != 0] == 1.0)
+    a0 = np.fft.irfft(spectrum, g.n)
+    a0 *= sup / np.abs(a0).max()
+    cfg = CkdvRunConfig(rho0=1.0, rho1=2.0, d_rho=0.01, grid=g)
+    states = ckdv_evolve(RealField(grid=g, values=a0), cfg,
+                         output_rhos=list(np.linspace(1.0, 2.0, 6)))
+    weighted = np.array([state.rho * np.sum(state.A.values ** 2) for state in states])
+    assert np.abs(weighted / weighted[0] - 1.0).max() <= WEIGHTED_NORM_DRIFT
 
 
 # The stepper with every stage operation allocating its result: the oracle

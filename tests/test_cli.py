@@ -13,8 +13,10 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
                          run_theorem1_case, save_config)
-from ckdvlab.errors import ChildTraceback, ConfigError
+from ckdvlab.errors import ChildTraceback, ConfigError, DenominatorSignError
 from ckdvlab.parallel import usable_cpus
+from ckdvlab.report import csv_text, write_csv
+from ckdvlab.svgfig import line_plot, svg_text
 
 
 def read_columns(path) -> dict[str, list[float]]:
@@ -175,6 +177,67 @@ class TestSoliton:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and named in err, err
         assert not out.exists()
+
+    NO_WAVE = ("error: no solitary wave for alpha=100000000.0, beta=0.0, offset=1.0: "
+               "DenominatorSignError: ")
+
+    def test_diagnostics_failure_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # wherever two CPUs are usable the tails run in a forked child
+        def failing_growth(*args):
+            raise DenominatorSignError("tails failed")
+
+        monkeypatch.setattr(cli, "window_l2_growth", failing_growth)
+        out = tmp_path / "out"
+        assert main(["soliton", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.splitlines() == [self.NO_WAVE + "tails failed"]
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        with pytest.raises(ConfigError) as info:
+            cmd_soliton(small_cfg(out))
+        cause = info.value.__cause__.__cause__
+        if usable_cpus() >= 2:
+            assert type(cause) is ChildTraceback
+            assert str(cause).startswith("soliton tail diagnostics: raised in a forked child")
+        else:
+            assert cause is None
+
+    def test_profile_failure_wins(self, tmp_path, monkeypatch):
+        def failing(what):
+            def fn(*args):
+                raise DenominatorSignError(f"{what} failed")
+            return fn
+
+        monkeypatch.setattr(cli, "soliton_amplitude", failing("profile"))
+        monkeypatch.setattr(cli, "zero_mean_defect", failing("tails"))
+        with pytest.raises(ConfigError, match="DenominatorSignError: profile failed$"):
+            cmd_soliton(small_cfg(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_diagnostic_lines_print_once_in_rho_order(self, tmp_path, capfd):
+        cmd_soliton(small_cfg(tmp_path, command="soliton", quiet=False,
+                              rho_profiles=(20.0, 1.0, 100.0)))
+        diag = read_columns(tmp_path / "soliton_diagnostics.csv")
+        want = [f"rho={rho:g}: defect(T=1000)={defect:.3e} l2-growth={slope:.4f} "
+                f"(3/rho={3.0 / rho:.4f})"
+                for rho, defect, slope in zip(diag["rho"], diag["zero_mean_defect_T1000"],
+                                              diag["window_l2_coeff"], strict=True)]
+        assert diag["rho"] == [20.0, 1.0]
+        assert capfd.readouterr().out.splitlines() == want + [
+            f"soliton: wrote 12 files to {tmp_path}"]
+
+    def test_writers_write_their_text(self, tmp_path):
+        manifest = {"config_hash": "0123456789abcdef", "seed": 1}
+        x = np.linspace(-1.0, 2.0, 7)
+        columns = [x, np.sin(x), ["a", "", 3, 0.5, -0.0, 1e300, 7]]
+        path = write_csv(tmp_path / "t.csv", ["x", "y", "z"], columns, manifest)
+        assert path.read_bytes() == csv_text(["x", "y", "z"], columns, manifest).encode()
+        curves = [("up", x, x * x), ("", x, np.cos(x))]
+        labels = dict(title="t", xlabel="x", ylabel="y", manifest=manifest)
+        path = line_plot(tmp_path / "t.svg", curves, **labels)
+        assert path.read_bytes() == svg_text(curves, **labels).encode()
 
 
 class TestResidualSweep:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ckdvlab.airy import SolitonSpec, profile_pack
-from ckdvlab.errors import DenominatorSignError
+from ckdvlab.errors import DenominatorSignError, OverflowGuard
 from ckdvlab.grid import make_grid
 from ckdvlab.soliton import (_oscillation_nodes, _similarity, _simpson, bilinear_residual,
                              bilinear_scale, physical_wave, soliton_amplitude,
@@ -25,6 +25,23 @@ class TestAmplitude:
         assert soliton_amplitude(1.0, 3.0, SolitonSpec(alpha=0.0)) == 0.0
         assert np.all(soliton_amplitude(1.0, np.linspace(-5, 5, 11),
                                         SolitonSpec(alpha=0.0)) == 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_tau_reads_the_limit(self):
+        # A -> 0 at -inf for every family, and at +inf for beta = 0
+        finite = np.array([-400.0, -3.0, 0.5])
+        general = SolitonSpec(alpha=1.0, beta=1e-6, offset=5.0)
+        for spec in (BIG, general):
+            amp = soliton_amplitude(1.0, np.concatenate([[-np.inf], finite]), spec)
+            assert amp[0] == 0.0
+            assert np.array_equal(amp[1:], soliton_amplitude(1.0, finite, spec))
+            assert soliton_amplitude(1.0, -np.inf, spec) == 0.0
+        amp = soliton_amplitude(1.0, np.concatenate([finite, [np.inf]]), BIG)
+        assert amp[-1] == 0.0 and np.array_equal(amp[:-1], soliton_amplitude(1.0, finite, BIG))
+        assert soliton_amplitude(1.0, np.inf, BIG) == 0.0
+        # Bi is refused at +inf, as at every z > 30
+        with pytest.raises(OverflowGuard, match="z=inf"):
+            soliton_amplitude(1.0, np.array([-3.0, np.inf]), general)
 
     def test_right_tail_negligible(self):
         assert abs(soliton_amplitude(1.0, 40.0, BIG)) <= 1e-6
