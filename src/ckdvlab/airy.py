@@ -362,8 +362,26 @@ def profile_pack(z, spec: SolitonSpec):
     w'' = z w; no numerical differentiation is involved.  The canonical
     family (beta = 0) avoids Bi entirely, so it is valid for arbitrarily
     large argument where Ai just underflows.
+
+    Infinite arguments read the limits where they exist and nan where they
+    do not, with no warning: at z = +inf all five read 0 for beta = 0 (for
+    beta != 0 Bi raises OverflowGuard there, as at every z > 30); at
+    z = -inf F reads sign(alpha + beta) * inf and F' 0, while F'' to F''''
+    oscillate without a limit and read nan (0 for the zero profile).
     """
     al, be, ga = spec.alpha, spec.beta, spec.gamma
+    zarr = np.asarray(z, dtype=float)
+    # the products take inf * 0 at the ends; beta != 0 leaves +inf to the Bi guard
+    ends = (zarr == -np.inf) | ((zarr == np.inf) & (be == 0.0))
+    if ends.any():
+        at_neg_inf = ((np.sign(al + be) * np.inf, 0.0, np.nan, np.nan, np.nan)
+                      if al or be else (0.0,) * 5)
+        pack = []
+        for part, limit in zip(profile_pack(zarr[~ends], spec), at_neg_inf):
+            full = np.where(zarr == np.inf, 0.0, limit)
+            full[~ends] = part
+            pack.append(full[()])
+        return tuple(pack)
     if be == 0.0 and ga == 0.0:
         z = np.asarray(z, dtype=float) if np.ndim(z) else z
         a, ap = airy_ai_only(z)

@@ -35,12 +35,11 @@ from .errors import (CkdvLabError, ConfigError, DenominatorSignError, OverflowGu
                      SingularDispersion)
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
-from .report import (config_hash, csv_text, fit_loglog, write_csv, write_manifest,
-                     write_text)
+from .report import config_hash, csv_text, fit_loglog, manifest_text, write_text
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
-from .svgfig import line_plot, svg_text
+from .svgfig import svg_text
 
 SLOPE_TOL = 0.3
 RES_SLOPE_TARGET = 7.5
@@ -212,29 +211,20 @@ def _check(cfg: ExperimentConfig):
         _initial_pulse(cfg, cfg.n)
 
 
-def _open_out(cfg: ExperimentConfig) -> tuple[Path, dict]:
-    """Create out_dir; returns it and the run manifest.
+def _write_out(cfg: ExperimentConfig, manifest: dict,
+               files: list[tuple[str, str]]) -> list[Path]:
+    """Create out_dir and write the rendered (file name, text) pairs, then
+    manifest.txt listing them; returns the paths in that order.
 
-    Every command calls it only after its computation, so a config or a run
-    that fails leaves no output directory behind.
+    Every command renders all its files before it calls this, so a config,
+    a run or a rendering that fails leaves no output directory behind.
     """
+    files = [*files, ("manifest.txt", manifest_text(manifest, [name for name, _ in files]))]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out, cfg.manifest()
-
-
-def _finish(cfg: ExperimentConfig, out: Path, manifest: dict, files: list[Path],
-            summary: tuple[str, list[str]] | None = None) -> list[Path]:
-    """Write the (file name, lines) slope summary if given and manifest.txt; report."""
-    if summary is not None:
-        name, lines = summary
-        (out / name).write_text("\n".join(lines) + "\n")
-        files.append(out / name)
-        for ln in lines:
-            _say(cfg, ln)
-    files.append(write_manifest(out / "manifest.txt", manifest, [f.name for f in files]))
-    _say(cfg, f"{cfg.command}: wrote {len(files)} files to {out}")
-    return files
+    paths = [write_text(out / name, text) for name, text in files]
+    _say(cfg, f"{cfg.command}: wrote {len(paths)} files to {out}")
+    return paths
 
 
 # ----------------------------------------------------------------- soliton
@@ -311,8 +301,7 @@ def cmd_soliton(cfg: ExperimentConfig) -> list[Path]:
     files.append(("soliton_diagnostics.csv",
                   csv_text(["rho", "zero_mean_defect_T1000", "window_l2_coeff",
                             "coeff_target"], diag, manifest)))
-    out, _ = _open_out(cfg)
-    return _finish(cfg, out, manifest, [write_text(out / name, text) for name, text in files])
+    return _write_out(cfg, manifest, files)
 
 
 # --------------------------------------------------------- residual sweep
@@ -355,39 +344,39 @@ def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
         _say(cfg, f"eps={eps}: |Res|_L2={rep.res_l2:.4e} sup={rep.res_sup:.4e} "
                   f"|dt^-1 Res|_L2={rep.antires_l2:.4e}")
 
-    slopes, summary = {}, None
+    slopes, summary = {}, []
     if len(eps_list) >= 3:
         for kind in ("res_l2", "res_sup", "antires_l2"):
             points = sorted((eps, value) for eps, k, value in rows if k == kind)
             slopes[kind], _ = fit_loglog(*zip(*points))
         ok_res = abs(slopes["res_l2"] - RES_SLOPE_TARGET) <= SLOPE_TOL
         ok_anti = abs(slopes["antires_l2"] - ANTIRES_SLOPE_TARGET) <= SLOPE_TOL
-        summary = ("residual_summary.txt", [
+        text = "\n".join([
             f"res_l2 slope: {slopes['res_l2']:.4f} "
             f"(target {RES_SLOPE_TARGET} +/- {SLOPE_TOL}) {'PASS' if ok_res else 'FAIL'}",
             f"antires_l2 slope: {slopes['antires_l2']:.4f} "
             f"(target {ANTIRES_SLOPE_TARGET} +/- {SLOPE_TOL}) {'PASS' if ok_anti else 'FAIL'}",
             f"res_sup slope: {slopes['res_sup']:.4f} (sup-norm convention, expected near 8)"])
+        _say(cfg, text)
+        summary = [("residual_summary.txt", text + "\n")]
     else:
         _say(cfg, "residual sweep: fewer than 3 eps values, slope fit skipped")
-    out, manifest = _open_out(cfg)
-    files = [write_csv(out / "residual_scaling.csv",
-                       ["eps", "norm_kind", "value", "fitted_slope"],
-                       list(zip(*[(*row, slopes.get(row[1], "")) for row in rows])),
-                       manifest)]
-    return _finish(cfg, out, manifest, files, summary)
+    manifest = cfg.manifest()
+    columns = list(zip(*[(*row, slopes.get(row[1], "")) for row in rows]))
+    files = [("residual_scaling.csv",
+              csv_text(["eps", "norm_kind", "value", "fitted_slope"], columns, manifest)),
+             *summary]
+    return _write_out(cfg, manifest, files)
 
 
 # --------------------------------------------------------------- theorem1
 
 
-def next_pow2(x: float) -> int:
-    return int(2 ** np.ceil(np.log2(max(8.0, x))))
-
-
 def _theorem1_n(cfg: ExperimentConfig, eps: float) -> int:
-    """Nodes of the theorem1 case eps: n, or more so that a t-step is at most dt_target."""
-    return max(cfg.n, next_pow2(cfg.l_tau / (eps * cfg.dt_target)))
+    """Nodes of the theorem1 case eps: n, or the least power of two >= 8 that
+    makes a t-step at most dt_target, if that is more."""
+    nodes = cfg.l_tau / (eps * cfg.dt_target)
+    return max(cfg.n, int(2 ** np.ceil(np.log2(max(8.0, nodes)))))
 
 
 def run_theorem1_case(cfg: ExperimentConfig, eps: float):
@@ -434,27 +423,28 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     _check(cfg)
     eps_list = cfg.eps_list or THEOREM1_EPS
     cases = run_theorem1_cases(cfg, eps_list)
-    out, manifest = _open_out(cfg)
-    rows, files = [], []
+    manifest = cfg.manifest()
+    rows, energies = [], []
     for eps, (err, gron) in zip(eps_list, cases, strict=True):
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))
         tag = f"eps{eps:g}".replace(".", "p")
-        files.append(write_csv(out / f"theorem1_energy_{tag}.csv",
-                               ["r", "energy"],
-                               [gron.radii, gron.energies], manifest))
+        energies.append((f"theorem1_energy_{tag}.csv",
+                         csv_text(["r", "energy"], [gron.radii, gron.energies], manifest)))
         _say(cfg, f"eps={eps}: sup|u - eps^2 A|={err.err_u:.4e} "
                   f"(at r={err.r_at_sup:.1f}), max E={gron.max_e:.3e}")
 
-    files.insert(0, write_csv(out / "theorem1_errors.csv",
-                              ["eps", "err_u", "err_v", "r_at_sup", "max_energy"],
-                              list(zip(*rows)), manifest))
-    summary = None
+    files = [("theorem1_errors.csv",
+              csv_text(["eps", "err_u", "err_v", "r_at_sup", "max_energy"],
+                       list(zip(*rows)), manifest)),
+             *energies]
     if len(eps_list) >= 3:
         slope, _ = fit_loglog([r[0] for r in rows], [r[1] for r in rows])
         ok = slope >= THEOREM1_SLOPE_FLOOR
-        summary = ("theorem1_summary.txt", [f"approximation-error slope: {slope:.4f} "
-                   f"(floor {THEOREM1_SLOPE_FLOOR}) {'PASS' if ok else 'FAIL'}"])
-    return _finish(cfg, out, manifest, files, summary)
+        text = (f"approximation-error slope: {slope:.4f} "
+                f"(floor {THEOREM1_SLOPE_FLOOR}) {'PASS' if ok else 'FAIL'}")
+        _say(cfg, text)
+        files.append(("theorem1_summary.txt", text + "\n"))
+    return _write_out(cfg, manifest, files)
 
 
 # ------------------------------------------------------------ ckdv / bous
@@ -464,17 +454,16 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
     _check(cfg)
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 6))
     states = _ckdv_trajectory(cfg, cfg.n, sample_rhos)
-    out, manifest = _open_out(cfg)
+    manifest = cfg.manifest()
     columns = [np.concatenate([np.full(st.A.grid.n, st.rho) for st in states]),
                np.concatenate([st.A.grid.nodes for st in states]),
                np.concatenate([st.A.values for st in states])]
-    files = [write_csv(out / "ckdv_snapshots.csv", ["rho", "tau", "A"], columns, manifest)]
     curves = [(f"rho={st.rho:.3f}", st.A.grid.nodes, st.A.values)
               for st in (states[0], states[-1])]
-    files.append(line_plot(out / "ckdv_evolution.svg", curves,
-                           title="cKdV amplitude", xlabel="tau", ylabel="A",
-                           manifest=manifest))
-    return _finish(cfg, out, manifest, files)
+    return _write_out(cfg, manifest, [
+        ("ckdv_snapshots.csv", csv_text(["rho", "tau", "A"], columns, manifest)),
+        ("ckdv_evolution.svg", svg_text(curves, title="cKdV amplitude", xlabel="tau",
+                                        ylabel="A", manifest=manifest))])
 
 
 def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
@@ -487,15 +476,14 @@ def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
     init = make_ansatz_state(make_state(_initial_pulse(cfg, cfg.n), cfg.rho0), eps, r0)
     traj = boussinesq_evolve(init, snaps_r[-1], cfg.dr, rhs_tol=cfg.rhs_tol,
                              output_radii=list(snaps_r))
-    out, manifest = _open_out(cfg)
+    manifest = cfg.manifest()
     columns = [np.concatenate([np.full(st.v.grid.n, st.r) for st in traj]),
                np.concatenate([st.v.grid.nodes for st in traj]),
                np.concatenate([v_to_u(st.v.values) for st in traj]),
                np.concatenate([st.v.values for st in traj]),
                np.concatenate([st.w.values for st in traj])]
-    files = [write_csv(out / "boussinesq_snapshots.csv",
-                       ["r", "t", "u", "v", "w"], columns, manifest)]
-    return _finish(cfg, out, manifest, files)
+    return _write_out(cfg, manifest, [
+        ("boussinesq_snapshots.csv", csv_text(["r", "t", "u", "v", "w"], columns, manifest))])
 
 
 # ---------------------------------------------------------------- selftest

@@ -3,10 +3,10 @@
 Output files are deterministic: full-precision repr for floats, no
 timestamps, manifest keys sorted.  CSV files carry a '#'-prefixed manifest
 preamble (config hash, tolerances, package version) above the RFC-4180
-header row.  ``csv_text`` renders a CSV without touching the file system,
-so a command can render its files before it creates its output directory
-and write them with ``write_text`` afterwards; ``write_csv`` renders and
-writes in one call.
+header row.  ``csv_text`` and ``manifest_text`` render files without
+touching the file system, so a command renders every file before it
+creates its output directory; ``write_text`` is the one writer, which
+writes each rendered text afterwards.
 """
 
 from __future__ import annotations
@@ -69,24 +69,16 @@ def csv_text(header: list[str], columns, manifest: dict) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_csv(path, header: list[str], columns, manifest: dict):
-    """Write csv_text(header, columns, manifest) to path; returns the path."""
-    path = Path(path)
-    path.write_text(csv_text(header, columns, manifest))
-    return path
+def manifest_text(manifest: dict, files: list[str]) -> str:
+    """The text of manifest.txt: the manifest's keys sorted, then the file names in order."""
+    lines = [f"{k}: {_fmt(v)}" for k, v in sorted(manifest.items())]
+    lines.append("files:")
+    lines.extend(f"  - {f}" for f in files)
+    return "\n".join(lines) + "\n"
 
 
 def write_text(path, text: str):
     """Write a file rendered earlier, e.g. by csv_text; returns the path."""
     path = Path(path)
     path.write_text(text)
-    return path
-
-
-def write_manifest(path, manifest: dict, files: list[str]):
-    path = Path(path)
-    lines = [f"{k}: {_fmt(v)}" for k, v in sorted(manifest.items())]
-    lines.append("files:")
-    lines.extend(f"  - {f}" for f in files)
-    path.write_text("\n".join(lines) + "\n")
     return path

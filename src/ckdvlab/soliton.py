@@ -46,10 +46,24 @@ def _similarity(rho, tau, spec: SolitonSpec):
     return s, z, profile_pack(z, spec)
 
 
-def _wave(s, c, pack):
-    """-(6/s^2) (F''/(c+F) - (F'/(c+F))^2), the closed form of A and of u."""
-    f0, f1, f2, _, _ = pack
-    den = c + f0
+def _wave(rho, tau, spec: SolitonSpec, eps: float = 1.0):
+    """-(6/s^2) (F''/(c+F) - (F'/(c+F))^2) at z = tau/s, with c = offset*s*eps:
+    A(rho, tau) for eps = 1, u(r, t) for rho = r, tau = t - r.
+
+    It reads 0, its limit, for the zero wave, at tau = -inf, where F'' stays
+    bounded while c + F grows like |tau|^{1/2}, and at tau = +inf for
+    beta = 0, where F and its derivatives vanish.
+    """
+    tau = np.asarray(tau, dtype=float)
+    zero = ((tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
+            | (spec.alpha == 0.0 and spec.beta == 0.0))
+    if zero.any():
+        wave, keep = np.zeros_like(tau), ~zero
+        rho = np.broadcast_to(rho, tau.shape)[keep] if np.ndim(rho) else rho
+        wave[keep] = _wave(rho, tau[keep], spec, eps)
+        return wave[()]
+    s, _, (f0, f1, f2, _, _) = _similarity(rho, tau, spec)
+    den = spec.offset * s * eps + f0
     if np.any(den <= 0.0):
         raise DenominatorSignError(
             "offset*s + F (offset*s*eps + F for u) changes sign; wave undefined")
@@ -59,26 +73,14 @@ def _wave(s, c, pack):
 def soliton_amplitude(rho: float, tau, spec: SolitonSpec):
     """Solitary-wave amplitude A(rho, tau); tau may be an array.
 
-    tau = -inf reads 0, the limit of A: F'' stays bounded there while
-    offset*s + F grows like |tau|^{1/2}.  So does tau = +inf for beta = 0,
-    where F and its derivatives vanish.
+    tau = -inf reads 0, the limit of A, and so does tau = +inf for beta = 0.
 
     Raises:
         DenominatorSignError: the log argument offset*s + F is not positive.
         OverflowGuard: beta != 0 and tau/s > 30, +inf included.
     """
     _require_positive(rho)
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        return np.zeros_like(np.asarray(tau, dtype=float)) if np.ndim(tau) else 0.0
-    tau = np.asarray(tau, dtype=float)
-    # the closed form takes inf * 0 at the ends
-    ends = (tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
-    if ends.any():
-        amp = np.zeros_like(tau)
-        amp[~ends] = soliton_amplitude(rho, tau[~ends], spec)
-        return amp[()]
-    s, _, pack = _similarity(rho, tau, spec)
-    return _wave(s, spec.offset * s, pack)
+    return _wave(rho, tau, spec)
 
 
 def _bilinear_parts(rho: float, tau, spec: SolitonSpec):
@@ -200,15 +202,17 @@ def physical_wave(r, t, eps: float, spec: SolitonSpec):
 
     Evaluates the closed form with argument (t - r)/(6r)^{1/3} and
     denominator offset*(6r)^{1/3}*eps + F; algebraically identical to
-    eps^2 * A(eps^3 r, eps (t - r)).
+    eps^2 * A(eps^3 r, eps (t - r)).  As A does, u reads 0 at t - r = -inf,
+    and at t - r = +inf for beta = 0.
+
+    Raises:
+        ValueError: eps is not positive, or a radius is not finite and positive.
+        DenominatorSignError: offset*(6r)^{1/3}*eps + F is not positive.
+        OverflowGuard: beta != 0 and (t - r)/(6r)^{1/3} > 30, +inf included.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0):
-        raise ValueError("radius must be positive")
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        shape = np.broadcast(r_arr, np.asarray(t, dtype=float)).shape
-        return np.zeros(shape) if shape else 0.0
-    s, _, pack = _similarity(r_arr, np.asarray(t, dtype=float) - r_arr, spec)
-    return _wave(s, spec.offset * s * eps, pack)
+    if not np.all((r_arr > 0) & (r_arr < np.inf)):
+        raise ValueError("radius must be finite and positive")
+    return _wave(r_arr, np.asarray(t, dtype=float) - r_arr, spec, eps)

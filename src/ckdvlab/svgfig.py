@@ -2,15 +2,13 @@
 
 Produces deterministic SVG 1.1 documents with axes, ticks and one or more
 polylines; enough for the profile figures and scaling plots of the CLI.
-``svg_text`` renders a plot without touching the file system, so a command
-can render its figures before it creates its output directory;
-``line_plot`` renders and writes in one call.
+``svg_text`` renders a plot to text without touching the file system; the
+command that asked for it writes that text with ``report.write_text``.
 """
 
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -42,14 +40,6 @@ def _nice_ticks(lo: float, hi: float, n: int = 6):
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
-
-
-def line_plot(path, curves, title: str = "", xlabel: str = "", ylabel: str = "",
-              manifest: dict | None = None):
-    """Write svg_text(curves, ...) to path; returns the path."""
-    path = Path(path)
-    path.write_text(svg_text(curves, title, xlabel, ylabel, manifest))
-    return path
 
 
 def svg_text(curves, title: str = "", xlabel: str = "", ylabel: str = "",

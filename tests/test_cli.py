@@ -15,8 +15,6 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          run_theorem1_case, save_config)
 from ckdvlab.errors import ChildTraceback, ConfigError, DenominatorSignError
 from ckdvlab.parallel import usable_cpus
-from ckdvlab.report import csv_text, write_csv
-from ckdvlab.svgfig import line_plot, svg_text
 
 
 def read_columns(path) -> dict[str, list[float]]:
@@ -227,17 +225,6 @@ class TestSoliton:
         assert diag["rho"] == [20.0, 1.0]
         assert capfd.readouterr().out.splitlines() == want + [
             f"soliton: wrote 12 files to {tmp_path}"]
-
-    def test_writers_write_their_text(self, tmp_path):
-        manifest = {"config_hash": "0123456789abcdef", "seed": 1}
-        x = np.linspace(-1.0, 2.0, 7)
-        columns = [x, np.sin(x), ["a", "", 3, 0.5, -0.0, 1e300, 7]]
-        path = write_csv(tmp_path / "t.csv", ["x", "y", "z"], columns, manifest)
-        assert path.read_bytes() == csv_text(["x", "y", "z"], columns, manifest).encode()
-        curves = [("up", x, x * x), ("", x, np.cos(x))]
-        labels = dict(title="t", xlabel="x", ylabel="y", manifest=manifest)
-        path = line_plot(tmp_path / "t.svg", curves, **labels)
-        assert path.read_bytes() == svg_text(curves, **labels).encode()
 
 
 class TestResidualSweep:
@@ -484,6 +471,44 @@ class TestDeterminism:
         head = csv.read_text().splitlines()[:10]
         assert any(ln.startswith("# config_hash:") for ln in head)
         assert any(ln.startswith("# version:") for ln in head)
+
+
+# a small config of each file-writing command, slope summaries included
+SMALL_RUNS = {
+    "soliton": dict(rho_profiles=(20.0, 100.0), t_values=(50.0,)),
+    "residual-sweep": dict(n=128, eps_list=(0.2, 0.14, 0.1)),
+    "theorem1": dict(n=128, eps_list=(0.2, 0.15, 0.12), rho1=1.05, dr=0.25,
+                     snapshots=3, dt_target=3.0),
+    "ckdv": dict(n=128),
+    "boussinesq": dict(n=128, eps_list=(0.15,), dr=0.25),
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+class TestOutputPath:
+    def test_paths_manifest_and_directory_agree(self, tmp_path, command):
+        out = tmp_path / "out"
+        paths = cli.COMMANDS[command](small_cfg(out, command=command, **SMALL_RUNS[command]))
+        names = [p.name for p in paths]
+        assert paths == [out / name for name in names]
+        manifest = (out / "manifest.txt").read_text().split("files:\n")[1]
+        assert names == [ln.removeprefix("  - ") for ln in manifest.splitlines()] + [
+            "manifest.txt"]
+        assert sorted(os.listdir(out)) == sorted(names)
+
+    @pytest.mark.parametrize("renderer", ["csv_text", "manifest_text"])
+    def test_failed_rendering_leaves_no_output(self, tmp_path, monkeypatch, command,
+                                               renderer):
+        def refuse(*args, **kwargs):
+            raise RuntimeError(f"{renderer} failed")
+
+        monkeypatch.setattr(cli, renderer, refuse)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match=f"^{renderer} failed$"):
+            cli.COMMANDS[command](small_cfg(out, command=command, **SMALL_RUNS[command]))
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSelftest:

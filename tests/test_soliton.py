@@ -202,6 +202,9 @@ class TestWindowL2:
 class TestPhysicalWave:
     def test_zero_spec(self):
         assert physical_wave(10.0, 50.0, 0.1, SolitonSpec(alpha=0.0)) == 0.0
+        u = physical_wave(np.array([1.0, 2.0, 3.0]), np.array([[10.0], [np.nan]]), 0.1,
+                          SolitonSpec(alpha=0.0))
+        assert u.shape == (2, 3) and np.all(u == 0.0)
 
     def test_reduction_to_selfsimilar_amplitude(self):
         # u(r,t) = eps^2 A(eps^3 r, eps (t - r)) exactly; moderate alpha keeps
@@ -258,6 +261,70 @@ class TestPhysicalWave:
             physical_wave(-1.0, 10.0, 0.1, BIG)
         with pytest.raises(ValueError):
             physical_wave(1.0, 10.0, 0.0, BIG)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, [2.0, np.nan], [np.inf, 2.0]],
+                             ids=["nan", "inf", "-inf", "0", "nan-in-array", "inf-in-array"])
+    def test_rejects_radius_not_finite_and_positive(self, r):
+        with pytest.raises(ValueError, match="^radius must be finite and positive$"):
+            physical_wave(r, 10.0, 0.1, BIG)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_argument_reads_the_limit(self):
+        # u -> 0 at t - r = -inf for every family, and at +inf for beta = 0
+        r = np.array([3.0, 40.0, 60.0, 90.0])
+        t = np.array([-np.inf, 50.0, np.inf, 80.0])
+        general = SolitonSpec(alpha=1.0, beta=1e-6, offset=5.0)
+        u = physical_wave(r, t, 0.1, BIG)
+        assert u[0] == 0.0 and u[2] == 0.0
+        assert np.array_equal(u[[1, 3]], physical_wave(r[[1, 3]], t[[1, 3]], 0.1, BIG))
+        for spec in (BIG, general):
+            assert physical_wave(5.0, -np.inf, 0.1, spec) == 0.0
+            u = physical_wave(r, -np.inf, 0.1, spec)
+            assert u.shape == r.shape and np.all(u == 0.0)
+        assert physical_wave(5.0, np.inf, 0.1, BIG) == 0.0
+        # Bi is refused at +inf, as at every z > 30
+        with pytest.raises(OverflowGuard, match="z=inf"):
+            physical_wave(r, t, 0.1, general)
+
+
+class TestProfilePackLimits:
+    GENERAL = SolitonSpec(alpha=1.0, beta=1e-6, offset=5.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, sign", [(BIG, 1.0), (SolitonSpec(alpha=-2.0), -1.0),
+                                            (GENERAL, 1.0),
+                                            (SolitonSpec(alpha=-1.0, beta=-1.0), -1.0)],
+                             ids=["canonical", "negative", "general", "general-negative"])
+    def test_minus_infinity(self, spec, sign):
+        # F grows like |z|^{1/2} and F' decays; F'' to F'''' oscillate
+        z = np.array([-np.inf, -3.0, 0.5, np.nan])
+        pack = profile_pack(z, spec)
+        assert [p[0] for p in pack][:2] == [sign * np.inf, 0.0]
+        assert all(np.isnan(p[0]) for p in pack[2:])
+        assert all(np.isnan(p[-1]) for p in pack)
+        for whole, finite in zip(pack, profile_pack(z[1:3], spec)):
+            assert np.array_equal(whole[1:3], finite)
+        assert [float(p) for p in profile_pack(-np.inf, spec)][:2] == [sign * np.inf, 0.0]
+        far = profile_pack(-1e6, spec)
+        assert sign * far[0] > 1e2 and abs(far[1]) < 1e-2 * abs(spec.alpha + spec.beta)
+
+    @pytest.mark.filterwarnings("error")
+    def test_plus_infinity(self):
+        z = np.array([[np.inf, 1.0], [-2.0, np.inf]])
+        pack = profile_pack(z, BIG)
+        for whole, finite in zip(pack, profile_pack(np.array([1.0, -2.0]), BIG)):
+            assert whole.shape == z.shape
+            assert whole[0, 0] == 0.0 and whole[1, 1] == 0.0
+            assert np.array_equal(whole[[0, 1], [1, 0]], finite)
+        assert all(p == 0.0 for p in profile_pack(np.inf, BIG))
+        with pytest.raises(OverflowGuard, match="z=inf"):
+            profile_pack(np.array([-1.0, np.inf]), self.GENERAL)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_profile(self):
+        pack = profile_pack(np.array([-np.inf, 0.5, np.inf]), SolitonSpec(alpha=0.0))
+        assert all(np.all(p == 0.0) for p in pack)
 
 
 # The tail quadratures as one full-length amplitude evaluation each: the
