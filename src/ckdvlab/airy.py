@@ -18,6 +18,15 @@ Every branch is accurate to better than 1e-10 relative over the supported
 range (1e-15 of the envelope on the central range); adjacent branches
 overlap to ~1e-11 and the tests pin this down against an independent
 high-precision series oracle and mpmath.
+
+A call whose arguments are finite and lie in one range, as every tail
+chunk of the soliton diagnostics does but those that reach a seam, runs
+that range's branch on the array itself; other calls select each range
+by a mask.  Either way each value takes the same operations.
+
+The profile terms come from one product-pair form of two Airy solutions:
+_pair gives F, F' and F'', all the wave reads (wave_terms), and
+_pair_high adds F''' and F'''' from the same products for profile_pack.
 """
 
 from __future__ import annotations
@@ -246,14 +255,37 @@ def _central(z: np.ndarray, with_bi: bool):
 
 
 def _airy(z, with_bi: bool):
-    """Ai, Ai' (and Bi, Bi' when with_bi) over the three argument ranges."""
+    """Ai, Ai' (and Bi, Bi' when with_bi) over the three argument ranges.
+
+    A call whose arguments are finite and lie in one range, as every tail
+    chunk does but those that reach a seam, runs that range's branch on the
+    array itself.  Any other call, and one holding nan or +-inf, gathers
+    each range's arguments by a mask and scatters its values back.
+    """
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    if with_bi:
-        # a comparison, not zarr.max(): a nan argument must not hide a large one
+    # both read nan when any argument is nan, and then no range test holds
+    lo, hi = (zarr.min(), zarr.max()) if zarr.size else (np.nan, np.nan)
+    if with_bi and not hi <= _BI_OVERFLOW + 1e-12:
+        # a comparison, not hi: a nan argument must not hide a large one
         big = zarr > _BI_OVERFLOW + 1e-12
         if big.any():
             raise OverflowGuard(f"Bi evaluation refused for z={zarr[big].max():.3f} "
                                 f"> {_BI_OVERFLOW}")
+    if -np.inf < lo and hi < _NEG_ASYM:
+        out = _asym_neg(zarr, with_bi)
+    elif _NEG_ASYM <= lo and hi < _POS_ASYM:
+        out = _central(zarr, with_bi)
+    elif _POS_ASYM <= lo and hi < np.inf:
+        out = _asym_pos(zarr, with_bi)
+    else:
+        out = _airy_masked(zarr, with_bi)
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return [v[0] for v in out]
+    return out
+
+
+def _airy_masked(zarr: np.ndarray, with_bi: bool):
+    """_airy over arguments in several ranges, or with nan or +-inf among them."""
     out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
     ranges = (((zarr > -np.inf) & (zarr < _NEG_ASYM), _asym_neg),
               ((zarr >= _NEG_ASYM) & (zarr < _POS_ASYM), _central),
@@ -272,8 +304,6 @@ def _airy(z, with_bi: bool):
             dst[zarr == np.inf] = 0.0
             dst[zarr == -np.inf] = at_neg_inf
             dst[np.isnan(zarr)] = np.nan
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return [v[0] for v in out]
     return out
 
 
@@ -337,22 +367,68 @@ class SolitonSpec:
 
 
 def _pair(x, xp, y, yp, z):
-    """Product form of two solutions x, y of w'' = z w.
-
-    Returns F = x'y' - z x y and its first four derivatives, F' = -x y and
-    the higher ones from w'' = z w.
+    """F, F' and F'' of the product form of two solutions x, y of w'' = z w:
+    F = x'y' - z x y, F' = -x y and F'' = -(x y)'.
     """
     xy = x * y
-    g1 = xp * y + x * yp
-    return xp * yp - z * xy, -xy, -g1, -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1)
+    return xp * yp - z * xy, -xy, -(xp * y + x * yp)
 
 
-def _product_form(z, alpha: float, beta: float, gamma: float):
-    """F to F'''' of F' = -(alpha Ai^2 + beta Bi^2 + gamma Ai Bi)."""
+def _pair_high(x, xp, y, yp, z, f1, f2):
+    """F''' and F'''' of the same product form, from its F' and F'' and w'' = z w.
+
+    Negation is exact, so -f1 and -f2 are x y and (x y)' bit for bit.
+    """
+    xy, g1 = -f1, -f2
+    return -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1)
+
+
+def _pairs(z, alpha: float, beta: float, gamma: float):
+    """(weight, x, x', y, y') of each Airy product in
+    F' = -(alpha Ai^2 + beta Bi^2 + gamma Ai Bi)."""
     av = airy_eval(z)
     a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
-    return tuple(alpha * p + beta * q + gamma * r for p, q, r in
-                 zip(_pair(a, ap, a, ap, z), _pair(b, bp, b, bp, z), _pair(a, ap, b, bp, z)))
+    return [(alpha, a, ap, a, ap), (beta, b, bp, b, bp), (gamma, a, ap, b, bp)]
+
+
+def _profile_pairs(z, spec: SolitonSpec):
+    """z as an array, and the _pairs of the profile of spec.
+
+    The canonical family (beta = gamma = 0) has the one product Ai^2 and does
+    no Bi work, so it is valid for arbitrarily large z, where Ai underflows.
+    """
+    z = np.asarray(z, dtype=float) if np.ndim(z) else z
+    if spec.beta == 0.0 and spec.gamma == 0.0:
+        a, ap = airy_ai_only(z)
+        return z, [(spec.alpha, a, ap, a, ap)]
+    return z, _pairs(z, spec.alpha, spec.beta, spec.gamma)
+
+
+def _combine(pairs, terms):
+    """Each F-term: the weight times that term of each pair, summed in the
+    order of the pairs."""
+    out = []
+    for column in zip(*terms):
+        total = pairs[0][0] * column[0]
+        for (weight, *_), term in zip(pairs[1:], column[1:]):
+            total = total + weight * term
+        out.append(total)
+    return tuple(out)
+
+
+def _low_terms(z, pairs):
+    """F, F' and F'' of the weighted pairs; Ai may underflow in the products."""
+    with np.errstate(under="ignore"):
+        return _combine(pairs, [_pair(*p[1:], z) for p in pairs])
+
+
+def wave_terms(z, spec: SolitonSpec):
+    """F, F' and F'' of profile_pack, the only terms the wave reads, at finite z.
+
+    There is no end handling: a nan argument reads nan, and beta != 0
+    raises OverflowGuard for z > 30, +inf included.
+    """
+    return _low_terms(*_profile_pairs(z, spec))
 
 
 def profile_pack(z, spec: SolitonSpec):
@@ -361,7 +437,8 @@ def profile_pack(z, spec: SolitonSpec):
     F'' and beyond come from differentiating the Airy products with
     w'' = z w; no numerical differentiation is involved.  The canonical
     family (beta = 0) avoids Bi entirely, so it is valid for arbitrarily
-    large argument where Ai just underflows.
+    large argument where Ai just underflows.  F, F' and F'' are those of
+    wave_terms bit for bit; F''' and F'''' come from the same products.
 
     Infinite arguments read the limits where they exist and nan where they
     do not, with no warning: at z = +inf all five read 0 for beta = 0 (for
@@ -369,7 +446,7 @@ def profile_pack(z, spec: SolitonSpec):
     z = -inf F reads sign(alpha + beta) * inf and F' 0, while F'' to F''''
     oscillate without a limit and read nan (0 for the zero profile).
     """
-    al, be, ga = spec.alpha, spec.beta, spec.gamma
+    al, be = spec.alpha, spec.beta
     zarr = np.asarray(z, dtype=float)
     # the products take inf * 0 at the ends; beta != 0 leaves +inf to the Bi guard
     ends = (zarr == -np.inf) | ((zarr == np.inf) & (be == 0.0))
@@ -382,12 +459,11 @@ def profile_pack(z, spec: SolitonSpec):
             full[~ends] = part
             pack.append(full[()])
         return tuple(pack)
-    if be == 0.0 and ga == 0.0:
-        z = np.asarray(z, dtype=float) if np.ndim(z) else z
-        a, ap = airy_ai_only(z)
-        with np.errstate(under="ignore"):
-            return tuple(al * t for t in _pair(a, ap, a, ap, z))
-    return _product_form(z, al, be, ga)
+    z, pairs = _profile_pairs(z, spec)
+    with np.errstate(under="ignore"):
+        low = [_pair(*p[1:], z) for p in pairs]
+        return _combine(pairs, [(*f, *_pair_high(*p[1:], z, *f[1:]))
+                                for p, f in zip(pairs, low)])
 
 
 def compatibility_residual(z, alpha: float, beta: float, gamma: float):
@@ -400,5 +476,5 @@ def compatibility_residual(z, alpha: float, beta: float, gamma: float):
     and cancel in double precision (relative error 3e-7 at z = 4, 5e-4 at
     z = 5).
     """
-    f0, f1, f2, _, _ = _product_form(z, alpha, beta, gamma)
+    f0, f1, f2 = _low_terms(z, _pairs(z, alpha, beta, gamma))
     return f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1

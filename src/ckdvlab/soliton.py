@@ -4,7 +4,8 @@ The wave is A = -6 d^2/dtau^2 log f with f = offset + s^{-1} F(tau/s),
 s = (6 rho)^{1/3}.  Everything here is evaluated through closed Airy
 products; the only quadratures are the diagnostic integrals of A itself.
 All F-terms enter as ratios F'/(offset*s+F) etc., which stay O(1) even for
-amplitude parameters as large as 1e8.
+amplitude parameters as large as 1e8.  The wave reads F, F' and F'' alone
+(airy.wave_terms); only the bilinear check builds F''' and F'''' too.
 
 The tail quadratures resolve the oscillation phase out to |tau| = T, which
 takes about 2e5 nodes at rho = 1, T = 1000 (the zero-mean defect).  The
@@ -23,7 +24,7 @@ import math
 
 import numpy as np
 
-from .airy import SolitonSpec, profile_pack
+from .airy import SolitonSpec, profile_pack, wave_terms
 from .errors import DenominatorSignError
 from .grid import SpectralGrid
 
@@ -39,11 +40,10 @@ def _require_positive(rho):
         raise ValueError(f"rho must be positive, got {rho}")
 
 
-def _similarity(rho, tau, spec: SolitonSpec):
-    """s = (6 rho)^{1/3}, z = tau/s and profile_pack at z."""
+def _similarity(rho, tau):
+    """s = (6 rho)^{1/3} and z = tau/s."""
     s = (6.0 * rho) ** (1.0 / 3.0)
-    z = np.asarray(tau, dtype=float) / s
-    return s, z, profile_pack(z, spec)
+    return s, np.asarray(tau, dtype=float) / s
 
 
 def _wave(rho, tau, spec: SolitonSpec, eps: float = 1.0):
@@ -52,17 +52,21 @@ def _wave(rho, tau, spec: SolitonSpec, eps: float = 1.0):
 
     It reads 0, its limit, for the zero wave, at tau = -inf, where F'' stays
     bounded while c + F grows like |tau|^{1/2}, and at tau = +inf for
-    beta = 0, where F and its derivatives vanish.
+    beta = 0, where F and its derivatives vanish.  One isfinite test sends
+    every finite tau, each tail chunk among them, past that end handling.
     """
     tau = np.asarray(tau, dtype=float)
-    zero = ((tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
-            | (spec.alpha == 0.0 and spec.beta == 0.0))
-    if zero.any():
-        wave, keep = np.zeros_like(tau), ~zero
-        rho = np.broadcast_to(rho, tau.shape)[keep] if np.ndim(rho) else rho
-        wave[keep] = _wave(rho, tau[keep], spec, eps)
-        return wave[()]
-    s, _, (f0, f1, f2, _, _) = _similarity(rho, tau, spec)
+    if spec.alpha == 0.0 and spec.beta == 0.0:
+        return np.zeros_like(tau)[()]
+    if not np.isfinite(tau).all():
+        ends = (tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
+        if ends.any():
+            wave, keep = np.zeros_like(tau), ~ends
+            rho = np.broadcast_to(rho, tau.shape)[keep] if np.ndim(rho) else rho
+            wave[keep] = _wave(rho, tau[keep], spec, eps)
+            return wave[()]
+    s, z = _similarity(rho, tau)
+    f0, f1, f2 = wave_terms(z, spec)
     den = spec.offset * s * eps + f0
     if np.any(den <= 0.0):
         raise DenominatorSignError(
@@ -85,7 +89,8 @@ def soliton_amplitude(rho: float, tau, spec: SolitonSpec):
 
 def _bilinear_parts(rho: float, tau, spec: SolitonSpec):
     """The five summands of the bilinear form for f = offset + s^{-1} F(z)."""
-    s, z, (f0, f1, f2, f3, f4) = _similarity(rho, tau, spec)
+    s, z = _similarity(rho, tau)
+    f0, f1, f2, f3, f4 = profile_pack(z, spec)
     f = spec.offset + f0 / s
     ftau = f1 / s ** 2
     ftau2 = f2 / s ** 3
@@ -161,7 +166,8 @@ def zero_mean_defect(rho: float, spec: SolitonSpec, half_width: float) -> float:
     value tends to zero as T grows and measures only quadrature error.
     """
     quad_val = soliton_integral(rho, spec, half_width)
-    s, _, (f0, f1, _, _, _) = _similarity(rho, np.array([-half_width, half_width]), spec)
+    s, z = _similarity(rho, np.array([-half_width, half_width]))
+    f0, f1, _ = wave_terms(z, spec)
     bterm = f1 / (s * (spec.offset * s + f0))
     truncated_exact = -6.0 * (bterm[1] - bterm[0])
     return quad_val + (0.0 - truncated_exact)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ckdvlab.airy import SolitonSpec, airy_eval, profile_pack
-from ckdvlab import boussinesq
+from ckdvlab.airy import AiryValues, SolitonSpec, airy_eval, profile_pack
+from ckdvlab import airy, boussinesq
 from ckdvlab.boussinesq import BoussinesqState, _t_grid_of, n_forms
 from ckdvlab.ckdv import CkdvState, _schedule
+from ckdvlab.errors import OverflowGuard
 from ckdvlab.grid import RealField, make_grid
 
 _TAIL_Z = 8.0          # quadrature/tail split for the profile integral
@@ -242,3 +243,109 @@ def cold_rk4(init: BoussinesqState, r1: float, dr: float, output_radii=None, sta
         if landing is not None:
             out.append((landing, v, w))
     return out
+
+
+# The Airy dispatch with range masks on every call, and the profile terms
+# built five at a time from one product form: the oracles for the one-range
+# calls of airy._airy and for the wave, which reads F, F' and F'' only.
+
+def masked_airy(z, with_bi):
+    """Ai, Ai' (and Bi, Bi') with each range gathered and scattered by a mask."""
+    zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    if with_bi and (zarr > airy._BI_OVERFLOW + 1e-12).any():
+        raise OverflowGuard("Bi evaluation refused")
+    out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
+    ranges = (((zarr > -np.inf) & (zarr < airy._NEG_ASYM), airy._asym_neg),
+              ((zarr >= airy._NEG_ASYM) & (zarr < airy._POS_ASYM), airy._central),
+              ((zarr >= airy._POS_ASYM) & (zarr < np.inf), airy._asym_pos))
+    for sel, branch in ranges:
+        if sel.any():
+            for dst, val in zip(out, branch(zarr[sel], with_bi)):
+                dst[sel] = val
+    if not np.isfinite(zarr).all():
+        for dst, at_neg_inf in zip(out, (0.0, np.nan, 0.0, np.nan)):
+            dst[zarr == np.inf] = 0.0
+            dst[zarr == -np.inf] = at_neg_inf
+            dst[np.isnan(zarr)] = np.nan
+    if np.isscalar(z) or np.ndim(z) == 0:
+        return [v[0] for v in out]
+    return out
+
+
+def five_term_pair(x, xp, y, yp, z):
+    xy = x * y
+    g1 = xp * y + x * yp
+    return xp * yp - z * xy, -xy, -g1, -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1)
+
+
+def five_term_pack(z, spec: SolitonSpec):
+    """profile_pack with all five terms of every pair built and scaled."""
+    al, be, ga = spec.alpha, spec.beta, spec.gamma
+    zarr = np.asarray(z, dtype=float)
+    ends = (zarr == -np.inf) | ((zarr == np.inf) & (be == 0.0))
+    if ends.any():
+        at_neg_inf = ((np.sign(al + be) * np.inf, 0.0, np.nan, np.nan, np.nan)
+                      if al or be else (0.0,) * 5)
+        pack = []
+        for part, limit in zip(five_term_pack(zarr[~ends], spec), at_neg_inf):
+            full = np.where(zarr == np.inf, 0.0, limit)
+            full[~ends] = part
+            pack.append(full[()])
+        return tuple(pack)
+    if be == 0.0 and ga == 0.0:
+        z = np.asarray(z, dtype=float) if np.ndim(z) else z
+        a, ap = masked_airy(z, False)
+        with np.errstate(under="ignore"):
+            return tuple(al * t for t in five_term_pair(a, ap, a, ap, z))
+    av = AiryValues(*masked_airy(z, True))
+    a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
+    return tuple(al * p + be * q + ga * r for p, q, r in
+                 zip(five_term_pair(a, ap, a, ap, z), five_term_pair(b, bp, b, bp, z),
+                     five_term_pair(a, ap, b, bp, z)))
+
+
+def five_term_wave(rho, tau, spec: SolitonSpec, eps=1.0):
+    """The wave of soliton._wave from five_term_pack, its ends masked on every call."""
+    tau = np.asarray(tau, dtype=float)
+    zero = ((tau == -np.inf) | ((tau == np.inf) & (spec.beta == 0.0))
+            | (spec.alpha == 0.0 and spec.beta == 0.0))
+    if zero.any():
+        wave, keep = np.zeros_like(tau), ~zero
+        rho = np.broadcast_to(rho, tau.shape)[keep] if np.ndim(rho) else rho
+        wave[keep] = five_term_wave(rho, tau[keep], spec, eps)
+        return wave[()]
+    s = (6.0 * rho) ** (1.0 / 3.0)
+    f0, f1, f2, _, _ = five_term_pack(tau / s, spec)
+    den = spec.offset * s * eps + f0
+    assert not np.any(den <= 0.0)
+    return -(6.0 / s ** 2) * (f2 / den - (f1 / den) ** 2)
+
+
+def assert_same_doubles(got, want):
+    """got and want have the same type, shape and bytes: nan and signed zeros included."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def bit_identity_inputs(top, scale=1.0):
+    """Arguments up to top, times scale: dense sweeps across both seams, one
+    sweep inside each range, scalars, 0-d and empty arrays, and arrays
+    holding nan or +-inf (+inf only when top is)."""
+    seams = (airy._NEG_ASYM, airy._POS_ASYM)
+    ends = [v for v in (np.nan, -np.inf, np.inf) if not v > top]
+    inputs = [
+        np.linspace(-12.0, min(top, 12.0), 100_001),
+        np.linspace(seams[0] - 1e-9, seams[1] + 1e-9, 3),
+        np.linspace(-3000.0, seams[0], 20_001)[:-1],
+        np.linspace(*seams, 20_001)[:-1],
+        np.linspace(seams[1], min(top, 600.0), 20_001),
+        -20.0, 0.0, min(top, 10.0), np.float64(seams[0]), np.array(seams[1]),
+        np.array(-3.0), np.array([]), np.empty((0, 3)),
+        np.array([[-20.0, 1.0], [min(top, 10.0), seams[0]]]),
+        np.array([*ends, -20.0, 1.0, min(top, 10.0)]),
+        np.array(ends),
+        np.array(ends[0]),
+    ]
+    return [np.asarray(v * scale) if isinstance(v, np.ndarray) else v * scale
+            for v in inputs]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, compatibility_residual,
-                          profile_pack)
+                          profile_pack, wave_terms)
 from ckdvlab.errors import OverflowGuard
 
-from conftest import airy_series_oracle, capital_f, fd_derivative
+from conftest import (airy_series_oracle, assert_same_doubles, bit_identity_inputs, capital_f,
+                      fd_derivative, five_term_pack, masked_airy)
 
 
 def test_series_oracle_wronskian_self_check():
@@ -123,6 +124,38 @@ def test_full_table_sweep_sees_a_coarser_cut(monkeypatch):
     from ckdvlab import airy as am
     monkeypatch.setattr(am, "_DROP", 2.0 ** -40)
     assert asymptotic_mismatches(monkeypatch) > 0
+
+
+@pytest.mark.parametrize("fn, with_bi, top", [(airy_ai_only, False, np.inf),
+                                             (airy_eval, True, 30.0)],
+                         ids=["ai-only", "ai-bi"])
+def test_one_range_calls_are_the_masked_dispatch(fn, with_bi, top):
+    # a call in one range runs its branch on the whole array, any other call
+    # gathers by masks; either way every double is the masked dispatch's
+    for z in bit_identity_inputs(top):
+        got, want = _components(fn(z)), masked_airy(z, with_bi)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_doubles(g, w)
+
+
+@pytest.mark.parametrize("spec, top", [
+    (SolitonSpec(alpha=1e8), np.inf), (SolitonSpec(alpha=-2.0), np.inf),
+    (SolitonSpec(alpha=0.0), np.inf), (SolitonSpec(alpha=1.0, beta=1e-6), 30.0),
+    (SolitonSpec(alpha=2.0, beta=3.0, branch=-1), 30.0)],
+    ids=["canonical", "negative", "zero", "general", "general-lower-branch"])
+def test_profile_terms_are_the_five_term_pack(spec, top):
+    # F, F', F'' alone (wave_terms) and all five (profile_pack) are the
+    # doubles of one five-term product form per pair
+    for z in bit_identity_inputs(top):
+        want = five_term_pack(z, spec)
+        got = profile_pack(z, spec)
+        assert len(got) == 5
+        for g, w in zip(got, want):
+            assert_same_doubles(g, w)
+        if np.isfinite(z).all():
+            for g, w in zip(wave_terms(z, spec), want[:3], strict=True):
+                assert_same_doubles(g, w)
 
 
 def test_far_range_against_mpmath():

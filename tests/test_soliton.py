@@ -5,12 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from ckdvlab import airy
 from ckdvlab.airy import SolitonSpec, profile_pack
+from ckdvlab.cli import ExperimentConfig, cmd_soliton
 from ckdvlab.errors import DenominatorSignError, OverflowGuard
 from ckdvlab.grid import make_grid
 from ckdvlab.soliton import (_oscillation_nodes, _similarity, _simpson, bilinear_residual,
                              bilinear_scale, physical_wave, soliton_amplitude,
                              soliton_integral, window_l2_growth, zero_mean_defect)
+
+from conftest import assert_same_doubles, bit_identity_inputs, five_term_wave
 
 BIG = SolitonSpec(alpha=1e8)
 
@@ -327,6 +331,57 @@ class TestProfilePackLimits:
         assert all(np.all(p == 0.0) for p in pack)
 
 
+# The wave reads F, F' and F'' through the one-range Airy dispatch: every
+# double must be that of the five-term, masked oracle in conftest.
+
+WAVE_SPECS = pytest.mark.parametrize("spec, top", [
+    (BIG, np.inf), (SolitonSpec(alpha=0.3), np.inf), (SolitonSpec(alpha=0.0), np.inf),
+    # the log argument stays positive up to z = 8
+    (SolitonSpec(alpha=1.0, beta=1e-12, offset=5.0), 8.0)],
+    ids=["canonical", "cli-alpha", "zero", "general"])
+
+
+class TestWaveBitIdentity:
+    @WAVE_SPECS
+    @pytest.mark.parametrize("rho", [0.5, 4.0])
+    def test_amplitude(self, spec, top, rho):
+        s = (6.0 * rho) ** (1.0 / 3.0)
+        for tau in bit_identity_inputs(top, scale=s):
+            assert_same_doubles(soliton_amplitude(rho, tau, spec),
+                                five_term_wave(rho, tau, spec))
+
+    @WAVE_SPECS
+    def test_physical_wave(self, spec, top):
+        eps, r = 0.1, 10.0
+        s = (6.0 * r) ** (1.0 / 3.0)
+        for tau in bit_identity_inputs(top, scale=s):
+            t = r + tau
+            assert_same_doubles(physical_wave(r, t, eps, spec),
+                                five_term_wave(np.asarray(r), np.asarray(t) - r, spec, eps))
+        # many radii at one time, as the CLI's radial waves, across both seams
+        r = np.linspace(0.5, 400.0, 100_001)
+        t = 50.0 if top > 30.0 else 10.0
+        assert_same_doubles(physical_wave(r, t, eps, spec),
+                            five_term_wave(r, t - r, spec, eps))
+
+
+def test_tails_never_build_the_higher_terms(monkeypatch, tmp_path):
+    # the tail quadratures and the whole soliton command read F, F' and F''
+    # only; profile_pack, which builds F''' and F'''', shows the patch holds
+    def refuse(*args):
+        raise AssertionError("F''' and F'''' built")
+
+    monkeypatch.setattr(airy, "_pair_high", refuse)
+    with pytest.raises(AssertionError, match="built"):
+        profile_pack(0.5, BIG)
+    assert abs(zero_mean_defect(4.0, BIG, 200.0)) < 1e-3
+    _, slope = window_l2_growth(20.0, BIG, (200.0, 400.0))
+    assert np.isfinite(slope)
+    files = cmd_soliton(ExperimentConfig(command="soliton", rho_profiles=(20.0, 100.0),
+                                         t_values=(50.0,), out_dir=str(tmp_path), quiet=True))
+    assert "soliton_diagnostics.csv" in {f.name for f in files}
+
+
 # The tail quadratures as one full-length amplitude evaluation each: the
 # oracle for their chunked evaluation.
 
@@ -336,7 +391,8 @@ def one_array_integral(rho, spec, T):
 
 
 def one_array_defect(rho, spec, T):
-    s, _, (f0, f1, _, _, _) = _similarity(rho, np.array([-T, T]), spec)
+    s, z = _similarity(rho, np.array([-T, T]))
+    f0, f1, _, _, _ = profile_pack(z, spec)
     bterm = f1 / (s * (spec.offset * s + f0))
     truncated_exact = -6.0 * (bterm[1] - bterm[0])
     return one_array_integral(rho, spec, T) + (0.0 - truncated_exact)
