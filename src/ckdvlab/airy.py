@@ -476,5 +476,6 @@ def compatibility_residual(z, alpha: float, beta: float, gamma: float):
     and cancel in double precision (relative error 3e-7 at z = 4, 5e-4 at
     z = 5).
     """
+    z = np.asarray(z, dtype=float) if np.ndim(z) else z
     f0, f1, f2 = _low_terms(z, _pairs(z, alpha, beta, gamma))
     return f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1

@@ -35,8 +35,7 @@ from .errors import (CkdvLabError, ConfigError, DenominatorSignError, OverflowGu
                      SingularDispersion)
 from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
-from .report import (config_hash, csv_text, fit_loglog, manifest_files, manifest_text,
-                     write_text)
+from .report import config_hash, csv_text, fit_loglog, manifest_text, write_text
 from .residual import gronwall_growth_check, sweep_report
 from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
                       zero_mean_defect)
@@ -219,23 +218,9 @@ def _write_out(cfg: ExperimentConfig, manifest: dict,
 
     Every command renders all its files before it calls this, so a config,
     a run or a rendering that fails leaves no output directory behind.
-
-    Raises:
-        ConfigError: out_dir holds files that its manifest.txt lists and this
-            run would not write, so the new manifest would not list them;
-            nothing is written or deleted.
     """
-    names = [name for name, _ in files]
+    files = [*files, ("manifest.txt", manifest_text(manifest, [name for name, _ in files]))]
     out = Path(cfg.out_dir)
-    old = out / "manifest.txt"
-    if old.is_file():
-        left = [name for name in manifest_files(old.read_text(errors="replace"))
-                if name not in names and (out / name).exists()]
-        if left:
-            raise ConfigError(f"{out} holds files of another run that this run would "
-                              f"not list in its manifest: {', '.join(left)}; choose "
-                              f"another --out or remove them")
-    files = [*files, ("manifest.txt", manifest_text(manifest, names))]
     out.mkdir(parents=True, exist_ok=True)
     paths = [write_text(out / name, text) for name, text in files]
     _say(cfg, f"{cfg.command}: wrote {len(paths)} files to {out}")

@@ -77,15 +77,6 @@ def manifest_text(manifest: dict, files: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def manifest_files(text: str) -> list[str]:
-    """The file names a manifest_text lists, in order."""
-    lines = text.splitlines()
-    if "files:" not in lines:
-        return []
-    return [ln.removeprefix("  - ") for ln in lines[lines.index("files:") + 1:]
-            if ln.startswith("  - ")]
-
-
 def write_text(path, text: str):
     """Write a file rendered earlier, e.g. by csv_text; returns the path."""
     path = Path(path)

@@ -330,9 +330,13 @@ def assert_same_doubles(got, want):
 
 def bit_identity_inputs(top, scale=1.0):
     """Arguments up to top, times scale: dense sweeps across both seams, one
-    sweep inside each range, scalars, 0-d and empty arrays, and arrays
-    holding nan or +-inf (+inf only when top is)."""
+    sweep and one 2-D block inside each range (each block also as a
+    non-contiguous view), scalars, 0-d and empty arrays, and arrays holding
+    nan or +-inf (+inf only when top is)."""
     seams = (airy._NEG_ASYM, airy._POS_ASYM)
+    blocks = [np.array([[-20.0, -30.0, -3000.0], [-15.0, -12.0, seams[0] - 1e-9]]),
+              np.array([[seams[0], 1.0, -3.0], [0.5, 2.0, seams[1] - 1e-9]]),
+              np.array([[seams[1], 8.0, 9.0], [10.0, 12.0, 600.0]]).clip(max=top)]
     ends = [v for v in (np.nan, -np.inf, np.inf) if not v > top]
     inputs = [
         np.linspace(-12.0, min(top, 12.0), 100_001),
@@ -346,6 +350,9 @@ def bit_identity_inputs(top, scale=1.0):
         np.array([*ends, -20.0, 1.0, min(top, 10.0)]),
         np.array(ends),
         np.array(ends[0]),
+        *blocks,
     ]
-    return [np.asarray(v * scale) if isinstance(v, np.ndarray) else v * scale
-            for v in inputs]
+    # the views are taken after scaling, which would copy them
+    scaled = [np.asarray(v * scale) if isinstance(v, np.ndarray) else v * scale
+              for v in inputs]
+    return [*scaled, *(b[:, ::2] for b in scaled[-len(blocks):])]

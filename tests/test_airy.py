@@ -477,6 +477,9 @@ class TestCompatibility:
         assert v1 == pytest.approx(-24.0 / np.pi ** 2, rel=1e-9)
         for z in (-3.0, 3.0):
             assert compatibility_residual(z, 2.0, 3.0, 0.0) == pytest.approx(v1, rel=1e-9)
+        # a list is an array of arguments, not a sequence that 4 * z repeats
+        got = compatibility_residual([-3.0, 0.0, 3.0], 2.0, 3.0, 0.0)
+        assert got.shape == (3,) and got == pytest.approx(v1, rel=1e-9)
 
     def test_random_triples(self, rng):
         for _ in range(20):

@@ -511,47 +511,6 @@ class TestOutputPath:
             os.waitpid(-1, os.WNOHANG)
 
 
-class TestReusedOut:
-    # a run refuses an --out whose manifest lists files it would not write
-
-    def run(self, command, out):
-        return cli.COMMANDS[command](small_cfg(out, command=command, **SMALL_RUNS[command]))
-
-    def test_other_command_is_refused_and_changes_nothing(self, tmp_path):
-        out = tmp_path / "out"
-        self.run("ckdv", out)
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        with pytest.raises(ConfigError, match="manifest: ckdv_snapshots.csv, ckdv_evolution.svg;"):
-            self.run("boussinesq", out)
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_exit_code_names_the_files(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        self.run("ckdv", out)
-        rc = main(["boussinesq", "--n", "128", "--eps", "0.15", "--out", str(out), "--quiet"])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("error: ") and "ckdv_snapshots.csv" in err
-
-    def test_same_command_twice(self, tmp_path):
-        out = tmp_path / "out"
-        first = self.run("ckdv", out)
-        texts = [p.read_bytes() for p in first]
-        assert self.run("ckdv", out) == first
-        assert [p.read_bytes() for p in first] == texts
-
-    def test_removed_and_unlisted_files_are_left_alone(self, tmp_path):
-        # once the listed files are gone the run goes ahead; a file no
-        # manifest lists is neither looked at nor deleted
-        out = tmp_path / "out"
-        for path in self.run("ckdv", out):
-            if path.name != "manifest.txt":
-                path.unlink()
-        (out / "notes.txt").write_text("mine\n")
-        names = [p.name for p in self.run("boussinesq", out)]
-        assert sorted(os.listdir(out)) == sorted([*names, "notes.txt"])
-        assert (out / "notes.txt").read_text() == "mine\n"
-
-
 class TestSelftest:
     def test_all_checks_pass(self, tmp_path, capsys):
         rc = cmd_selftest(ExperimentConfig(out_dir=str(tmp_path)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ckdvlab.report import _fmt, csv_text, manifest_files, manifest_lines, manifest_text
+from ckdvlab.report import _fmt, csv_text, manifest_lines, manifest_text
 
 MANIFEST = {"config_hash": "0123456789abcdef", "rhs_tol": 1e-12, "seed": 1234}
 
@@ -54,9 +54,3 @@ def test_manifest_text():
     assert manifest_text(MANIFEST, ["a.csv", "b.svg"]) == (
         "config_hash: 0123456789abcdef\nrhs_tol: 1e-12\nseed: 1234\n"
         "files:\n  - a.csv\n  - b.svg\n")
-
-
-def test_manifest_files_reads_back_the_list():
-    assert manifest_files(manifest_text(MANIFEST, ["a.csv", "b.svg"])) == ["a.csv", "b.svg"]
-    assert manifest_files(manifest_text(MANIFEST, [])) == []
-    assert manifest_files("not a manifest\n  - a.csv\n") == []
