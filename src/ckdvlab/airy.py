@@ -1,7 +1,7 @@
 """Airy functions Ai, Bi and the solitary-wave profile functions built on them.
 
 The evaluator is self-contained (no external special-function dependency)
-and combines three regimes:
+and combines three regimes, the rows of the table _RANGES:
 
 * the oscillatory asymptotic expansion below -8.5,
 * float64 Taylor sums of w'' = z w on the central range [-8.5, 7.4), each
@@ -14,19 +14,17 @@ fixed point on Python integers and rounded once, so every anchor holds the
 doubles nearest the exact values, with no platform-dependent float type
 involved.
 
-Every branch is accurate to better than 1e-10 relative over the supported
-range (1e-15 of the envelope on the central range); adjacent branches
-overlap to ~1e-11 and the tests pin this down against an independent
-high-precision series oracle and mpmath.
+Every branch is accurate to better than 1e-10 relative for -1e4 <= z <= 30
+(1e-15 of the envelope on the central range), as the tests pin down
+against a high-precision series oracle and mpmath.  Below -1e4 the
+rounded phase (2/3)|z|^{3/2} sets the error, about (2/3)|z|^{3/2} 2^-52 of
+the envelope: Ai errs by 7.7e-8 of it at z = -1e6, 6.8e-6 at -1e8 and
+7.7e-2 at -1e10 against mpmath.  The soliton tails reach z ~ -880 only.
 
-A call whose arguments are finite and lie in one range, as every tail
-chunk of the soliton diagnostics does but those that reach a seam, runs
-that range's branch on the array itself; other calls select each range
-by a mask.  Either way each value takes the same operations.
-
-The profile terms come from one product-pair form of two Airy solutions:
-_pair gives F, F' and F'', all the wave reads (wave_terms), and
-_pair_high adds F''' and F'''' from the same products for profile_pack.
+A call within one range runs its branch on the array itself, any other
+selects each range by a mask, with the same operations per value.
+_pair_terms builds F, F' and F'' (with high also F''' and F'''') of one
+product of two Airy solutions, and _terms weights and sums a profile's.
 """
 
 from __future__ import annotations
@@ -104,7 +102,8 @@ _U_EVEN, _U_ODD, _V_EVEN, _V_ODD = _U[0::2], _U[1::2], _V[0::2], _V[1::2]
 
 
 def _asym_pos(z: np.ndarray, with_bi: bool):
-    zeta = (2.0 / 3.0) * z ** 1.5
+    with np.errstate(over="ignore"):  # past about 3.2e205, where Ai reads 0
+        zeta = (2.0 / 3.0) * z ** 1.5
     q = z ** 0.25
     x = 1.0 / zeta
     t = float(x.max())
@@ -254,16 +253,22 @@ def _central(z: np.ndarray, with_bi: bool):
     return out
 
 
-def _airy(z, with_bi: bool):
-    """Ai, Ai' (and Bi, Bi' when with_bi) over the three argument ranges.
+# the argument ranges [lo, hi) and their branches; nan and +-inf lie in
+# none of them (the asymptotic forms take sin(inf) or inf * 0 there)
+_RANGES = ((-np.finfo(float).max, _NEG_ASYM, _asym_neg),
+           (_NEG_ASYM, _POS_ASYM, _central),
+           (_POS_ASYM, np.inf, _asym_pos))
 
-    A call whose arguments are finite and lie in one range, as every tail
-    chunk does but those that reach a seam, runs that range's branch on the
-    array itself.  Any other call, and one holding nan or +-inf, gathers
-    each range's arguments by a mask and scatters its values back.
+
+def _airy(z, with_bi: bool):
+    """Ai, Ai' (and Bi, Bi' when with_bi) over the _RANGES.
+
+    A call within one range, as every tail chunk but those that reach a
+    seam, runs its branch on the array itself; any other call, one holding
+    nan or +-inf included, gathers each range by a mask and scatters back.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
-    # both read nan when any argument is nan, and then no range test holds
+    # both read nan when any argument is nan, and then no range holds them
     lo, hi = (zarr.min(), zarr.max()) if zarr.size else (np.nan, np.nan)
     if with_bi and not hi <= _BI_OVERFLOW + 1e-12:
         # a comparison, not hi: a nan argument must not hide a large one
@@ -271,39 +276,27 @@ def _airy(z, with_bi: bool):
         if big.any():
             raise OverflowGuard(f"Bi evaluation refused for z={zarr[big].max():.3f} "
                                 f"> {_BI_OVERFLOW}")
-    if -np.inf < lo and hi < _NEG_ASYM:
-        out = _asym_neg(zarr, with_bi)
-    elif _NEG_ASYM <= lo and hi < _POS_ASYM:
-        out = _central(zarr, with_bi)
-    elif _POS_ASYM <= lo and hi < np.inf:
-        out = _asym_pos(zarr, with_bi)
+    for a, b, branch in _RANGES:
+        if a <= lo and hi < b:
+            out = branch(zarr, with_bi)
+            break
     else:
-        out = _airy_masked(zarr, with_bi)
+        out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
+        for a, b, branch in _RANGES:
+            sel = (zarr >= a) & (zarr < b)
+            if sel.any():
+                for dst, val in zip(out, branch(zarr[sel], with_bi)):
+                    dst[sel] = val
+        # filling the outputs up front instead would touch every page before
+        # the branches run.  Ai and Ai' vanish at +inf (Bi never gets there)
+        # and Ai and Bi at -inf, where Ai' and Bi' have no limit
+        if not np.isfinite(zarr).all():
+            for dst, at_neg_inf in zip(out, (0.0, np.nan, 0.0, np.nan)):
+                dst[zarr == np.inf] = 0.0
+                dst[zarr == -np.inf] = at_neg_inf
+                dst[np.isnan(zarr)] = np.nan
     if np.isscalar(z) or np.ndim(z) == 0:
         return [v[0] for v in out]
-    return out
-
-
-def _airy_masked(zarr: np.ndarray, with_bi: bool):
-    """_airy over arguments in several ranges, or with nan or +-inf among them."""
-    out = [np.empty_like(zarr) for _ in range(4 if with_bi else 2)]
-    ranges = (((zarr > -np.inf) & (zarr < _NEG_ASYM), _asym_neg),
-              ((zarr >= _NEG_ASYM) & (zarr < _POS_ASYM), _central),
-              ((zarr >= _POS_ASYM) & (zarr < np.inf), _asym_pos))
-    for sel, branch in ranges:
-        if sel.any():
-            for dst, val in zip(out, branch(zarr[sel], with_bi)):
-                dst[sel] = val
-    # nan and +-inf lie in none of the ranges (the asymptotic forms take
-    # sin(inf) or inf * 0 there), and filling the outputs up front instead
-    # would touch every page before the branches run.  Ai and Ai' vanish at
-    # +inf (Bi never gets there) and Ai and Bi at -inf, where Ai' and Bi'
-    # have no limit
-    if not np.isfinite(zarr).all():
-        for dst, at_neg_inf in zip(out, (0.0, np.nan, 0.0, np.nan)):
-            dst[zarr == np.inf] = 0.0
-            dst[zarr == -np.inf] = at_neg_inf
-            dst[np.isnan(zarr)] = np.nan
     return out
 
 
@@ -317,19 +310,19 @@ def airy_ai_only(z):
     there with an amplitude growing like |z|^{1/4} and has no limit.  A nan
     argument reads nan.  No infinite argument raises or warns.
     """
-    ai, aip = _airy(z, False)
-    return ai, aip
+    return tuple(_airy(z, False))
 
 
 def airy_eval(z) -> AiryValues:
     """Evaluate Ai, Ai', Bi, Bi' at scalar or array argument.
 
     Accurate to 1e-10 relative (absolute near subnormal underflow) for
-    z <= 30; arbitrarily negative arguments are served by the oscillatory
-    asymptotics whose accuracy only improves with |z|.  At z = -inf Ai and
-    Bi read 0, their limits, and Ai' and Bi' nan, because they oscillate
-    there with an amplitude growing like |z|^{1/4} and have no limit; that
-    is not an error, as a nan argument reading nan is not one either.
+    -1e4 <= z <= 30; below, the rounded oscillatory phase costs about
+    (2/3)|z|^{3/2} 2^-52 of the envelope, up to 0.16 near -1e10.
+    At z = -inf Ai and Bi read 0, their limits, and Ai' and Bi' nan,
+    because they oscillate there with an amplitude growing like |z|^{1/4}
+    and have no limit; that is not an error, as a nan argument reading nan
+    is not one either.
 
     Raises:
         OverflowGuard: z > 30, +inf included, where Bi would leave the
@@ -366,60 +359,33 @@ class SolitonSpec:
         return self.branch * 2.0 * np.sqrt(self.alpha * self.beta)
 
 
-def _pair(x, xp, y, yp, z):
+def _pair_terms(x, xp, y, yp, z, high: bool):
     """F, F' and F'' of the product form of two solutions x, y of w'' = z w:
-    F = x'y' - z x y, F' = -x y and F'' = -(x y)'.
+    F = x'y' - z x y, F' = -x y and F'' = -(x y)'; with high also F''' and
+    F'''' from the same products.
     """
-    xy = x * y
-    return xp * yp - z * xy, -xy, -(xp * y + x * yp)
+    xy, g1 = x * y, xp * y + x * yp
+    low = (xp * yp - z * xy, -xy, -g1)
+    if not high:
+        return low
+    return (*low, -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1))
 
 
-def _pair_high(x, xp, y, yp, z, f1, f2):
-    """F''' and F'''' of the same product form, from its F' and F'' and w'' = z w.
-
-    Negation is exact, so -f1 and -f2 are x y and (x y)' bit for bit.
-    """
-    xy, g1 = -f1, -f2
-    return -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1)
-
-
-def _pairs(z, alpha: float, beta: float, gamma: float):
-    """(weight, x, x', y, y') of each Airy product in
-    F' = -(alpha Ai^2 + beta Bi^2 + gamma Ai Bi)."""
-    av = airy_eval(z)
-    a, ap, b, bp = av.ai, av.ai_prime, av.bi, av.bi_prime
-    return [(alpha, a, ap, a, ap), (beta, b, bp, b, bp), (gamma, a, ap, b, bp)]
-
-
-def _profile_pairs(z, spec: SolitonSpec):
-    """z as an array, and the _pairs of the profile of spec.
-
-    The canonical family (beta = gamma = 0) has the one product Ai^2 and does
-    no Bi work, so it is valid for arbitrarily large z, where Ai underflows.
+def _terms(z, alpha: float, beta: float, gamma: float, high: bool):
+    """The _pair_terms of F' = -(alpha Ai^2 + beta Bi^2 + gamma Ai Bi), each
+    weighted and summed in that order.  With beta = gamma = 0 the one
+    product Ai^2 does no Bi work, valid for any z, where Ai may underflow.
     """
     z = np.asarray(z, dtype=float) if np.ndim(z) else z
-    if spec.beta == 0.0 and spec.gamma == 0.0:
+    if beta == 0.0 and gamma == 0.0:
         a, ap = airy_ai_only(z)
-        return z, [(spec.alpha, a, ap, a, ap)]
-    return z, _pairs(z, spec.alpha, spec.beta, spec.gamma)
-
-
-def _combine(pairs, terms):
-    """Each F-term: the weight times that term of each pair, summed in the
-    order of the pairs."""
-    out = []
-    for column in zip(*terms):
-        total = pairs[0][0] * column[0]
-        for (weight, *_), term in zip(pairs[1:], column[1:]):
-            total = total + weight * term
-        out.append(total)
-    return tuple(out)
-
-
-def _low_terms(z, pairs):
-    """F, F' and F'' of the weighted pairs; Ai may underflow in the products."""
+        with np.errstate(under="ignore"):
+            return tuple(alpha * t for t in _pair_terms(a, ap, a, ap, z, high))
+    a, ap, b, bp = _airy(z, True)
     with np.errstate(under="ignore"):
-        return _combine(pairs, [_pair(*p[1:], z) for p in pairs])
+        return tuple(alpha * p + beta * q + gamma * r for p, q, r in zip(
+            _pair_terms(a, ap, a, ap, z, high), _pair_terms(b, bp, b, bp, z, high),
+            _pair_terms(a, ap, b, bp, z, high)))
 
 
 def wave_terms(z, spec: SolitonSpec):
@@ -428,7 +394,7 @@ def wave_terms(z, spec: SolitonSpec):
     There is no end handling: a nan argument reads nan, and beta != 0
     raises OverflowGuard for z > 30, +inf included.
     """
-    return _low_terms(*_profile_pairs(z, spec))
+    return _terms(z, spec.alpha, spec.beta, spec.gamma, False)
 
 
 def profile_pack(z, spec: SolitonSpec):
@@ -459,11 +425,7 @@ def profile_pack(z, spec: SolitonSpec):
             full[~ends] = part
             pack.append(full[()])
         return tuple(pack)
-    z, pairs = _profile_pairs(z, spec)
-    with np.errstate(under="ignore"):
-        low = [_pair(*p[1:], z) for p in pairs]
-        return _combine(pairs, [(*f, *_pair_high(*p[1:], z, *f[1:]))
-                                for p, f in zip(pairs, low)])
+    return _terms(z, al, be, spec.gamma, True)
 
 
 def compatibility_residual(z, alpha: float, beta: float, gamma: float):
@@ -474,8 +436,9 @@ def compatibility_residual(z, alpha: float, beta: float, gamma: float):
     For beta != 0 the computed value holds that constant to 1e-9 relative
     only for z <= 3: the three terms grow like Bi^4 ~ exp((8/3) z^{3/2})
     and cancel in double precision (relative error 3e-7 at z = 4, 5e-4 at
-    z = 5).
+    z = 5).  With beta = gamma = 0 it reads profile_pack's Ai-only product,
+    which holds past z = 30.
     """
     z = np.asarray(z, dtype=float) if np.ndim(z) else z
-    f0, f1, f2 = _low_terms(z, _pairs(z, alpha, beta, gamma))
+    f0, f1, f2 = _terms(z, alpha, beta, gamma, False)
     return f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ckdvlab.airy import (SolitonSpec, airy_ai_only, airy_eval, compatibility_residual,
                           profile_pack, wave_terms)
 from ckdvlab.errors import OverflowGuard
+from ckdvlab.soliton import soliton_amplitude
 
 from conftest import (airy_series_oracle, assert_same_doubles, bit_identity_inputs, capital_f,
                       fd_derivative, five_term_pack, masked_airy)
@@ -362,6 +365,21 @@ def test_infinite_arguments_read_their_limits():
         airy_eval(z)
 
 
+def test_huge_finite_arguments_underflow_without_warning():
+    # past about 3.2e205 the decaying side's zeta = (2/3) z^{3/2} overflows to
+    # inf; Ai and Ai' still read their limits, 0 and -0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_doubles(airy_ai_only(1e300), (np.float64(0.0), np.float64(-0.0)))
+        ai, aip = airy_ai_only(np.array([1e300, 1.0]))
+        near = airy_ai_only(1.0)
+        assert_same_doubles(ai, np.array([0.0, near[0]]))
+        assert_same_doubles(aip, np.array([-0.0, near[1]]))
+        pack = profile_pack(1e300, SolitonSpec(alpha=1.0))
+        assert all(v == 0.0 for v in pack)
+        assert soliton_amplitude(1.0, 1e300, SolitonSpec(alpha=1.0)) == 0.0
+
+
 class TestSolitonSpec:
     def test_reality_constraint(self):
         with pytest.raises(ValueError):
@@ -480,6 +498,16 @@ class TestCompatibility:
         # a list is an array of arguments, not a sequence that 4 * z repeats
         got = compatibility_residual([-3.0, 0.0, 3.0], 2.0, 3.0, 0.0)
         assert got.shape == (3,) and got == pytest.approx(v1, rel=1e-9)
+
+    def test_ai_only_product(self):
+        # beta = gamma = 0 takes the Ai-only product of profile_pack, so it
+        # does no Bi work and holds past the Bi guard at z = 30
+        z = np.array([-12.0, -3.0, 0.0, 2.5, 9.0, 30.0, 45.0])
+        for alpha in (1.0, 0.3):
+            f0, f1, f2, _, _ = profile_pack(z, SolitonSpec(alpha=alpha))
+            assert_same_doubles(compatibility_residual(z, alpha, 0.0, 0.0),
+                                f2 ** 2 - 4 * z * f1 ** 2 + 4 * f0 * f1)
+        assert np.isfinite(compatibility_residual(45.0, 1.0, 0.0, 0.0))
 
     def test_random_triples(self, rng):
         for _ in range(20):
