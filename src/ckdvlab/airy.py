@@ -368,7 +368,7 @@ def _pair_terms(x, xp, y, yp, z, high: bool):
     low = (xp * yp - z * xy, -xy, -g1)
     if not high:
         return low
-    return (*low, -2 * (xp * yp + z * xy), -(2 * xy + 4 * z * g1))
+    return (*low, -2 * (xp * yp + z * xy), -(2 * xy + z * (4 * g1)))
 
 
 def _terms(z, alpha: float, beta: float, gamma: float, high: bool):

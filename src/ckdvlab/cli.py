@@ -217,9 +217,16 @@ def _write_out(cfg: ExperimentConfig, manifest: dict,
     manifest.txt listing them; returns the paths in that order.
 
     Every command renders all its files before it calls this, so a config,
-    a run or a rendering that fails leaves no output directory behind.
+    a run or a rendering that fails leaves no output directory behind; so do
+    two files of one name (list values that print alike with %g), which
+    would overwrite each other.
     """
-    files = [*files, ("manifest.txt", manifest_text(manifest, [name for name, _ in files]))]
+    names = [name for name, _ in files]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{cfg.command} would write {', '.join(repeated)} more than once: "
+                          "list values must differ in their first 6 significant digits")
+    files = [*files, ("manifest.txt", manifest_text(manifest, names))]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = [write_text(out / name, text) for name, text in files]
@@ -691,7 +698,3 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,13 +17,11 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 6):
+def _nice_ticks(lo: float, hi: float):
+    """About six round ticks on [lo, hi], lo < hi."""
     if not math.isfinite(lo) or not math.isfinite(hi):
         return [0.0]
-    if hi - lo <= 0:
-        pad = max(abs(lo), 1.0) * 0.1
-        lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for m in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= m * mag:
@@ -42,15 +40,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def svg_text(curves, title: str = "", xlabel: str = "", ylabel: str = "",
-             manifest: dict | None = None) -> str:
+def svg_text(curves, title: str, xlabel: str, ylabel: str, manifest: dict) -> str:
     """The SVG text of a polyline plot; curves is a list of (label, x, y) triples."""
     xs = np.concatenate([np.asarray(c[1], dtype=float) for c in curves])
     ys = np.concatenate([np.asarray(c[2], dtype=float) for c in curves])
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if x_hi - x_lo <= 0:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    # every caller's x values span a range; a constant y (the zero wave) is widened
     if y_hi - y_lo <= 0:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.04 * (y_hi - y_lo)
@@ -68,9 +64,8 @@ def svg_text(curves, title: str = "", xlabel: str = "", ylabel: str = "",
     parts = ['<?xml version="1.0" encoding="UTF-8"?>']
     parts.append(f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                  f'width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
-    if manifest:
-        meta = "; ".join(f"{k}: {v}" for k, v in sorted(manifest.items()))
-        parts.append(f"<!-- {meta} -->")
+    meta = "; ".join(f"{k}: {v}" for k, v in sorted(manifest.items()))
+    parts.append(f"<!-- {meta} -->")
     parts.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
 
     for t in _nice_ticks(x_lo, x_hi):
@@ -97,23 +92,19 @@ def svg_text(curves, title: str = "", xlabel: str = "", ylabel: str = "",
         pts = " ".join(map("{:.2f},{:.2f}".format, px.tolist(), py.tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                      f'points="{pts}"/>')
-        if label:
-            ly = MARGIN_T + 16 + 16 * i
-            parts.append(f'<line x1="{WIDTH - 190}" y1="{ly - 4}" x2="{WIDTH - 160}" '
-                         f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{WIDTH - 152}" y="{ly}" font-size="12" '
-                         f'font-family="sans-serif">{label}</text>')
+        ly = MARGIN_T + 16 + 16 * i
+        parts.append(f'<line x1="{WIDTH - 190}" y1="{ly - 4}" x2="{WIDTH - 160}" '
+                     f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<text x="{WIDTH - 152}" y="{ly}" font-size="12" '
+                     f'font-family="sans-serif">{label}</text>')
 
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
-                     f'font-family="sans-serif">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{MARGIN_L + pw / 2:.0f}" y="{HEIGHT - 12}" font-size="13" '
-                     f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="18" y="{MARGIN_T + ph / 2:.0f}" font-size="13" '
-                     f'text-anchor="middle" font-family="sans-serif" '
-                     f'transform="rotate(-90 18 {MARGIN_T + ph / 2:.0f})">{ylabel}</text>')
+    parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" font-size="15" text-anchor="middle" '
+                 f'font-family="sans-serif">{title}</text>')
+    parts.append(f'<text x="{MARGIN_L + pw / 2:.0f}" y="{HEIGHT - 12}" font-size="13" '
+                 f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>')
+    parts.append(f'<text x="18" y="{MARGIN_T + ph / 2:.0f}" font-size="13" '
+                 f'text-anchor="middle" font-family="sans-serif" '
+                 f'transform="rotate(-90 18 {MARGIN_T + ph / 2:.0f})">{ylabel}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

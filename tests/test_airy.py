@@ -380,6 +380,17 @@ def test_huge_finite_arguments_underflow_without_warning():
         assert soliton_amplitude(1.0, 1e300, SolitonSpec(alpha=1.0)) == 0.0
 
 
+def test_fourth_derivative_where_4z_overflows():
+    # above about 4.49e307, 4 * z overflows; F'''' must still read its limit 0
+    spec = SolitonSpec(alpha=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert profile_pack(5e307, spec)[4] == 0.0
+        f4 = profile_pack(np.array([5e307, 1.0]), spec)[4]
+        assert f4[0] == 0.0
+        assert_same_doubles(f4[1], profile_pack(1.0, spec)[4])
+
+
 class TestSolitonSpec:
     def test_reality_constraint(self):
         with pytest.raises(ValueError):

@@ -161,6 +161,17 @@ class TestSoliton:
         assert "soliton_A_rho8.csv" in names
         assert sum(1 for n in names if n.startswith("soliton_A_") and n.endswith(".csv")) == 2
 
+    def test_rho_values_of_one_file_name_are_usage_error(self, tmp_path, capsys):
+        # both values print as rho1 with %g: the second profile would overwrite the first
+        out = tmp_path / "out"
+        rc = main(["soliton", "--rho-list", "1.0000001,1.0000002", "--out", str(out),
+                   "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: soliton would write soliton_A_rho1.csv, soliton_A_rho1.svg more than "
+            "once: list values must differ in their first 6 significant digits\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, named", [
         # the log argument offset*s + F changes sign on the profile window
         ("alpha = 2\nbeta = 0.5\noffset = 3\n", "DenominatorSignError"),
@@ -551,17 +562,25 @@ class TestSelftest:
             assert abs(got_y - y(x)) <= 1e-15 * scale
 
 
+def modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:
+    """The modules under prefixes that statement loads in a fresh interpreter:
+    the test modules import numpy and scipy themselves."""
+    src = str(Path(ckdvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (f"import sys; {statement}; "
+            f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.split()
+
+
 class TestImport:
     def test_package_loads_no_scipy(self):
-        # the test modules import scipy themselves, so only a fresh
-        # interpreter shows what importing the package loads
-        src = str(Path(ckdvlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("import sys, ckdvlab, ckdvlab.cli; "
-                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        assert modules_loaded_by("import ckdvlab, ckdvlab.cli", ("scipy",)) == []
+
+    def test_package_loads_no_submodule(self):
+        # each name is imported from its module; the package itself loads none
+        assert modules_loaded_by("import ckdvlab", ("ckdvlab.", "numpy")) == []
 
 
 class TestArgparse:
