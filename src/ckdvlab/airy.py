@@ -20,6 +20,8 @@ against a high-precision series oracle and mpmath.  Below -1e4 the
 rounded phase (2/3)|z|^{3/2} sets the error, about (2/3)|z|^{3/2} 2^-52 of
 the envelope: Ai errs by 7.7e-8 of it at z = -1e6, 6.8e-6 at -1e8 and
 7.7e-2 at -1e10 against mpmath.  The soliton tails reach z ~ -880 only.
+Below about -3.2e205 the phase overflows, and Ai and Ai' read nan with no
+warning.
 
 A call within one range runs its branch on the array itself, any other
 selects each range by a mask, with the same operations per value.
@@ -125,14 +127,17 @@ def _asym_pos(z: np.ndarray, with_bi: bool):
 
 def _asym_neg(z: np.ndarray, with_bi: bool):
     x = -z
-    zeta = (2.0 / 3.0) * x ** 1.5
-    chi = zeta + np.pi / 4
-    y = -1.0 / (zeta * zeta)
-    t = -float(y.min())
-    pu, qu = _horner(_U_EVEN, y, t), _horner(_U_ODD, y, t) / zeta
-    pv, qv = _horner(_V_EVEN, y, t), _horner(_V_ODD, y, t) / zeta
-    del y  # the combination below sets the peak memory of the tail windows
-    s, c = np.sin(chi), np.cos(chi)
+    # zeta * zeta overflows below about -7e102, where the series reads 1 and
+    # 0 as it should; zeta overflows below about -3.2e205, and sin(inf) is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        zeta = (2.0 / 3.0) * x ** 1.5
+        chi = zeta + np.pi / 4
+        y = -1.0 / (zeta * zeta)
+        t = -float(y.min())
+        pu, qu = _horner(_U_EVEN, y, t), _horner(_U_ODD, y, t) / zeta
+        pv, qv = _horner(_V_EVEN, y, t), _horner(_V_ODD, y, t) / zeta
+        del y  # the combination below sets the peak memory of the tail windows
+        s, c = np.sin(chi), np.cos(chi)
     q = x ** 0.25
     ai = (s * pu - c * qu) / (_SQRT_PI * q)
     aip = -(q / _SQRT_PI) * (c * pv + s * qv)

@@ -27,18 +27,18 @@ import numpy as np
 
 from . import __version__
 from .airy import SolitonSpec, airy_eval
-from .boussinesq import (ANSATZ_EPS_MAX, BoussinesqState, approximation_error,
-                         boussinesq_evolve, make_ansatz_state, resolvent_solve,
-                         u_to_v, v_to_u)
+from .boussinesq import (ANSATZ_EPS_MAX, RHS_TOL_DEFAULT, BoussinesqState,
+                         approximation_error, boussinesq_evolve, make_ansatz_state,
+                         resolvent_solve, u_to_v, v_to_u)
 from .ckdv import CkdvRunConfig, ckdv_evolve, ckdv_linear_propagator, make_state
 from .errors import (CkdvLabError, ConfigError, DenominatorSignError, OverflowGuard,
                      SingularDispersion)
-from .grid import RealField, apply_b2, dispersion_omega_squared, make_grid
+from .grid import MEAN_TOL_FACTOR, RealField, apply_b2, dispersion_omega_squared, make_grid
 from .parallel import map_forked
 from .report import config_hash, csv_text, fit_loglog, manifest_text, write_text
 from .residual import gronwall_growth_check, sweep_report
-from .soliton import (physical_wave, soliton_amplitude, window_l2_growth,
-                      zero_mean_defect)
+from .soliton import (physical_wave, similarity_scale, soliton_amplitude,
+                      window_l2_growth, zero_mean_defect)
 from .svgfig import svg_text
 
 SLOPE_TOL = 0.3
@@ -46,6 +46,9 @@ RES_SLOPE_TARGET = 7.5
 ANTIRES_SLOPE_TARGET = 6.5
 THEOREM1_SLOPE_FLOOR = 3.2
 THEOREM1_EPS = (0.12, 0.1, 0.08)
+RESIDUAL_SWEEP_EPS = (0.2, 0.14, 0.1, 0.07)
+#: the eps of the commands that take one (soliton's radial waves, boussinesq)
+ONE_EPS = 0.1
 
 
 def _key(default, section, flag=None, help=None, only=None, hashed=True):
@@ -69,7 +72,7 @@ class ExperimentConfig:
     d_rho: float | None = _key(None, "solver")
     dr: float = _key(0.2, "solver")
     dt_target: float = _key(1.2, "solver")
-    rhs_tol: float = _key(1e-12, "solver")
+    rhs_tol: float = _key(RHS_TOL_DEFAULT, "solver")
     dealias: bool = _key(True, "solver")
     rho_profiles: tuple[float, ...] = _key((1.0, 20.0, 100.0, 500.0), "model", "--rho-list",
                                            only="soliton")
@@ -164,6 +167,16 @@ def save_config(cfg: ExperimentConfig, path):
         parser.write(fh)
 
 
+def _first_eps(cfg: ExperimentConfig) -> float:
+    """The eps of a command that takes one: the first listed, else ONE_EPS."""
+    return cfg.eps_list[0] if cfg.eps_list else ONE_EPS
+
+
+def _file_tag(prefix: str, value: float) -> str:
+    """prefix and value in %g with '.' as 'p', for file names: rho2p5."""
+    return f"{prefix}{value:g}".replace(".", "p")
+
+
 def _say(cfg: ExperimentConfig, msg: str):
     if not cfg.quiet:
         print(msg)
@@ -242,21 +255,21 @@ def _soliton_files(cfg: ExperimentConfig, spec: SolitonSpec,
     """The profiles A(rho) and the radial waves u(t), rendered: (file name, text) pairs."""
     files = []
     for rho in cfg.rho_profiles:
-        s = (6.0 * rho) ** (1.0 / 3.0)
+        s = similarity_scale(rho)
         tau = np.linspace(-22.0 * s, 12.0 * s, 3000)
         amp = soliton_amplitude(rho, tau, spec)
-        tag = f"rho{rho:g}".replace(".", "p")
+        tag = _file_tag("rho", rho)
         files.append((f"soliton_A_{tag}.csv", csv_text(["tau", "amplitude"], [tau, amp],
                                                        manifest)))
         files.append((f"soliton_A_{tag}.svg",
                       svg_text([(f"rho={rho:g}", tau, amp)],
                                title=f"Solitary wave amplitude at rho={rho:g}",
                                xlabel="tau", ylabel="A", manifest=manifest)))
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
+    eps = _first_eps(cfg)
     r = np.linspace(0.5, 120.0, 4000)
     for t_val in cfg.t_values:
         u = physical_wave(r, t_val, eps, spec)
-        tag = f"t{t_val:g}".replace(".", "p")
+        tag = _file_tag("t", t_val)
         files.append((f"soliton_u_{tag}.csv", csv_text(["r", "u"], [r, u], manifest)))
         files.append((f"soliton_u_{tag}.svg",
                       svg_text([(f"t={t_val:g}", r, u)],
@@ -338,7 +351,7 @@ def _ckdv_trajectory(cfg: ExperimentConfig, n: int, sample_rhos):
 
 def cmd_residual_sweep(cfg: ExperimentConfig) -> list[Path]:
     _check(cfg)
-    eps_list = cfg.eps_list or (0.2, 0.14, 0.1, 0.07)
+    eps_list = cfg.eps_list or RESIDUAL_SWEEP_EPS
     sample_rhos = list(np.linspace(cfg.rho0, cfg.rho1, 5))
     # the amplitude trajectory lives on the eps-independent (rho, tau) chart;
     # only the prefactors of the residual expansion depend on eps
@@ -434,7 +447,7 @@ def cmd_theorem1(cfg: ExperimentConfig) -> list[Path]:
     rows, energies = [], []
     for eps, (err, gron) in zip(eps_list, cases, strict=True):
         rows.append((eps, err.err_u, err.err_v, err.r_at_sup, gron.max_e))
-        tag = f"eps{eps:g}".replace(".", "p")
+        tag = _file_tag("eps", eps)
         energies.append((f"theorem1_energy_{tag}.csv",
                          csv_text(["r", "energy"], [gron.radii, gron.energies], manifest)))
         _say(cfg, f"eps={eps}: sup|u - eps^2 A|={err.err_u:.4e} "
@@ -475,7 +488,7 @@ def cmd_ckdv(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_boussinesq(cfg: ExperimentConfig) -> list[Path]:
     _check(cfg)
-    eps = cfg.eps_list[0] if cfg.eps_list else 0.1
+    eps = _first_eps(cfg)
     r0 = cfg.rho0 / eps ** 3
     span = min(20.0, (cfg.rho1 - cfg.rho0) / eps ** 3)
     snaps_r = np.linspace(r0, r0 + span, 5)
@@ -595,7 +608,7 @@ def _check_zero_mean() -> tuple[bool, float]:
     run = CkdvRunConfig(rho0=1.0, rho1=1.2, d_rho=0.001, grid=g)
     final = ckdv_evolve(a0, run)[-1]
     dev = abs(final.A.mean())
-    return dev <= 1e-10 * max(final.A.sup(), 1e-300), dev
+    return dev <= MEAN_TOL_FACTOR * max(final.A.sup(), 1e-300), dev
 
 
 def _check_resolvent() -> tuple[bool, float]:

@@ -40,9 +40,14 @@ def _require_positive(rho):
         raise ValueError(f"rho must be positive, got {rho}")
 
 
+def similarity_scale(rho):
+    """s = (6 rho)^{1/3}, the tau-scale of the profile at rho: z = tau/s."""
+    return (6.0 * rho) ** (1.0 / 3.0)
+
+
 def _similarity(rho, tau):
-    """s = (6 rho)^{1/3} and z = tau/s."""
-    s = (6.0 * rho) ** (1.0 / 3.0)
+    """s = similarity_scale(rho) and z = tau/s."""
+    s = similarity_scale(rho)
     return s, np.asarray(tau, dtype=float) / s
 
 
@@ -131,8 +136,7 @@ def _oscillation_nodes(rho: float, T: float, floor: int = 20001) -> int:
     _require_positive(rho)
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"half-width must be finite and positive, got {T}")
-    s = (6.0 * rho) ** (1.0 / 3.0)
-    zmax = T / s
+    zmax = T / similarity_scale(rho)
     n = int(max(floor, PTS_PER_RAD * (4.0 / 3.0) * zmax ** 1.5))
     return n | 1
 

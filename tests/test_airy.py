@@ -391,6 +391,24 @@ def test_fourth_derivative_where_4z_overflows():
         assert_same_doubles(f4[1], profile_pack(1.0, spec)[4])
 
 
+def test_far_oscillatory_side_warns_nothing():
+    # below about -7e102 zeta * zeta overflows and the series read 1 and 0;
+    # below about -3.2e205 zeta overflows too and Ai, Ai' read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ai, aip = airy_ai_only(-1e103)
+        x = 1e103
+        assert 0.0 < abs(ai) <= x ** -0.25 / np.sqrt(np.pi) * (1 + 1e-12)
+        assert 0.0 < abs(aip) <= x ** 0.25 / np.sqrt(np.pi) * (1 + 1e-12)
+        assert np.isnan(airy_ai_only(-1e206)).all()
+        near = airy_ai_only(-1.0)
+        for far in (-1e103, -1e206):
+            got = airy_ai_only(np.array([far, -1.0]))
+            for g, at_far, at_near in zip(got, airy_ai_only(far), near):
+                assert_same_doubles(g[0], at_far)
+                assert_same_doubles(g[1], at_near)
+
+
 class TestSolitonSpec:
     def test_reality_constraint(self):
         with pytest.raises(ValueError):

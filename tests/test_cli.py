@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -581,6 +582,15 @@ class TestImport:
     def test_package_loads_no_submodule(self):
         # each name is imported from its module; the package itself loads none
         assert modules_loaded_by("import ckdvlab", ("ckdvlab.", "numpy")) == []
+
+    def test_manifest_loads_no_openssl(self):
+        # config_hash takes CPython's built-in SHA-256, so no run maps libcrypto
+        if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+            pytest.skip("this Python has no built-in SHA-256 module")
+        manifest = ("from ckdvlab.cli import ExperimentConfig; "
+                    "ExperimentConfig(command='theorem1').manifest()")
+        assert modules_loaded_by(manifest, ("_hashlib",)) == []
+        assert modules_loaded_by("from ckdvlab import report", ("_hashlib",)) == []
 
 
 class TestArgparse:

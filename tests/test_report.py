@@ -1,9 +1,20 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ckdvlab.report import _fmt, csv_text, manifest_lines, manifest_text
+from ckdvlab import report
+from ckdvlab.cli import ExperimentConfig
+from ckdvlab.report import _fmt, config_hash, csv_text, manifest_lines, manifest_text
 
 MANIFEST = {"config_hash": "0123456789abcdef", "rhs_tol": 1e-12, "seed": 1234}
+
+#: the config hash of theorem1 at its defaults, in every manifest it writes
+THEOREM1_HASH = "30ab3e937051d3aa"
 
 
 def rowwise_csv(header, rows, manifest) -> str:
@@ -54,3 +65,37 @@ def test_manifest_text():
     assert manifest_text(MANIFEST, ["a.csv", "b.svg"]) == (
         "config_hash: 0123456789abcdef\nrhs_tol: 1e-12\nseed: 1234\n"
         "files:\n  - a.csv\n  - b.svg\n")
+
+
+def hashlib_digest(config: dict) -> str:
+    """config_hash's digest taken with hashlib: key=value lines, sorted, floats in repr."""
+    text = "\n".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                     for k, v in sorted(config.items()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestConfigHash:
+    def test_default_config_matches_hashlib(self):
+        flat = ExperimentConfig().flat()
+        assert config_hash(flat) == hashlib_digest(flat)
+
+    def test_non_ascii_value_matches_hashlib(self):
+        config = {"model.label": "\u03c1\u2080 = 1, \u00e9t\u00e9", "grid.n": 256,
+                  "solver.dr": 0.2, "model.eps": None}
+        assert config_hash(config) == hashlib_digest(config)
+
+    def test_theorem1_digest_is_pinned(self):
+        # a change of SHA-256 provider must never move a manifest
+        assert config_hash(ExperimentConfig(command="theorem1").flat()) == THEOREM1_HASH
+
+    def test_hashlib_fallback_gives_the_same_digest(self):
+        # without CPython's built-in module report falls back to hashlib.sha256
+        src = str(Path(report.__file__).resolve().parents[1])
+        code = ("import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None; "
+                "from ckdvlab.cli import ExperimentConfig; from ckdvlab import report; "
+                "print(report.config_hash(ExperimentConfig(command='theorem1').flat()), "
+                "report.sha256.__module__)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout.split()
+        assert out[0] == THEOREM1_HASH
+        assert out[1] in ("_hashlib", "hashlib")
