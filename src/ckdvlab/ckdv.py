@@ -169,9 +169,8 @@ class _Stepper:
     and of the forcing), the stage field A and its square.  Each operation
     writes its result there with the operands, in the order and with the
     rounding of the allocating expression, so every bit is kept.  step
-    returns one of two result spectra, the one its input is not, so it
-    never writes the array it was given: a result is valid until the step
-    after next.
+    writes the new spectrum over the one it was given, after its last read
+    of it.
     """
 
     def __init__(self, cfg: CkdvRunConfig, forcing, A0: RealField):
@@ -185,9 +184,9 @@ class _Stepper:
         self.sym = 0.5 * core.ik * self.mask
         self._h = None
         n = cfg.grid.n
-        spectra = [np.empty(n // 2 + 1, dtype=complex) for _ in range(12)]
+        spectra = [np.empty(n // 2 + 1, dtype=complex) for _ in range(10)]
         self._e_half, self._e_half_b, self._e_full, self._ea, self._arg, self._masked = spectra[:6]
-        self._k, self._results = spectra[6:10], spectra[10:]
+        self._k = spectra[6:]
         self._a, self._sq = np.empty(n), np.empty(n)
         self.a_hat = _rfft(A0.values)
         self.guard = _GrowthGuard("sup", A0.sup())
@@ -216,7 +215,7 @@ class _Stepper:
         return a
 
     def step(self, a_hat, rho: float, h: float):
-        """One integrating-factor RK4 step from rho to rho + h.
+        """One integrating-factor RK4 step from rho to rho + h, written into a_hat.
 
         Also returns sup|A| of the first stage field as a cheap blow-up monitor.
         """
@@ -250,7 +249,7 @@ class _Stepper:
         np.add(k1, k2, out=k1)
         np.add(k1, k4, out=k1)
         np.multiply(h / 6, k1, out=k1)
-        return np.add(ea, k1, out=self._results[a_hat is self._results[0]]), sup
+        return np.add(ea, k1, out=a_hat), sup
 
     def advance(self, rho: float, h: float):
         """Step the run's spectrum from rho to rho + h and check it."""

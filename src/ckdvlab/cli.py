@@ -177,6 +177,11 @@ def _file_tag(prefix: str, value: float) -> str:
     return f"{prefix}{value:g}".replace(".", "p")
 
 
+def _repeated(names: list[str]) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def _say(cfg: ExperimentConfig, msg: str):
     if not cfg.quiet:
         print(msg)
@@ -215,6 +220,13 @@ def _check(cfg: ExperimentConfig):
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    # theorem1 and residual-sweep run every eps: two that print alike would
+    # name one energy file twice, or put two points at one x of a slope fit
+    if cfg.command in ("theorem1", "residual-sweep") and eps is not None:
+        repeated = _repeated([_file_tag("eps", e) for e in eps])
+        if repeated:
+            raise ConfigError(f"eps list {_flat_value(eps)} repeats {', '.join(repeated)}: "
+                              "list values must differ in their first 6 significant digits")
     # every command but soliton starts from the cKdV pulse; a theorem1 case
     # runs on more nodes the smaller its eps, and a pulse that fails to decay
     # on the fewest fails that case
@@ -235,7 +247,7 @@ def _write_out(cfg: ExperimentConfig, manifest: dict,
     would overwrite each other.
     """
     names = [name for name, _ in files]
-    repeated = sorted({name for name in names if names.count(name) > 1})
+    repeated = _repeated(names)
     if repeated:
         raise ConfigError(f"{cfg.command} would write {', '.join(repeated)} more than once: "
                           "list values must differ in their first 6 significant digits")

@@ -133,13 +133,12 @@ def b2_multiplier(k: np.ndarray) -> np.ndarray:
     return -k ** 2 / (1.0 + k ** 2)
 
 
-def _derivative_symbols(k: np.ndarray, n: int) -> dict:
-    """(ik)^order for orders 1..4, read-only; odd orders zero the Nyquist mode n//2."""
-    symbols = {order: (1j * k) ** order for order in (1, 2, 3, 4)}
-    for order, sym in symbols.items():
-        if order % 2 == 1:
-            sym[n // 2] = 0.0
-        sym.setflags(write=False)
+def _derivative_symbols(k: np.ndarray, n: int) -> np.ndarray:
+    """(ik)^order in row order - 1 for orders 1..4, read-only; odd orders zero
+    the Nyquist mode n//2."""
+    symbols = np.stack([(1j * k) ** order for order in (1, 2, 3, 4)])
+    symbols[::2, n // 2] = 0.0
+    symbols.setflags(write=False)
     return symbols
 
 
@@ -157,7 +156,7 @@ class SpectralCore:
         self.n = n
         self.k = k = 2 * np.pi * np.fft.rfftfreq(n, d=length / n)
         self._deriv = _derivative_symbols(k, n)
-        self.ik = self._deriv[1]
+        self.ik = self._deriv[0]
         self.inv_ik = np.zeros(n // 2 + 1, dtype=complex)
         self.inv_ik[1: n // 2] = 1.0 / (1j * k[1: n // 2])
         self.b2_symbol = b2_multiplier(k)
@@ -168,7 +167,7 @@ class SpectralCore:
             arr.setflags(write=False)
 
     def derivative(self, values: np.ndarray, order: int) -> np.ndarray:
-        return _irfft(self._deriv[order] * _rfft(values), self.n)
+        return _irfft(self._deriv[order - 1] * _rfft(values), self.n)
 
     def shift(self, values: np.ndarray, shift: float) -> np.ndarray:
         """Values of x -> f(x - shift) on the same nodes, by an exact spectral phase."""

@@ -36,12 +36,13 @@ def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope and intercept of log y against log x.
 
     Refuses degenerate fits: a meaningful scaling estimate needs at least
-    three points.
+    three distinct x.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 3:
-        raise ConfigError(f"log-log fit needs >= 3 points, got {x.size}")
+    distinct = np.unique(x).size
+    if distinct < 3:
+        raise ConfigError(f"log-log fit needs >= 3 distinct x, got {distinct}")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)

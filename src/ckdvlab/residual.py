@@ -78,8 +78,7 @@ class _Elimination:
         # 1e-6 level and the benchmark's 1e-8 relative gate pins it to this
         # layout.  Once the benchmark compares res_sup against its measured
         # round-off floor, the residual moves to the grid's real-FFT core.
-        symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
-        self._symbols = np.stack([symbols[order] for order in (1, 2, 3, 4)])
+        self._symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
         self._spectrum = np.empty(n, dtype=complex)
         self._blocks = {name: (lo, np.empty((hi - lo + 1, n), dtype=complex))
                         for name, (lo, hi) in _SPANS.items()}

@@ -15,7 +15,9 @@ windows of the L^2 growth nest: I(T_k) is I(T_{k-1}) plus the segment
 1600 at rho = 1) takes about 2.1e5 nodes.  A is evaluated on slices of
 _CHUNK nodes into one preallocated array, so the Airy temporaries stay at
 slice size; Simpson's rule then sums the whole array, in the same order as
-a single full-length evaluation would.
+a single full-length evaluation would.  The node count grows like
+rho^{-1/2}: a quadrature of more than MAX_TAIL_NODES nodes (radii below
+about 6e-4 at the default windows) is refused before any array exists.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import numpy as np
 
 from .airy import SolitonSpec, profile_pack, wave_terms
-from .errors import DenominatorSignError
+from .errors import ConfigError, DenominatorSignError
 from .grid import SpectralGrid
 
 #: quadrature nodes per radian of the tail phase (4/3)|z|^{3/2}
@@ -33,6 +35,9 @@ PTS_PER_RAD = 12.0
 
 #: nodes per slice of the tail quadratures' amplitude evaluation
 _CHUNK = 16384
+
+#: most nodes of one tail quadrature: about 270 MB of tau and A
+MAX_TAIL_NODES = 2 ** 24
 
 
 def _require_positive(rho):
@@ -132,13 +137,18 @@ def _oscillation_nodes(rho: float, T: float, floor: int = 20001) -> int:
 
     Raises:
         ValueError: rho or the half-width T is not positive, or T is not finite.
+        ConfigError: the count exceeds MAX_TAIL_NODES.
     """
     _require_positive(rho)
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"half-width must be finite and positive, got {T}")
     zmax = T / similarity_scale(rho)
-    n = int(max(floor, PTS_PER_RAD * (4.0 / 3.0) * zmax ** 1.5))
-    return n | 1
+    # a zmax past 1e100 is refused anyway; the cap keeps its power finite
+    n = int(max(floor, PTS_PER_RAD * (4.0 / 3.0) * min(zmax, 1e100) ** 1.5)) | 1
+    if n > MAX_TAIL_NODES:
+        raise ConfigError(f"the tail quadrature at rho={rho:g} out to |tau|={T:g} needs more "
+                          f"than {MAX_TAIL_NODES} nodes; rho must be larger")
+    return n
 
 
 def _tail_amplitude(rho: float, spec: SolitonSpec, a: float, b: float, n: int):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -413,6 +414,15 @@ class TestSolitonSpec:
     def test_reality_constraint(self):
         with pytest.raises(ValueError):
             SolitonSpec(alpha=1.0, beta=-1.0)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(branch=0), "branch must be +1 or -1"),
+        (dict(offset=0.0), "offset must be positive"),
+        (dict(offset=np.nan), "offset must be positive"),
+    ])
+    def test_rejects_bad_branch_or_offset(self, kwargs, named):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            SolitonSpec(alpha=1.0, **kwargs)
 
     def test_gamma_derived(self):
         spec = SolitonSpec(alpha=4.0, beta=9.0, branch=-1)

@@ -501,6 +501,16 @@ class TestEvolve:
         rel = np.abs(final.v.values - v_exact).max() / np.abs(v_exact).max()
         assert rel <= 1e-6
 
+    @pytest.mark.parametrize("r, dr, named", [
+        (10.0, 0.0, "step must be positive, got 0.0"),
+        (10.0, np.nan, "step must be positive, got nan"),
+        (0.0, 0.25, "radius must be positive, got 0.0"),
+    ])
+    def test_rejects_bad_step_or_radius(self, grid64, r, dr, named):
+        zero = RealField(grid=grid64, values=np.zeros(grid64.n))
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            boussinesq_evolve(BoussinesqState(r=r, v=zero, w=zero), 20.0, dr)
+
     def test_non_finite_stage_is_step_unstable(self, grid256):
         # w^2 overflows in the first stage; the resolvent is never entered
         zero = RealField(grid=grid256, values=np.zeros(grid256.n))

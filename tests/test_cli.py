@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ckdvlab
-from ckdvlab import cli
+from ckdvlab import cli, soliton
 from ckdvlab.boussinesq import make_ansatz_state
 from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckdv,
                          cmd_residual_sweep, cmd_selftest, cmd_soliton,
@@ -16,6 +16,7 @@ from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckd
                          run_theorem1_case, save_config)
 from ckdvlab.errors import ChildTraceback, ConfigError, DenominatorSignError
 from ckdvlab.parallel import usable_cpus
+from ckdvlab.soliton import MAX_TAIL_NODES
 
 
 def read_columns(path) -> dict[str, list[float]]:
@@ -130,6 +131,12 @@ class TestConfigFile:
             assert err.startswith("error: ") and named in err, err
             assert not out.exists()
 
+    def test_empty_scalar_flag_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["ckdv", "--n", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad value for --n: empty value\n"
+        assert not out.exists()
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         rc = main(["selftest", "--config", str(tmp_path / "nope.ini")])
         assert rc == 2
@@ -187,6 +194,23 @@ class TestSoliton:
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("error: ") and named in err, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("rho", ["1e-6", "1e-300"])
+    def test_tiny_radius_is_usage_error(self, tmp_path, monkeypatch, capsys, rho):
+        # the tails would need more than MAX_TAIL_NODES nodes: refused before
+        # any node array exists, wherever the tails run
+        def no_nodes(*args):
+            raise AssertionError("a tail quadrature allocated its nodes")
+
+        monkeypatch.setattr(soliton, "_tail_amplitude", no_nodes)
+        out = tmp_path / "out"
+        assert main(["soliton", "--rho-list", rho, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the tail quadrature at rho={float(rho):g} out to |tau|=1000 needs more than "
+            f"{MAX_TAIL_NODES} nodes; rho must be larger\n")
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     NO_WAVE = ("error: no solitary wave for alpha=100000000.0, beta=0.0, offset=1.0: "
                "DenominatorSignError: ")
@@ -261,6 +285,33 @@ class TestResidualSweep:
         cfg = small_cfg(tmp_path, eps_list=())
         with pytest.raises(ConfigError):
             cmd_residual_sweep(cfg)
+
+
+@pytest.mark.parametrize("command, eps, repeated", [
+    ("theorem1", "0.2,0.15,0.2", "eps0p2"),
+    ("residual-sweep", "0.2,0.14,0.14", "eps0p14"),
+    # both print as 0.1 with %g
+    ("residual-sweep", "0.1000001,0.2,0.1000002,0.3", "eps0p1"),
+])
+def test_repeated_eps_is_usage_error_before_any_run(tmp_path, monkeypatch, capsys, command,
+                                                    eps, repeated):
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{command} ran before its eps list was checked")
+
+    monkeypatch.setattr(cli, "ckdv_evolve", no_run)
+    monkeypatch.setattr(cli, "boussinesq_evolve", no_run)
+    out = tmp_path / "out"
+    assert main([command, "--eps", eps, "--n", "64", "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: eps list {eps} repeats {repeated}: list values must differ in their first "
+        "6 significant digits\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["soliton", "ckdv", "boussinesq"])
+def test_commands_of_one_eps_take_a_repeated_list(command):
+    # only the first eps is read: a repeat wastes nothing
+    cli._check(ExperimentConfig(command=command, eps_list=(0.1, 0.1)))
 
 
 def inject_failures(monkeypatch, cfg, radial=None, ansatz=None):
@@ -420,6 +471,14 @@ class TestSnapshotCommands:
         assert capsys.readouterr().err.splitlines() == [error]
         assert not out.exists()
 
+    def test_out_below_a_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        assert main(["ckdv", "--n", "64", "--out", str(blocker / "out"), "--quiet"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+        assert blocker.read_text() == "kept\n"
+
     def test_bug_keeps_its_traceback(self, tmp_path, monkeypatch):
         # only the package's typed errors become one-line exits
         def broken(cfg):
@@ -540,6 +599,13 @@ class TestSelftest:
         assert "FAIL bessel-oracle" in out
         # the fault hook must not leak into later runs
         assert cmd_selftest(ExperimentConfig(out_dir=str(tmp_path), quiet=True)) == 0
+        assert main(["selftest", "--inject-fault", "b2-sign", "--quiet"]) == 1
+
+    def test_dispersion_check_fails_where_nothing_is_singular(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "dispersion_omega_squared", lambda k, sigma: 0.5)
+        assert main(["selftest"]) == 1
+        fails = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+        assert fails == ["FAIL dispersion-relation (inf)"]
 
     def test_bug_in_the_radial_path_keeps_its_traceback(self):
         # only the package's typed errors make the Bessel oracle read FAIL
@@ -563,16 +629,20 @@ class TestSelftest:
             assert abs(got_y - y(x)) <= 1e-15 * scale
 
 
+def fresh_python(*args: str, check: bool = False) -> subprocess.CompletedProcess:
+    """python args in a fresh interpreter that imports the package under test."""
+    src = str(Path(ckdvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
 def modules_loaded_by(statement: str, prefixes: tuple[str, ...]) -> list[str]:
     """The modules under prefixes that statement loads in a fresh interpreter:
     the test modules import numpy and scipy themselves."""
-    src = str(Path(ckdvlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     code = (f"import sys; {statement}; "
             f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.split()
+    return fresh_python("-c", code, check=True).stdout.split()
 
 
 class TestImport:
@@ -591,6 +661,33 @@ class TestImport:
                     "ExperimentConfig(command='theorem1').manifest()")
         assert modules_loaded_by(manifest, ("_hashlib",)) == []
         assert modules_loaded_by("from ckdvlab import report", ("_hashlib",)) == []
+
+
+class TestEntryPoint:
+    # python -m ckdvlab in a real process: __main__.py and the exit status it passes on
+    @pytest.mark.parametrize("args, ini, status, error", [
+        pytest.param(["selftest"], None, 0, None, id="selftest"),
+        pytest.param(["ckdv"], "[model]\nrho1 = 400\n[solver]\nd_rho = 5\n", 1,
+                     "error: StepUnstable: ", id="step-unstable"),
+        pytest.param(["theorem1", "--eps", "0.5"], None, 2,
+                     "error: theorem1 needs every eps <= 0.3", id="usage-error"),
+    ])
+    def test_exit_status(self, tmp_path, args, ini, status, error):
+        out = tmp_path / "out"
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            args = [*args, "--config", str(tmp_path / "run.ini")]
+        done = fresh_python("-m", "ckdvlab", *args, "--out", str(out), "--quiet")
+        assert done.returncode == status, done.stderr
+        assert done.stdout == ""
+        if error is None:
+            assert done.stderr == ""
+        else:
+            # one line, no traceback
+            lines = done.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(error), done.stderr
+            assert "Traceback" not in done.stderr
+        assert not out.exists()
 
 
 class TestArgparse:

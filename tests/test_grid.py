@@ -289,6 +289,11 @@ class TestFieldNorms:
         with pytest.raises(ValueError):
             RealField(grid=grid64, values=vals)
 
+    def test_rejects_wrong_shape(self, grid64):
+        for values in (np.zeros(grid64.n - 1), np.zeros((2, grid64.n))):
+            with pytest.raises(ValueError, match=f"does not match grid n={grid64.n}$"):
+                RealField(grid=grid64, values=values)
+
     def test_immutable(self, grid64):
         f = RealField(grid=grid64, values=np.sin(grid64.nodes))
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 
 from ckdvlab import report
 from ckdvlab.cli import ExperimentConfig
-from ckdvlab.report import _fmt, config_hash, csv_text, manifest_lines, manifest_text
+from ckdvlab.errors import ConfigError
+from ckdvlab.report import (_fmt, config_hash, csv_text, fit_loglog, manifest_lines,
+                            manifest_text)
 
 MANIFEST = {"config_hash": "0123456789abcdef", "rhs_tol": 1e-12, "seed": 1234}
 
@@ -99,3 +102,25 @@ class TestConfigHash:
                              check=True, capture_output=True, text=True).stdout.split()
         assert out[0] == THEOREM1_HASH
         assert out[1] in ("_hashlib", "hashlib")
+
+
+class TestFitLoglog:
+    def test_power_law(self):
+        x = np.array([0.2, 0.14, 0.1, 0.07])
+        slope, intercept = fit_loglog(x, 3.0 * x ** 7.5)
+        assert slope == pytest.approx(7.5, rel=1e-12)
+        assert intercept == pytest.approx(np.log(3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[0.2, 0.1], [0.1] * 3, [0.2, 0.1, 0.2, 0.1]])
+    def test_needs_three_distinct_x(self, x):
+        # a repeated x would make the fit rank-deficient: a warning and a slope
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"needs >= 3 distinct x, got {len(set(x))}$"):
+                fit_loglog(x, np.arange(1.0, len(x) + 1.0))
+
+    @pytest.mark.parametrize("x, y", [([0.2, 0.1, 0.0], [3.0, 2.0, 1.0]),
+                                      ([0.2, 0.1, 0.05], [3.0, -2.0, 1.0])])
+    def test_needs_positive_data(self, x, y):
+        with pytest.raises(ValueError, match="needs positive data"):
+            fit_loglog(x, y)

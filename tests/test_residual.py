@@ -226,7 +226,7 @@ class OneShotElimination:
         if key not in self._derivs:
             if name not in self._spectra:
                 self._spectra[name] = np.fft.fft(self.fields[name])
-            self._derivs[key] = np.fft.ifft(self._symbols[order] * self._spectra[name]).real
+            self._derivs[key] = np.fft.ifft(self._symbols[order - 1] * self._spectra[name]).real
         return self._derivs[key]
 
 

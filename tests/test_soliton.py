@@ -8,11 +8,12 @@ import pytest
 from ckdvlab import airy
 from ckdvlab.airy import SolitonSpec, profile_pack
 from ckdvlab.cli import ExperimentConfig, cmd_soliton
-from ckdvlab.errors import DenominatorSignError, OverflowGuard
+from ckdvlab.errors import ConfigError, DenominatorSignError, OverflowGuard
 from ckdvlab.grid import make_grid
-from ckdvlab.soliton import (_oscillation_nodes, _similarity, _simpson, bilinear_residual,
-                             bilinear_scale, physical_wave, soliton_amplitude,
-                             soliton_integral, window_l2_growth, zero_mean_defect)
+from ckdvlab.soliton import (MAX_TAIL_NODES, _oscillation_nodes, _similarity, _simpson,
+                             bilinear_residual, bilinear_scale, physical_wave,
+                             soliton_amplitude, soliton_integral, window_l2_growth,
+                             zero_mean_defect)
 
 from conftest import assert_same_doubles, bit_identity_inputs, five_term_wave
 
@@ -201,6 +202,42 @@ class TestWindowL2:
     def test_rejects_narrow_windows(self):
         with pytest.raises(ValueError):
             window_l2_growth(1.0, BIG, (10.0, 20.0, 40.0))
+
+    @pytest.mark.parametrize("T_list", [(), (200.0,)])
+    def test_needs_two_half_widths(self, T_list):
+        with pytest.raises(ValueError, match="^window fit needs at least two half-widths$"):
+            window_l2_growth(1.0, BIG, T_list)
+
+
+class TestNodeBudget:
+    # the widest window of the soliton command, [-1600, 0], takes
+    # 16 (1600/s)^{3/2} = 1.024e6 / sqrt(6 rho) nodes
+    WINDOWS = (200.0, 400.0, 800.0, 1600.0)
+
+    def test_default_windows_run_down_to_rho_of_about_6p2e_4(self):
+        assert _oscillation_nodes(1.0, 1600.0, floor=10001) == 418047
+        assert _oscillation_nodes(6.3e-4, 1600.0, floor=10001) <= MAX_TAIL_NODES
+        with pytest.raises(ConfigError, match=f"more than {MAX_TAIL_NODES} nodes"):
+            _oscillation_nodes(6.1e-4, 1600.0, floor=10001)
+
+    @pytest.mark.parametrize("rho, half_width", [(1e-6, 1000.0), (1e-300, 1000.0),
+                                                 (5e-324, 1000.0), (1.0, 1e300)])
+    def test_refused_before_any_node_array(self, monkeypatch, rho, half_width):
+        import ckdvlab.soliton as sol
+
+        def no_nodes(*args):
+            raise AssertionError("a tail quadrature allocated its nodes")
+
+        monkeypatch.setattr(sol, "_tail_amplitude", no_nodes)
+        refused = (f"^the tail quadrature at rho={rho:g} out to "
+                   rf"\|tau\|=.* needs more than {MAX_TAIL_NODES} nodes; rho must be larger$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for quadrature, args in ((soliton_integral, (half_width,)),
+                                     (zero_mean_defect, (half_width,)),
+                                     (window_l2_growth, ((*self.WINDOWS, half_width),))):
+                with pytest.raises(ConfigError, match=refused):
+                    quadrature(rho, BIG, *args)
 
 
 class TestPhysicalWave:
