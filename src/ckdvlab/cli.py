@@ -182,6 +182,11 @@ def _repeated(names: list[str]) -> list[str]:
     return sorted({name for name in names if names.count(name) > 1})
 
 
+#: per command, the lists whose values tag its file names, and their tag prefixes
+_TAGGED_LISTS = {"theorem1": {"eps_list": "eps"}, "residual-sweep": {"eps_list": "eps"},
+                 "soliton": {"rho_profiles": "rho", "t_values": "t"}}
+
+
 def _say(cfg: ExperimentConfig, msg: str):
     if not cfg.quiet:
         print(msg)
@@ -220,12 +225,14 @@ def _check(cfg: ExperimentConfig):
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    # theorem1 and residual-sweep run every eps: two that print alike would
-    # name one energy file twice, or put two points at one x of a slope fit
-    if cfg.command in ("theorem1", "residual-sweep") and eps is not None:
-        repeated = _repeated([_file_tag("eps", e) for e in eps])
+    # every value of these lists names an output file or a point of a slope
+    # fit: two that print alike would write one file twice, or put two points
+    # at one x of a fit
+    for name, prefix in _TAGGED_LISTS.get(cfg.command, {}).items():
+        values = getattr(cfg, name) or ()
+        repeated = ", ".join(_repeated([_file_tag(prefix, v) for v in values]))
         if repeated:
-            raise ConfigError(f"eps list {_flat_value(eps)} repeats {', '.join(repeated)}: "
+            raise ConfigError(f"{prefix} list {_flat_value(values)} repeats {repeated}: "
                               "list values must differ in their first 6 significant digits")
     # every command but soliton starts from the cKdV pulse; a theorem1 case
     # runs on more nodes the smaller its eps, and a pulse that fails to decay
@@ -242,15 +249,10 @@ def _write_out(cfg: ExperimentConfig, manifest: dict,
     manifest.txt listing them; returns the paths in that order.
 
     Every command renders all its files before it calls this, so a config,
-    a run or a rendering that fails leaves no output directory behind; so do
-    two files of one name (list values that print alike with %g), which
-    would overwrite each other.
+    a run or a rendering that fails leaves no output directory behind.  The
+    names differ: _check refuses list values that would tag two alike.
     """
     names = [name for name, _ in files]
-    repeated = _repeated(names)
-    if repeated:
-        raise ConfigError(f"{cfg.command} would write {', '.join(repeated)} more than once: "
-                          "list values must differ in their first 6 significant digits")
     files = [*files, ("manifest.txt", manifest_text(manifest, names))]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,7 @@ def fit_loglog(x, y) -> tuple[float, float]:
     """Least-squares slope and intercept of log y against log x.
 
     Refuses degenerate fits: a meaningful scaling estimate needs at least
-    three distinct x.
+    three distinct x, and positive data (a norm that underflows reads 0).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -44,7 +44,7 @@ def fit_loglog(x, y) -> tuple[float, float]:
     if distinct < 3:
         raise ConfigError(f"log-log fit needs >= 3 distinct x, got {distinct}")
     if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit needs positive data")
+        raise ConfigError("log-log fit needs positive data")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
 

@@ -176,8 +176,32 @@ class TestSoliton:
                    "--quiet"])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: soliton would write soliton_A_rho1.csv, soliton_A_rho1.svg more than "
-            "once: list values must differ in their first 6 significant digits\n")
+            "error: rho list 1.0000001,1.0000002 repeats rho1: list values must differ in "
+            "their first 6 significant digits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, ini, error", [
+        (["--rho-list", "1,1"], None, "rho list 1.0,1.0 repeats rho1"),
+        # both print as 1 with %g
+        (["--rho-list", "1.0000001,1.0000002"], None, "rho list 1.0000001,1.0000002 repeats rho1"),
+        # t_values has no flag
+        ([], "[model]\nt_values = 50,50\n", "t list 50.0,50.0 repeats t50"),
+    ], ids=["rho-exact", "rho-alike", "t-config"])
+    def test_repeated_radius_or_time_is_usage_error_before_any_work(
+            self, tmp_path, monkeypatch, capsys, args, ini, error):
+        def no_work(*args):
+            raise AssertionError("soliton evaluated a wave before its lists were checked")
+
+        for name in ("soliton_amplitude", "physical_wave", "zero_mean_defect",
+                     "window_l2_growth"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "out"
+        if ini is not None:
+            (tmp_path / "exp.ini").write_text(ini)
+            args = [*args, "--config", str(tmp_path / "exp.ini")]
+        assert main(["soliton", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {error}: list values must differ in their first 6 significant digits\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("text, named", [
@@ -280,6 +304,14 @@ class TestResidualSweep:
         names = {f.name for f in files}
         assert "residual_scaling.csv" in names
         assert "residual_summary.txt" not in names
+
+    def test_norms_that_underflow_are_usage_error(self, tmp_path, capsys):
+        # at eps = 1e-60 the residual norms read 0: no slope can be fitted
+        out = tmp_path / "out"
+        assert main(["residual-sweep", "--eps", "1e-60,0.1,0.2", "--n", "64", "--out", str(out),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: log-log fit needs positive data\n"
+        assert not out.exists()
 
     def test_empty_eps_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, eps_list=())

@@ -122,5 +122,5 @@ class TestFitLoglog:
     @pytest.mark.parametrize("x, y", [([0.2, 0.1, 0.0], [3.0, 2.0, 1.0]),
                                       ([0.2, 0.1, 0.05], [3.0, -2.0, 1.0])])
     def test_needs_positive_data(self, x, y):
-        with pytest.raises(ValueError, match="needs positive data"):
+        with pytest.raises(ConfigError, match="needs positive data"):
             fit_loglog(x, y)
