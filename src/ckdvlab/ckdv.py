@@ -7,10 +7,12 @@ solution sqrt(rho0/rho) exp(i k^3 (rho-rho0)/2), so only the quadratic term
 is stepped explicitly and the third-derivative stiffness never enters the
 stability limit.
 
-Every snapshot carries B = dtau^{-1} A, the zero-mean antiderivative of
-its A.  B is not integrated: every operator of the step is diagonal in k
-and B's stage terms would be A's divided by ik, so a second integration
-of B would only reproduce dtau^{-1} A to round-off.
+A snapshot stores only rho and A; its B = dtau^{-1} A, the zero-mean
+antiderivative of A, is derived from A each time it is read.  B is not
+integrated: every operator of the step is diagonal in k and B's stage
+terms would be A's divided by ik, so a second integration of B would only
+reproduce dtau^{-1} A to round-off.  Nor is it stored: a trajectory then
+keeps one array per snapshot, not two.
 """
 
 from __future__ import annotations
@@ -107,11 +109,15 @@ def _march(start: float, end: float, output_radii, d: float, new, *args):
 
 @dataclass(frozen=True)
 class CkdvState:
-    """Snapshot of the radial evolution: amplitude A and antiderivative B."""
+    """Snapshot of the radial evolution: amplitude A at radius rho."""
 
     rho: float
     A: RealField
-    B: RealField
+
+    @property
+    def B(self) -> RealField:
+        """dtau^{-1} A, the zero-mean antiderivative, built from A on each read."""
+        return RealField(grid=self.A.grid, values=self.A.grid.core.antiderivative(self.A.values))
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,17 @@ class CkdvRunConfig:
             raise ValueError(f"step must be positive, got {self.d_rho}")
 
 
-def _drho(a: np.ndarray, rho: float, a_ttt: np.ndarray, sq_t: np.ndarray) -> np.ndarray:
-    """dA/drho = -(A/rho + dtau^3 A - dtau (A^2)) / 2 from the cKdV equation."""
-    return -0.5 * (a / rho + a_ttt - sq_t)
+def _drho(a: np.ndarray, rho: float, a_ttt: np.ndarray, sq_t: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """dA/drho = -(A/rho + dtau^3 A - dtau (A^2)) / 2 from the cKdV equation.
+
+    Written into out if given, with the allocating expression's operations
+    in its order, so the bits do not depend on out.
+    """
+    out = np.divide(a, rho, out=out)
+    np.add(out, a_ttt, out=out)
+    np.subtract(out, sq_t, out=out)
+    return np.multiply(-0.5, out, out=out)
 
 
 def ckdv_linear_propagator(k, rho_from: float, rho_to: float):
@@ -267,16 +281,13 @@ class _Stepper:
 
 
 def make_state(A0: RealField, rho0: float, mean_tol: float | None = None) -> CkdvState:
-    """Initial snapshot with B = dtau^{-1} A0 (zero-mean antiderivative)."""
+    """Initial snapshot of A0, which must have zero mean for its B = dtau^{-1} A0."""
     check_zero_mean(A0, "initial data", mean_tol)
-    B0 = RealField(grid=A0.grid, values=A0.grid.core.antiderivative(A0.values))
-    return CkdvState(rho=float(rho0), A=A0, B=B0)
+    return CkdvState(rho=float(rho0), A=A0)
 
 
 def _snapshot(a_hat, rho: float, grid: SpectralGrid) -> CkdvState:
-    a = _irfft(a_hat, grid.n)
-    return CkdvState(rho=rho, A=RealField(grid=grid, values=a),
-                     B=RealField(grid=grid, values=grid.core.antiderivative(a)))
+    return CkdvState(rho=rho, A=RealField(grid=grid, values=_irfft(a_hat, grid.n)))
 
 
 def ckdv_evolve(A0: RealField, cfg: CkdvRunConfig, output_rhos=None,

@@ -47,6 +47,8 @@ ANTIRES_SLOPE_TARGET = 6.5
 THEOREM1_SLOPE_FLOOR = 3.2
 THEOREM1_EPS = (0.12, 0.1, 0.08)
 RESIDUAL_SWEEP_EPS = (0.2, 0.14, 0.1, 0.07)
+#: the least eps residual-sweep takes: eps^16 = 2^-1074, the smallest double
+RESIDUAL_EPS_MIN = 2.0 ** (-1074 / 16)
 #: the eps of the commands that take one (soliton's radial waves, boussinesq)
 ONE_EPS = 0.1
 
@@ -193,7 +195,17 @@ def _say(cfg: ExperimentConfig, msg: str):
 
 
 def _check(cfg: ExperimentConfig):
-    """Raise ConfigError for a config no command can run."""
+    """Raise ConfigError for a config no command can run.
+
+    residual-sweep refuses an eps below RESIDUAL_EPS_MIN = 2^(-1074/16),
+    about 6.21e-21.  The residual starts at eps^8, and the L2 norm squares
+    every value, so its leading part enters the norm as eps^16 times the
+    square of an O(1) field.  Below that eps, eps^16 is under 2^-1074, the
+    smallest double, so the eps^8 residual cannot reach the norm.  What is
+    left is round-off, and for smaller eps the L2 norms underflow to 0 (at
+    eps = 1e-60 res_l2 and antires_l2 do), which fit_loglog would refuse
+    only after the whole sweep.
+    """
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         # no experiment has a use for a nan or an infinite value
@@ -205,6 +217,8 @@ def _check(cfg: ExperimentConfig):
     # theorem1 and boussinesq build the long-wave ansatz at every eps
     ansatz_ok = (cfg.command not in ("theorem1", "boussinesq") or eps is None
                  or all(e <= ANSATZ_EPS_MAX for e in eps))
+    norms_ok = (cfg.command != "residual-sweep" or eps is None
+                or all(e >= RESIDUAL_EPS_MIN for e in eps))
     checks = (
         (0 < cfg.rho0 < cfg.rho1, f"need 0 < rho0 < rho1, got ({cfg.rho0}, {cfg.rho1})"),
         (cfg.n >= 8 and cfg.n % 2 == 0, f"n must be even and >= 8, got {cfg.n}"),
@@ -216,6 +230,8 @@ def _check(cfg: ExperimentConfig):
         (cfg.snapshots >= 1, f"snapshots must be >= 1, got {cfg.snapshots}"),
         (eps_ok, f"eps list must be non-empty, positive and finite, got {eps}"),
         (ansatz_ok, f"{cfg.command} needs every eps <= {ANSATZ_EPS_MAX}, got {eps}"),
+        (norms_ok, f"residual-sweep needs every eps >= {RESIDUAL_EPS_MIN:.3g}, where the "
+                   f"residual's eps^8 squared reaches the smallest double, got {eps}"),
         (len(cfg.rho_profiles) > 0 and all(rho > 0 for rho in cfg.rho_profiles),
          f"rho_profiles must be non-empty and positive, got {cfg.rho_profiles}"),
         (len(cfg.t_values) > 0, "t_values must be non-empty"),

@@ -13,12 +13,16 @@ Every transform of the package goes through the private helpers
 ``_rfft``, ``_irfft``, ``_fft`` and ``_ifft`` of this module.  They call
 numpy's pocketfft gufuncs directly, with the arguments ``np.fft`` itself
 passes them, so their results are bit-identical to ``np.fft``'s without
-its per-call Python wrapper.  ``_rfft``, ``_irfft`` and ``_fft`` take 1-D
-arrays; ``_ifft`` also takes a ``(rows, n)`` block and transforms each row,
-each bit-identical to ``np.fft.ifft`` of that row alone.  ``_fft`` and
-``_ifft`` always write into the caller's ``out=`` array, in place when it
-is their input; ``_rfft`` and ``_irfft`` do when given one.  Where numpy
-lacks that private module they are ``np.fft``'s own functions.
+its per-call Python wrapper.  ``_rfft`` and ``_irfft`` take 1-D arrays;
+``_fft`` and ``_ifft`` also take a ``(rows, n)`` block, real or complex,
+and transform each row in one call, each bit-identical to ``np.fft``'s
+transform of that row alone.  numpy builds a plan on every call, so a row
+costs less inside a block than alone.  ``_fft`` and ``_ifft`` always write
+into the caller's ``out=`` array, in place when it is their input; a real
+input is first cast into a complex copy of the whole block, which writing
+it into ``out`` and transforming in place avoids.  ``_rfft`` and
+``_irfft`` write into ``out=`` when given one.  Where numpy lacks that
+private module they are ``np.fft``'s own functions.
 """
 
 from __future__ import annotations

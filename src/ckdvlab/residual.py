@@ -51,39 +51,52 @@ class _Elimination:
     """Workspace for a run of residual evaluations on one grid.
 
     evaluate(state, eps) builds A, A^2, the eliminated D = drho A and
-    D2 = drho^2 A, and the nonlinear terms of one snapshot and eps;
-    B = dtau^{-1} A is the snapshot's own.  Each field is transformed once,
-    into the one scratch spectrum, and every derivative of it that _ORDERS
-    lists, the two that eliminate D included, is taken from there: the
-    field's orders form one range, so one product with a slice of the
-    (4, n) symbol stack fills the field's block of derivatives and one
-    inverse transform turns the block's rows.  d maps each (name, order) to
-    a read-only view of its row.
+    D2 = drho^2 A, and the nonlinear terms of one snapshot and eps, and
+    takes B = dtau^{-1} A straight from the grid's core.  The 9
+    differentiated fields fall into the three dependency levels of
+    _LEVELS: (A, A^2), then (D, 2AD), which need A's third and A^2's first
+    derivative, then the five fields that need D's.  Each level is
+    transformed as a whole, with one forward and one inverse transform
+    call: 6 calls for the 34 rows, where a call per field made 18.  numpy's
+    pocketfft builds a plan on every call, so a row costs less inside a
+    batch than alone.
 
-    The workspace allocates its 13 arrays once (the spectrum, the 9
-    blocks of the 25 derivatives, the two sum accumulators and the term
-    they add), and every evaluation overwrites them: an array that d or
-    the sums return is valid until the next evaluation, and the fields that
-    evaluate returns are copies.  One workspace serves one sweep chunk.
-    Allocating these small arrays once per snapshot made glibc trim the
-    heap after every report and fault it back in.
+    A level's block holds a row for every derivative _ORDERS lists for its
+    fields, laid out by _plan.  The level's fields are copied into the
+    block's first rows and forward-transformed there in place, which spares
+    the complex copy of the level that a real input would cost.  The steps
+    of _plan then write each product of a symbol and a spectrum into its
+    row, reading every spectrum before a product overwrites it, and one
+    inverse transform turns the whole block in place.  d maps each
+    (name, order) to a read-only view of its row's real part.  Every row is
+    bit-identical to a transform of its field alone.
+
+    The workspace allocates its 7 arrays once (the real stack of the 5
+    fields it computes in place, the 3 level blocks of the 25 derivatives,
+    the two sum accumulators and the term they add), and every evaluation
+    overwrites them: an array that fields, d or the sums return is valid
+    until the next evaluation, and the fields that evaluate returns are
+    copies.  One workspace serves one sweep chunk.  Allocating these small
+    arrays once per snapshot made glibc trim the heap after every report
+    and fault it back in.
     """
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         n = grid.n
         # The residual's complex-FFT symbols are the package's only ones, and
-        # _set makes its only complex transforms, through grid's _fft and
-        # _ifft helpers.  They stay because res_sup carries round-off at the
-        # 1e-6 level and the benchmark's 1e-8 relative gate pins it to this
-        # layout.  Once the benchmark compares res_sup against its measured
-        # round-off floor, the residual moves to the grid's real-FFT core.
+        # _transform makes its only complex transforms, through grid's _fft
+        # and _ifft helpers.  They stay because res_sup carries round-off at
+        # the 1e-6 level and the benchmark's 1e-8 relative gate pins it to
+        # this layout.  Once the benchmark compares res_sup against its
+        # measured round-off floor, the residual moves to the grid's real-FFT
+        # core.
         self._symbols = _derivative_symbols(2 * np.pi * np.fft.fftfreq(n, d=grid.length / n), n)
-        self._spectrum = np.empty(n, dtype=complex)
-        self._blocks = {name: (lo, np.empty((hi - lo + 1, n), dtype=complex))
-                        for name, (lo, hi) in _SPANS.items()}
-        self.d = {(name, lo + row): block[row].real
-                  for name, (lo, block) in self._blocks.items() for row in range(len(block))}
+        self._stack = np.empty((len(_STACKED), n))
+        self._rows = dict(zip(_STACKED, self._stack))
+        self._blocks = [np.empty((len(rows), n), dtype=complex) for rows, _ in _PLANS]
+        self.d = {key: block[row].real for (rows, _), block in zip(_PLANS, self._blocks)
+                  for row, key in enumerate(rows)}
         for view in self.d.values():
             view.setflags(write=False)
         self.res, self.anti, self.term = np.empty(n), np.empty(n), np.empty(n)
@@ -99,34 +112,47 @@ class _Elimination:
                 RealField(grid=t_grid, values=_antiderivative_values(self)))
 
     def _load(self, state: CkdvState, eps: float):
-        """Make the snapshot and eps current: its fields and all their derivatives."""
+        """Make the snapshot and eps current: its fields and all their derivatives.
+
+        Every field is computed with the operations of its allocating
+        expression, in their order, so each keeps its bits.
+        """
         self.eps = eps
         self.rho = rho = state.rho
         check_zero_mean(state.A, "residual expansion")
-        d = self.d
-
         a = state.A.values
-        self.fields = {"b": state.B.values}
-        self._set("a", a)
-        self._set("sq", a * a)
-        # drho A eliminated through the cKdV equation
-        D = self._set("D", _drho(a, rho, d["a", 3], d["sq", 1]))
-        self._set("2aD", 2.0 * a * D)
-        # drho^2 A: differentiate the elimination once more
-        D2 = self._set("D2", -0.5 * (-a / rho ** 2 + D / rho + d["D", 3] - d["2aD", 1]))
-        self._set("2(DD+aD2)", 2 * (D * D + a * D2))
-        for name, values in zip(("N", "N_rho", "N_rho2"), _n_terms(a, D, D2, eps)):
-            self._set(name, values)
+        d = self.d
+        self.fields = f = {"a": a, "b": self.grid.core.antiderivative(a), **self._rows}
 
-    def _set(self, name: str, values: np.ndarray) -> np.ndarray:
-        """Make values the named field and fill every derivative _ORDERS lists for it."""
-        self.fields[name] = values
-        lo, block = self._blocks[name]
-        spectrum = _fft(values, out=self._spectrum)
-        # the symbol-spectrum products are inverse-transformed in place
-        np.multiply(self._symbols[lo - 1: lo - 1 + len(block)], spectrum, out=block)
+        self._transform(0, (a, np.multiply(a, a, out=f["sq"])))
+        # drho A eliminated through the cKdV equation
+        D = _drho(a, rho, d["a", 3], d["sq", 1], out=f["D"])
+        self._transform(1, (D, np.multiply(np.multiply(2.0, a, out=f["2aD"]), D, out=f["2aD"])))
+        # drho^2 A: differentiate the elimination once more,
+        # -0.5 * (-a / rho ** 2 + D / rho + d["D", 3] - d["2aD", 1]);
+        # the row of the field still to come serves as scratch
+        D2, dd = f["D2"], f["2(DD+aD2)"]
+        np.divide(np.negative(a, out=D2), rho ** 2, out=D2)
+        np.add(D2, np.divide(D, rho, out=dd), out=D2)
+        np.add(D2, d["D", 3], out=D2)
+        np.subtract(D2, d["2aD", 1], out=D2)
+        np.multiply(-0.5, D2, out=D2)
+        # 2 * (D * D + a * D2), with a * D2 held in the block's first row
+        np.multiply(D, D, out=dd)
+        a_d2 = np.multiply(a, D2, out=self._blocks[2][0].real)
+        np.multiply(2, np.add(dd, a_d2, out=dd), out=dd)
+        self._transform(2, (D2, dd, *_n_terms(a, D, D2, eps)))
+
+    def _transform(self, level: int, values: tuple):
+        """Fill every derivative _ORDERS lists for the level's fields, given in _LEVELS order."""
+        block = self._blocks[level]
+        spectra = block[: len(values)]
+        for row, field in zip(spectra, values):
+            np.copyto(row, field)
+        _fft(spectra, out=spectra)
+        for symbol, source, row in _PLANS[level][1]:
+            np.multiply(self._symbols[symbol], block[source], out=block[row])
         _ifft(block, out=block)
-        return values
 
 
 def _n_terms(a: np.ndarray, D: np.ndarray, D2: np.ndarray, eps: float):
@@ -170,6 +196,37 @@ _ORDERS = tuple(sorted({("sq", 1)} | {(name, order - lower) for _, _, name, orde
 # per field, which the workspace's blocks of rows rely on.
 _SPANS = {name: (min(o for f, o in _ORDERS if f == name),
                  max(o for f, o in _ORDERS if f == name)) for name, _ in _ORDERS}
+
+# The differentiated fields by dependency level: each level needs only
+# derivatives of the levels before it.
+_LEVELS = (("a", "sq"), ("D", "2aD"), ("D2", "2(DD+aD2)", "N", "N_rho", "N_rho2"))
+# The fields the workspace computes in place, each into a row of its stack;
+# A is the snapshot's, and the nonlinear terms come from n_forms.
+_STACKED = ("sq", "D", "2aD", "D2", "2(DD+aD2)")
+
+
+def _plan(level: tuple) -> tuple:
+    """The rows of one level's block and the products that fill them.
+
+    Returns (rows, steps): rows lists the block's (field, order) keys, the
+    level's fields in turn and each one's _SPANS orders from the lowest, and
+    each step (symbol, source, row) writes the product of symbol row symbol
+    and the spectrum in block row source into block row row.
+    Field i's spectrum sits in row i, and its rows start at or after row i
+    (every field has at least one).  So the steps run the fields last to
+    first and each one's orders from the highest down: a product lands in a
+    spectrum row only once that row's field is done, or, for a field whose
+    rows start at its own spectrum, as that field's last step, in place.
+    """
+    rows = [(name, order) for name in level
+            for order in range(_SPANS[name][0], _SPANS[name][1] + 1)]
+    steps = [(order - 1, i, rows.index((name, order)))
+             for i, name in reversed(list(enumerate(level)))
+             for order in range(_SPANS[name][1], _SPANS[name][0] - 1, -1)]
+    return tuple(rows), tuple(steps)
+
+
+_PLANS = tuple(_plan(level) for level in _LEVELS)
 
 
 def _sum_terms(acc: np.ndarray, ws: _Elimination, lower: int) -> np.ndarray:

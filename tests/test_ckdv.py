@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckdvlab.airy import SolitonSpec
-from ckdvlab.ckdv import (CkdvRunConfig, _drho, _schedule, _snapshot, _Stepper, ckdv_evolve,
-                         ckdv_linear_propagator, make_state)
+from ckdvlab.ckdv import (CkdvRunConfig, CkdvState, _drho, _schedule, _snapshot, _Stepper,
+                         ckdv_evolve, ckdv_linear_propagator, make_state)
 from ckdvlab.errors import MeanValueError, StepUnstable
 from ckdvlab.grid import RealField, make_grid, spectral_derivative
 from ckdvlab.soliton import soliton_amplitude
@@ -136,6 +138,27 @@ class TestStepAndEvolve:
             assert np.array_equal(st.B.values, grid256.core.antiderivative(st.A.values))
             db = spectral_derivative(st.B, 1)
             assert np.abs(db.values - st.A.values).max() <= 1e-8 * st.A.sup()
+
+    def test_snapshots_keep_only_a(self):
+        # B is derived from A when read, so a trajectory keeps one array per
+        # snapshot: 51 snapshots at the ckdv-residual workload's size
+        assert tuple(f.name for f in dataclasses.fields(CkdvState)) == ("rho", "A")
+        g = make_grid(4096, 160.0)
+        a0 = gaussian_pulse(g)
+        cfg = CkdvRunConfig(rho0=1.0, rho1=1.05, d_rho=2.5e-3, grid=g)
+        rhos = list(np.linspace(1.0, 1.05, 51))
+        core = g.core  # the grid's shared core is built once, outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            states = ckdv_evolve(a0, cfg, output_rhos=rhos)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 51
+        assert kept <= 1.25 * len(states) * a0.values.nbytes
+        st = states[-1]
+        assert np.array_equal(st.B.values, core.antiderivative(st.A.values))
 
     def test_richardson_order(self, grid256):
         a0 = gaussian_pulse(grid256)

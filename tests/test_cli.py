@@ -10,8 +10,8 @@ import pytest
 import ckdvlab
 from ckdvlab import cli, soliton
 from ckdvlab.boussinesq import make_ansatz_state
-from ckdvlab.cli import (ExperimentConfig, build_parser, cmd_boussinesq, cmd_ckdv,
-                         cmd_residual_sweep, cmd_selftest, cmd_soliton,
+from ckdvlab.cli import (RESIDUAL_EPS_MIN, ExperimentConfig, build_parser, cmd_boussinesq,
+                         cmd_ckdv, cmd_residual_sweep, cmd_selftest, cmd_soliton,
                          cmd_theorem1, config_from_args, load_config, main,
                          run_theorem1_case, save_config)
 from ckdvlab.errors import ChildTraceback, ConfigError, DenominatorSignError
@@ -305,13 +305,34 @@ class TestResidualSweep:
         assert "residual_scaling.csv" in names
         assert "residual_summary.txt" not in names
 
-    def test_norms_that_underflow_are_usage_error(self, tmp_path, capsys):
-        # at eps = 1e-60 the residual norms read 0: no slope can be fitted
+    def test_norms_that_underflow_are_usage_error(self, tmp_path, monkeypatch, capsys):
+        # at eps = 1e-60 the residual norms read 0, so no slope can be fitted:
+        # that eps, and every one below RESIDUAL_EPS_MIN, is refused before
+        # the cKdV run
+        def no_run(*args, **kwargs):
+            raise AssertionError("residual-sweep ran before its eps list was checked")
+
+        monkeypatch.setattr(cli, "ckdv_evolve", no_run)
         out = tmp_path / "out"
-        assert main(["residual-sweep", "--eps", "1e-60,0.1,0.2", "--n", "64", "--out", str(out),
-                     "--quiet"]) == 2
-        assert capsys.readouterr().err == "error: log-log fit needs positive data\n"
-        assert not out.exists()
+        for tiny in (1e-60, float(np.nextafter(RESIDUAL_EPS_MIN, 0))):
+            assert main(["residual-sweep", "--eps", f"{tiny!r},0.1,0.2", "--n", "64",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", (
+                "error: residual-sweep needs every eps >= 6.21e-21, where the residual's eps^8 "
+                f"squared reaches the smallest double, got ({tiny!r}, 0.1, 0.2)\n"))
+            assert not out.exists()
+
+    def test_least_eps_gives_positive_norms(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["residual-sweep", "--eps", f"{RESIDUAL_EPS_MIN!r},0.1,0.2",
+                     "--out", str(out), "--quiet"]) == 0
+        rows = [ln.split(",") for ln in (out / "residual_scaling.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        # eps, norm_kind, value, fitted_slope
+        least = {kind: float(value) for eps, kind, value, _ in rows[1:]
+                 if float(eps) == RESIDUAL_EPS_MIN}
+        assert set(least) == {"res_l2", "res_sup", "antires_l2"}
+        assert all(value > 0 for value in least.values()), least
 
     def test_empty_eps_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, eps_list=())

@@ -239,12 +239,24 @@ class TestTransformHelpers:
         buf[:] = z
         assert grid_module._ifft(buf, out=buf) is buf
         self.assert_same(buf, np.fft.ifft(z))
-        # a (rows, n) block in place, as the workspace turns a field's
+        # a (rows, n) block in place, as the workspace turns a level's
         # derivatives: each row as if transformed alone
         block = z * np.arange(1, 5)[:, None]
         want = [np.fft.ifft(row) for row in block]
         assert grid_module._ifft(block, out=block) is block
         for got_row, want_row in zip(block, want, strict=True):
+            self.assert_same(got_row, want_row)
+        # a real (rows, n) block forward, into out and in place after it is
+        # copied there, as the workspace transforms a level's fields
+        fields = x * np.arange(1, 6)[:, None] + np.arange(5)[:, None]
+        want = [np.fft.fft(row) for row in fields]
+        spectra = np.empty(fields.shape, dtype=complex)
+        assert grid_module._fft(fields, out=spectra) is spectra
+        for got_row, want_row in zip(spectra, want, strict=True):
+            self.assert_same(got_row, want_row)
+        np.copyto(spectra, fields)
+        assert grid_module._fft(spectra, out=spectra) is spectra
+        for got_row, want_row in zip(spectra, want, strict=True):
             self.assert_same(got_row, want_row)
 
     def test_b2_returns_a_fresh_array_each_call(self, grid64, rng):

@@ -55,9 +55,7 @@ class TestResidualField:
         g = make_grid(64, 40.0)
         bad_vals = np.exp(-g.nodes ** 2)
         st_ok = make_state(gaussian_source(g), 1.0)
-        bad = type(st_ok)(rho=1.0,
-                          A=RealField(grid=g, values=bad_vals),
-                          B=st_ok.B)
+        bad = type(st_ok)(rho=1.0, A=RealField(grid=g, values=bad_vals))
         with pytest.raises(MeanValueError):
             _Elimination(bad.A.grid).evaluate(bad, 0.1)
 
@@ -86,8 +84,8 @@ class TestResidualField:
 
     def test_one_evaluation_makes_34_transforms(self, trajectory, monkeypatch):
         # 9 differentiated fields, each transformed once, and 25 distinct
-        # derivatives, the two of the elimination included, inverse-transformed
-        # as one block of rows per field
+        # derivatives, the two of the elimination included: one forward and
+        # one inverse call per dependency level, after B's real-FFT pair
         # every transform goes through grid's helpers; count each module's binding
         calls = []
         for mod in (grid_module, ckdv, residual):
@@ -103,8 +101,9 @@ class TestResidualField:
         def rows(kind=None):
             return sum(n for k, n in calls if kind in (None, k))
 
-        assert (rows("fft"), rows("ifft"), rows()) == (9, 25, 34)
-        assert [k for k, _ in calls] == ["fft", "ifft"] * 9
+        assert (rows("fft"), rows("ifft"), rows("rfft"), rows("irfft")) == (9, 25, 1, 1)
+        assert calls == [("rfft", 1), ("irfft", 1), ("fft", 2), ("ifft", 6),
+                         ("fft", 2), ("ifft", 6), ("fft", 5), ("ifft", 13)]
 
     def test_scaling_slopes(self, trajectory):
         eps_list = [0.2, 0.14, 0.1, 0.07]
@@ -145,8 +144,7 @@ class TestResidualField:
 
         def bump(i, scale):
             values = scale * np.exp(-(g.nodes - g.center) ** 2)
-            return type(states[i])(rho=states[i].rho, A=RealField(grid=g, values=values),
-                                   B=states[i].B)
+            return type(states[i])(rho=states[i].rho, A=RealField(grid=g, values=values))
 
         for i in range(len(states)):
             with pytest.raises(MeanValueError):
@@ -260,15 +258,15 @@ class TestSharedWorkspace:
 
     def test_results_own_their_memory(self, trajectory):
         def buffers_of(ws):
-            return [ws.res, ws.anti, ws.term, ws._spectrum,
-                    *(block for _, block in ws._blocks.values())]
+            return [ws.res, ws.anti, ws.term, ws._stack, *ws._blocks]
 
         ws = _Elimination(trajectory[0].A.grid)
         first = ws.evaluate(trajectory[1], 0.1)
         kept = [field.values.copy() for field in first]
         buffers = buffers_of(ws)
-        assert len(buffers) == 3 + 1 + 9
-        assert sum(len(block) for _, block in ws._blocks.values()) == 25
+        assert len(buffers) == 3 + 1 + 3
+        assert len(ws._stack) == 5
+        assert sum(len(block) for block in ws._blocks) == 25
         for field in first:
             assert not any(np.shares_memory(field.values, buf) for buf in buffers)
         # a later evaluation overwrites every buffer and no earlier result
